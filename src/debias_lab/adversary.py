@@ -44,7 +44,7 @@ from .errors import (
     SizeLimitError,
     UncertaintyViolationError,
 )
-from .estimands import EstimandSpec, NuisanceField
+from .estimands import EstimandSpec
 from .grid import Density, GridSpace, SignedDensity, add_scaled, l2_nuisance_distance
 from .partition import BumpField, BumpPartition, all_sign_vectors, bump
 
@@ -77,7 +77,7 @@ def _half_space_sign(space: GridSpace) -> np.ndarray:
     return phi
 
 
-def _ate_directions(anchor: Density, variant: str) -> DirectionPair:
+def _ate_directions(anchor: Density, spec: EstimandSpec, variant: str) -> DirectionPair:
     space = anchor.space
     phi = _half_space_sign(space)
     p = anchor.values
@@ -267,12 +267,8 @@ def lod_curvature_reference(anchor: Density, spec: EstimandSpec) -> float:
     return delta1 ** 2 * float(np.sum(b * (2.0 * g1x - 1.0) / g1x ** 2 * p_x) * w_x)
 
 
-def _plm_scale(anchor: Density) -> np.ndarray:
-    g = anchor.values[:, 1, :].sum(axis=1) / anchor.values.sum(axis=(1, 2))
-    return np.sqrt(g * (1.0 - g))
-
-
-def _plm_directions(anchor: Density, variant: str) -> DirectionPair:
+def _plm_directions(anchor: Density, spec: EstimandSpec,
+                    variant: str) -> DirectionPair:
     """Linearized (u, v) directions of the PLM family at the origin."""
     space = anchor.space
     p = anchor.values
@@ -319,6 +315,15 @@ def plm_slope(anchor: Density) -> float:
     return float(slopes[0])
 
 
+_DIRECTIONS = {
+    est.ATE: _ate_directions,
+    est.WAD: _wad_directions,
+    est.DS: _ds_directions,
+    est.LOD: _lod_directions,
+    est.ECC_PLM: _plm_directions,
+}
+
+
 def direction_pair(spec: EstimandSpec, anchor: Density,
                    variant: str = "gamma") -> DirectionPair:
     """The per-kind invariant/companion pair at the anchor.
@@ -328,18 +333,10 @@ def direction_pair(spec: EstimandSpec, anchor: Density,
     """
     if variant not in ("gamma", "alpha"):
         raise PreconditionError("variant must be 'gamma' or 'alpha'")
-    kind = spec.kind
-    if kind == est.ATE:
-        return _ate_directions(anchor, variant)
-    if kind == est.WAD:
-        return _wad_directions(anchor, spec, variant)
-    if kind == est.DS:
-        return _ds_directions(anchor, spec, variant)
-    if kind == est.LOD:
-        return _lod_directions(anchor, spec, variant)
-    if kind == est.ECC_PLM:
-        return _plm_directions(anchor, variant)
-    raise PreconditionError(f"no adversarial construction for kind {kind!r}")
+    build = _DIRECTIONS.get(spec.kind)
+    if build is None:
+        raise PreconditionError(f"no adversarial construction for kind {spec.kind!r}")
+    return build(anchor, spec, variant)
 
 
 # -----------------------------------------------------------------------------
@@ -622,13 +619,6 @@ class AteLocalFamily:
         return m_shift, g_shift
 
 
-def ate_alternative(space: GridSpace, m_hat: np.ndarray, g_hat: np.ndarray,
-                    eps_m: float, eps_g: float, partition: BumpPartition,
-                    lam: Sequence[int]) -> Density:
-    """One local alternative of the ATE construction (see AteLocalFamily)."""
-    return AteLocalFamily(space, m_hat, g_hat, eps_m, eps_g, partition).member(lam)
-
-
 class DirectionFamily:
     """Generic two-step family anchor + t*Delta*first + s*Delta*second."""
 
@@ -738,21 +728,15 @@ def plm_cross_derivative_fd(family_at: Callable[[float, float], Density],
     return (vals[(1, 1)] - vals[(1, -1)] - vals[(-1, 1)] + vals[(-1, -1)]) / (4 * h * h)
 
 
-def mixture_density(family, approximate: bool = False, n_samples: int = 4096,
-                    seed: int = 0) -> Density:
+def mixture_density(family) -> Density:
     """Uniform lambda-average of the family members' densities.
 
-    Enumerates all 2^M sign vectors for M <= 16; larger M requires the
-    approximate flag (a seeded lambda sample), which no exact test uses.
+    Enumerates all 2^M sign vectors, so M is capped at 16.
     """
     m = family.m_pairs
-    if m > 16 and not approximate:
-        raise SizeLimitError("mixture over 2^M requires M <= 16; pass approximate=True")
-    if m <= 16 and not approximate:
-        lams = all_sign_vectors(m)
-    else:
-        rng = np.random.default_rng(seed)
-        lams = 2.0 * rng.integers(0, 2, size=(n_samples, m)) - 1.0
+    if m > 16:
+        raise SizeLimitError("mixture over 2^M requires M <= 16")
+    lams = all_sign_vectors(m)
     acc = np.zeros(family.anchor.space.shape)
     for lam in lams:
         acc += family.member(lam).values
@@ -772,30 +756,6 @@ def _reduce_to_z1(space: GridSpace, values: np.ndarray) -> np.ndarray:
     return values.sum(axis=other) * w_other
 
 
-def m1_atom_values(spec: EstimandSpec, space: GridSpace, h: np.ndarray) -> np.ndarray:
-    """m1(o, h) evaluated at every atom of the observation grid."""
-    kind = spec.kind
-    zs = est.z_space(kind, space)
-    h = zs.check_values(np.asarray(h, dtype=float) * np.ones(zs.shape))
-    out = np.zeros(space.shape)
-    if kind in (est.ATE, est.LOD):
-        out += (h[:, 1] - h[:, 0])[:, None, None]
-    elif kind == est.ECC_PLM:
-        y = np.array([0.0, 1.0])
-        out += y[None, None, :] * h[:, None, None]
-    elif kind == est.DS:
-        w_x = space.axes[0].cell_weight
-        out += float(np.sum(h * (spec.params.f2 - spec.params.f1)) * w_x)
-    elif kind == est.WAD:
-        w_d = space.axes[1].cell_weight
-        per_x = -(h * spec.params.omega_prime[None, :]).sum(axis=1) * w_d
-        out += per_x[:, None, None]
-    else:  # APE
-        perm = spec.params.perm
-        out += (h[:, perm] - h)[:, :, None]
-    return out
-
-
 def case1_weights(anchor: Density, spec: EstimandSpec,
                   pair: DirectionPair) -> list[np.ndarray]:
     """Z1-reduced weight list whose balance cancels the first-order terms of
@@ -805,15 +765,8 @@ def case1_weights(anchor: Density, spec: EstimandSpec,
     gamma, alpha = est.nuisances_of(anchor, spec)
     nu_m = alpha.values  # nu_rho == -1
     gprime = nuisance_directional_derivative(anchor, pair.second, spec, "gamma")
-    m1_at_gamma = m1_atom_values(spec, space, gamma.values)
-
-    zs = est.z_space(spec.kind, space)
-    core = zs.check_values(nu_m * gprime)
-    if spec.kind in (est.ATE, est.LOD, est.WAD, est.APE):
-        core_full = core[:, :, None] * np.ones(space.shape)
-    else:
-        core_full = core.reshape(core.shape + (1,) * (len(space.shape) - 1)) \
-            * np.ones(space.shape)
+    m1_at_gamma = est.m1_atoms(spec, space, gamma.values)
+    core_full = est.z_to_grid(spec, space, nu_m * gprime)
     psi_mixed = core_full * anchor.values + m1_at_gamma * pair.second.values
     weights = [
         np.ones(space.shape[0]),

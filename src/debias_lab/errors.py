@@ -72,10 +72,6 @@ class PairingError(PreconditionError):
     """A bump does not annihilate the direction it multiplies."""
 
 
-class InvalidDirectionError(PreconditionError):
-    """Zero or otherwise unusable coefficient vector / direction."""
-
-
 class ConstructionPreconditionError(PreconditionError):
     """Anchor violates a hypothesis of a hard-instance construction."""
 

@@ -1,30 +1,42 @@
-"""Estimand specifications and their orthogonal-score ingredients.
+"""Estimand kinds and their orthogonal-score ingredients.
 
-Each supported functional chi(P) = E_P[m1(O, gamma(Z; P))] is described by:
+Every supported functional has the form
 
-* a grid layout (which axes play Z1, Z2, W),
-* the regression nuisance gamma(.;P) solving E_P[rho(O, gamma(Z)) | Z] = 0,
-* the Riesz weight alpha(.;P) = -nu_m / nu_rho representing the linear map
-  h -> E_P[m1(O, h)] (all kinds here have nu_rho == -1, so nu_m == alpha),
-* derivative weights nu_rho == -1 and upsilon_rho (zero for the affine
-  kinds, 1 - 2*E[Y|Z] for the log-odds difference).
+    chi(P) = E_P[offset(O)] + sign * E_P[m1(O, gamma(Z; P))]
 
-Kinds and their observation layouts:
+with m1 linear in its second argument and the regression nuisance
+gamma(.;P) solving E_P[rho(O, gamma(Z)) | Z] = 0.  The Riesz weight
+alpha(.;P) = -nu_m / nu_rho represents the linear map h -> E_P[m1(O, h)]
+(nu_rho == -1 for every kind, so nu_m == alpha), and one first-order
+debiased score serves every kind:
+
+    psi(o) = offset(o) + sign * (m1(o, gamma) + alpha(z) rho(o, gamma(z))).
+
+``KIND_TABLE`` is the one place a kind is defined.  Its record holds only
+what differs between kinds: the axis layout, the regressed variable, the
+link, the sign and offset, the parameter class, alpha and the per-atom m1
+field.  Everything else in this module (grid layouts, nuisances, m1 and rho
+per atom, per row and in expectation, the target chi, the derivative
+weights) is derived from that record.
+
+Kinds:
 
   ate      O = (X, D, Y), X continuous, D and Y binary.
            gamma(x,d) = E[Y|x,d], alpha = d/pi - (1-d)/(1-pi).
   ecc_plm  O = (X, T, Y) with Z = X alone; the target is the expected
-           conditional covariance E[Cov(T, Y | X)].  The debiased piece is
-           the auxiliary functional E[Y g(X;P)] with gamma = P(T=1|x),
-           alpha = E[Y|x]; the E[TY] part rides along as a sample mean.
+           conditional covariance E[Cov(T, Y | X)] = E[TY] - E[Y g(X;P)].
+           The debiased piece is the auxiliary functional E[Y g(X;P)] with
+           gamma = P(T=1|x) (T is the regressed variable) and
+           alpha = E[Y|x]; the offset t*y and the sign -1 carry E[TY].
   ds       O = (X, Y); gamma(x) = E[Y|x], alpha = (f2-f1)/f for two known
            reference densities on X.
   wad      O = (X, D, Y) with continuous D; m1 integrates -omega' against
            gamma(x,.); alpha = -omega'(d)/p(d|x).
   ape      like wad but m1(o,h) = h(x, tau(d)) - h(x, d) for a monotone
            cell bijection tau; alpha = p_tau(d|x)/p(d|x) - 1.
-  lod      layout of ate; gamma is the conditional log-odds, rho is the
-           logistic-weighted residual, upsilon_rho = 1 - 2*E[Y|Z].
+  lod      layout of ate with a logistic link: gamma is the conditional
+           log-odds, rho is the logistic-weighted residual and
+           upsilon_rho = 1 - 2*E[Y|Z].  It shares alpha with ate.
 
 Everything is evaluated by exact finite sums on the grid, so the defining
 identities (first-order optimality, Riesz representation, mixed-bias
@@ -34,8 +46,9 @@ as tests rather than taken on faith.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -45,7 +58,7 @@ from .errors import (
     DimensionMismatchError,
     PreconditionError,
 )
-from .grid import Axis, Density, GridSpace, binary, continuous
+from .grid import Density, GridSpace, binary, continuous
 
 ATE = "ate"
 ECC_PLM = "ecc_plm"
@@ -54,8 +67,6 @@ WAD = "wad"
 APE = "ape"
 LOD = "lod"
 KINDS = (ATE, ECC_PLM, DS, WAD, APE, LOD)
-
-AFFINE_KINDS = (ATE, ECC_PLM, DS, WAD, APE)
 
 
 # -----------------------------------------------------------------------------
@@ -68,6 +79,10 @@ class DsParams:
 
     f1: np.ndarray
     f2: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "f1", np.asarray(self.f1, dtype=float))
+        object.__setattr__(self, "f2", np.asarray(self.f2, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -128,6 +143,146 @@ class ApeParams:
             raise PreconditionError("|tau'| must respect its declared bounds")
 
 
+# -----------------------------------------------------------------------------
+# the kind table: alpha and m1 per kind, then one record per kind
+# -----------------------------------------------------------------------------
+
+def _require_positive(arr: np.ndarray, message: str, strict: float = 0.0) -> None:
+    bad = np.flatnonzero(~(arr.ravel() > strict))
+    if bad.size:
+        raise DegenerateNuisanceError(message, atom=int(bad[0]))
+
+
+def _propensity_alpha(p: Density, spec: EstimandSpec) -> np.ndarray:
+    """alpha(x, d) = d/pi(x) - (1-d)/(1-pi(x)) with pi = P(D=1 | x)."""
+    pz = p.values.sum(axis=2)
+    p_x = pz.sum(axis=1)
+    _require_positive(p_x, "X slice has zero mass")
+    pi = pz[:, 1] / p_x
+    _require_positive(pi, "propensity hits 0")
+    _require_positive(1.0 - pi, "propensity hits 1")
+    return np.stack([-1.0 / (1.0 - pi), 1.0 / pi], axis=1)
+
+
+def _ecc_alpha(p: Density, spec: EstimandSpec) -> np.ndarray:
+    """alpha(x) = E[Y | x]."""
+    p_x = p.values.sum(axis=(1, 2))
+    _require_positive(p_x, "X slice has zero mass")
+    return p.values[:, :, 1].sum(axis=1) / p_x
+
+
+def _ds_alpha(p: Density, spec: EstimandSpec) -> np.ndarray:
+    f = p.values.sum(axis=1)
+    _require_positive(f, "X marginal hits zero")
+    return (spec.params.f2 - spec.params.f1) / f
+
+
+def _wad_alpha(p: Density, spec: EstimandSpec) -> np.ndarray:
+    pz = p.values.sum(axis=2)
+    w_d = p.space.axes[1].cell_weight
+    p_x = pz.sum(axis=1) * w_d
+    _require_positive(p_x, "X marginal hits zero")
+    cond = pz / p_x[:, None]
+    _require_positive(cond, "treatment density hits zero")
+    return -spec.params.omega_prime[None, :] / cond
+
+
+def _ape_alpha(p: Density, spec: EstimandSpec) -> np.ndarray:
+    pz = p.values.sum(axis=2)
+    _require_positive(pz, "treatment slice has zero mass")
+    perm, deriv = spec.params.perm, spec.params.deriv
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    return pz[:, inv] / (deriv[inv][None, :] * pz) - 1.0
+
+
+# Per-atom m1 fields: (spec, space, h on the Z grid) -> values broadcastable
+# to the observation grid.
+
+def _contrast_m1(spec: EstimandSpec, space: GridSpace, h: np.ndarray) -> np.ndarray:
+    """m1(o, h) = h(x, 1) - h(x, 0)."""
+    return (h[:, 1] - h[:, 0])[:, None, None]
+
+
+def _ecc_m1(spec: EstimandSpec, space: GridSpace, h: np.ndarray) -> np.ndarray:
+    """m1(o, h) = y h(x)."""
+    return space.coords(2)[None, None, :] * h[:, None, None]
+
+
+def _ds_m1(spec: EstimandSpec, space: GridSpace, h: np.ndarray) -> float:
+    """m1(o, h) = int h (f2 - f1) dmu_X, the same for every observation."""
+    return float(np.sum(h * (spec.params.f2 - spec.params.f1))
+                 * space.axes[0].cell_weight)
+
+
+def _wad_m1(spec: EstimandSpec, space: GridSpace, h: np.ndarray) -> np.ndarray:
+    """m1(o, h) = -int h(x, d) omega'(d) dd."""
+    w_d = space.axes[1].cell_weight
+    return (-(h * spec.params.omega_prime[None, :]).sum(axis=1) * w_d)[:, None, None]
+
+
+def _ape_m1(spec: EstimandSpec, space: GridSpace, h: np.ndarray) -> np.ndarray:
+    """m1(o, h) = h(x, tau(d)) - h(x, d)."""
+    return (h[:, spec.params.perm] - h)[:, :, None]
+
+
+def _ty_offset(space: GridSpace) -> np.ndarray:
+    return space.coords(1)[None, :, None] * space.coords(2)[None, None, :]
+
+
+@dataclass(frozen=True)
+class Kind:
+    """What differs between estimand kinds; everything else is derived.
+
+    Axis 0 has ``x_cells`` cells and axis 1 ``d_cells`` when continuous; the
+    Z axes are the axes whose role is not "w".
+    """
+
+    roles: tuple[str, ...]
+    continuous: tuple[bool, ...]
+    target_axis: int  # the regressed variable: Y, or T for ecc_plm
+    alpha: Callable[[Density, EstimandSpec], np.ndarray]
+    m1_atoms: Callable[[EstimandSpec, GridSpace, np.ndarray], np.ndarray | float]
+    params: type | None = None
+    logistic: bool = False  # gamma is the log-odds of E[target | Z]
+    sign: int = 1
+    offset: Callable[[GridSpace], np.ndarray] | None = None
+
+    @cached_property
+    def z_axes(self) -> tuple[int, ...]:
+        return tuple(i for i, role in enumerate(self.roles) if role != "w")
+
+    @cached_property
+    def w_axes(self) -> tuple[int, ...]:
+        return tuple(i for i, role in enumerate(self.roles) if role == "w")
+
+
+KIND_TABLE: dict[str, Kind] = {
+    ATE: Kind(("z1", "z2", "w"), (True, False, False), target_axis=2,
+              alpha=_propensity_alpha, m1_atoms=_contrast_m1),
+    ECC_PLM: Kind(("z1", "w", "w"), (True, False, False), target_axis=1,
+                  alpha=_ecc_alpha, m1_atoms=_ecc_m1, sign=-1, offset=_ty_offset),
+    DS: Kind(("z1", "w"), (True, False), target_axis=1,
+             alpha=_ds_alpha, m1_atoms=_ds_m1, params=DsParams),
+    WAD: Kind(("z1", "z2", "w"), (True, True, False), target_axis=2,
+              alpha=_wad_alpha, m1_atoms=_wad_m1, params=WadParams),
+    APE: Kind(("z1", "z2", "w"), (True, True, False), target_axis=2,
+              alpha=_ape_alpha, m1_atoms=_ape_m1, params=ApeParams),
+    LOD: Kind(("z1", "z2", "w"), (True, False, False), target_axis=2,
+              alpha=_propensity_alpha, m1_atoms=_contrast_m1, logistic=True),
+}
+
+AFFINE_KINDS = tuple(k for k in KINDS if not KIND_TABLE[k].logistic)
+
+
+def _kind(kind: str) -> Kind:
+    """The table record of a kind."""
+    try:
+        return KIND_TABLE[kind]
+    except KeyError:
+        raise PreconditionError(f"unknown estimand kind {kind!r}") from None
+
+
 @dataclass(frozen=True)
 class EstimandSpec:
     kind: str
@@ -135,66 +290,33 @@ class EstimandSpec:
     overlap: float = 0.05
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in KIND_TABLE:
             raise PreconditionError(f"unknown estimand kind {self.kind!r}")
         if not 0.0 < self.overlap < 0.5:
             raise PreconditionError("overlap constant must lie in (0, 1/2)")
-        if self.kind == DS:
-            if not isinstance(self.params, DsParams):
-                raise PreconditionError("ds spec needs DsParams")
-        elif self.kind == WAD:
-            if not isinstance(self.params, WadParams):
-                raise PreconditionError("wad spec needs WadParams")
-        elif self.kind == APE:
-            if not isinstance(self.params, ApeParams):
-                raise PreconditionError("ape spec needs ApeParams")
+        params = KIND_TABLE[self.kind].params
+        if params is not None and not isinstance(self.params, params):
+            raise PreconditionError(f"{self.kind} spec needs {params.__name__}")
 
     @property
     def affine(self) -> bool:
-        return self.kind in AFFINE_KINDS
+        return not KIND_TABLE[self.kind].logistic
 
     def to_json(self) -> dict:
         params: dict = {}
-        if self.kind == DS:
-            params = {"f1": self.params.f1.tolist(), "f2": self.params.f2.tolist()}
-        elif self.kind == WAD:
-            params = {
-                "omega": self.params.omega.tolist(),
-                "omega_prime": self.params.omega_prime.tolist(),
-            }
-        elif self.kind == APE:
-            params = {
-                "perm": self.params.perm.tolist(),
-                "deriv": self.params.deriv.tolist(),
-                "lower": self.params.lower,
-                "upper": self.params.upper,
-            }
+        if KIND_TABLE[self.kind].params is not None:
+            for f in fields(self.params):
+                value = getattr(self.params, f.name)
+                params[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
         return {"kind": self.kind, "params": params, "overlap": self.overlap}
 
     @staticmethod
     def from_json(doc: dict) -> "EstimandSpec":
         kind = doc["kind"]
+        params = _kind(kind).params
         raw = doc.get("params") or {}
-        overlap = doc.get("overlap", 0.05)
-        if kind == DS:
-            params: object | None = DsParams(
-                np.asarray(raw["f1"], dtype=float), np.asarray(raw["f2"], dtype=float)
-            )
-        elif kind == WAD:
-            params = WadParams(
-                np.asarray(raw["omega"], dtype=float),
-                np.asarray(raw["omega_prime"], dtype=float),
-            )
-        elif kind == APE:
-            params = ApeParams(
-                np.asarray(raw["perm"], dtype=np.int64),
-                np.asarray(raw["deriv"], dtype=float),
-                raw.get("lower", 1.0),
-                raw.get("upper", 1.0),
-            )
-        else:
-            params = None
-        return EstimandSpec(kind, params, overlap)
+        return EstimandSpec(kind, None if params is None else params(**raw),
+                            doc.get("overlap", 0.05))
 
 
 @dataclass(frozen=True)
@@ -226,24 +348,17 @@ class NuisanceField:
 
 def make_space(kind: str, x_cells: int = 256, d_cells: int = 64) -> GridSpace:
     """The observation grid for a kind (defaults: 256 X cells, 64 D cells)."""
-    if kind in (ATE, LOD):
-        return GridSpace((continuous("z1", x_cells), binary("z2"), binary("w")))
-    if kind == ECC_PLM:
-        return GridSpace((continuous("z1", x_cells), binary("w"), binary("w")))
-    if kind == DS:
-        return GridSpace((continuous("z1", x_cells), binary("w")))
-    if kind in (WAD, APE):
-        return GridSpace(
-            (continuous("z1", x_cells), continuous("z2", d_cells), binary("w"))
-        )
-    raise PreconditionError(f"unknown estimand kind {kind!r}")
+    record = _kind(kind)
+    cells = (x_cells, d_cells)
+    return GridSpace(tuple(
+        continuous(role, cells[i]) if is_continuous else binary(role)
+        for i, (role, is_continuous) in enumerate(zip(record.roles, record.continuous))
+    ))
 
 
 def z_axes(kind: str) -> tuple[int, ...]:
     """Indices of the regression axes Z within the observation grid."""
-    if kind in (ATE, LOD, WAD, APE):
-        return (0, 1)
-    return (0,)
+    return _kind(kind).z_axes
 
 
 def z_space(kind: str, space: GridSpace) -> GridSpace:
@@ -362,14 +477,7 @@ def ape_reversal(space: GridSpace) -> ApeParams:
 # -----------------------------------------------------------------------------
 
 def _check_space(spec: EstimandSpec, space: GridSpace) -> None:
-    expected_roles = {
-        ATE: ("z1", "z2", "w"),
-        LOD: ("z1", "z2", "w"),
-        ECC_PLM: ("z1", "w", "w"),
-        DS: ("z1", "w"),
-        WAD: ("z1", "z2", "w"),
-        APE: ("z1", "z2", "w"),
-    }[spec.kind]
+    expected_roles = _kind(spec.kind).roles
     roles = tuple(ax.role for ax in space.axes)
     if roles != expected_roles:
         raise DimensionMismatchError(
@@ -383,189 +491,107 @@ def z_marginal(p: Density, spec: EstimandSpec) -> Density:
     return marginal(p, z_axes(spec.kind))
 
 
+def _on_z(spec: EstimandSpec, space: GridSpace, values) -> np.ndarray:
+    """A scalar or Z-grid field as a checked array on the Z grid."""
+    zs = z_space(spec.kind, space)
+    return zs.check_values(np.asarray(values, dtype=float) * np.ones(zs.shape))
+
+
+def z_to_grid(spec: EstimandSpec, space: GridSpace, values) -> np.ndarray:
+    """A field on the Z grid, broadcast over the W axes of the observation grid."""
+    z_values = _on_z(spec, space, values)
+    return np.broadcast_to(np.expand_dims(z_values, _kind(spec.kind).w_axes),
+                           space.shape)
+
+
 def _z_slice_mass(p: Density, spec: EstimandSpec) -> np.ndarray:
     """Integral of p over W for each Z atom (unnormalized Z density)."""
-    kind = spec.kind
-    if kind in (ATE, LOD, WAD, APE):
-        return p.values.sum(axis=2)
-    if kind == ECC_PLM:
-        return p.values.sum(axis=(1, 2))
-    return p.values.sum(axis=1)
+    return p.values.sum(axis=_kind(spec.kind).w_axes)
 
 
 def regression_target_mean(p: Density, spec: EstimandSpec) -> np.ndarray:
     """Conditional mean over Z of the regressed variable (Y, or T for ecc)."""
-    kind = spec.kind
+    record = _kind(spec.kind)
     denom = _z_slice_mass(p, spec)
     _require_positive(denom, "conditional slice has zero mass")
-    if kind in (ATE, LOD, WAD, APE):
-        return p.values[..., 1] / denom
-    if kind == ECC_PLM:
-        return p.values[:, 1, :].sum(axis=1) / denom
-    return p.values[:, 1] / denom
-
-
-def _require_positive(arr: np.ndarray, message: str, strict: float = 0.0) -> None:
-    bad = np.flatnonzero(~(arr.ravel() > strict))
-    if bad.size:
-        raise DegenerateNuisanceError(message, atom=int(bad[0]))
+    t = record.target_axis
+    hits = p.values.take(1, axis=t)
+    others = tuple(a - (a > t) for a in record.w_axes if a != t)
+    if others:
+        hits = hits.sum(axis=others)
+    return hits / denom
 
 
 def nuisances_of(p: Density, spec: EstimandSpec) -> tuple[NuisanceField, NuisanceField]:
     """gamma(.;P) and alpha(.;P) evaluated atom-wise from conditionals of p."""
     _check_space(spec, p.space)
-    kind = spec.kind
-    zs = z_space(kind, p.space)
-    if kind == ATE:
-        g = regression_target_mean(p, spec)
-        pz = p.values.sum(axis=2)
-        p_x = pz.sum(axis=1)
-        _require_positive(p_x, "X slice has zero mass")
-        pi = pz[:, 1] / p_x
-        _require_positive(pi, "propensity hits 0")
-        _require_positive(1.0 - pi, "propensity hits 1")
-        alpha = np.stack([-1.0 / (1.0 - pi), 1.0 / pi], axis=1)
-        return (NuisanceField(zs, g, "gamma"), NuisanceField(zs, alpha, "alpha"))
-    if kind == LOD:
-        g = regression_target_mean(p, spec)
-        _require_positive(g, "outcome regression hits 0")
-        _require_positive(1.0 - g, "outcome regression hits 1")
-        gamma = np.log(g / (1.0 - g))
-        pz = p.values.sum(axis=2)
-        p_x = pz.sum(axis=1)
-        _require_positive(p_x, "X slice has zero mass")
-        pi = pz[:, 1] / p_x
-        _require_positive(pi, "propensity hits 0")
-        _require_positive(1.0 - pi, "propensity hits 1")
-        alpha = np.stack([-1.0 / (1.0 - pi), 1.0 / pi], axis=1)
-        return (NuisanceField(zs, gamma, "gamma"), NuisanceField(zs, alpha, "alpha"))
-    if kind == ECC_PLM:
-        p_x = p.values.sum(axis=(1, 2))
-        _require_positive(p_x, "X slice has zero mass")
-        g = p.values[:, 1, :].sum(axis=1) / p_x
-        q = p.values[:, :, 1].sum(axis=1) / p_x
-        return (NuisanceField(zs, g, "gamma"), NuisanceField(zs, q, "alpha"))
-    if kind == DS:
-        gamma = regression_target_mean(p, spec)
-        f = p.values.sum(axis=1)
-        _require_positive(f, "X marginal hits zero")
-        alpha = (spec.params.f2 - spec.params.f1) / f
-        return (NuisanceField(zs, gamma, "gamma"), NuisanceField(zs, alpha, "alpha"))
-    if kind == WAD:
-        gamma = regression_target_mean(p, spec)
-        pz = p.values.sum(axis=2)
-        w_d = p.space.axes[1].cell_weight
-        p_x = pz.sum(axis=1) * w_d
-        _require_positive(p_x, "X marginal hits zero")
-        cond = pz / p_x[:, None]
-        _require_positive(cond, "treatment density hits zero")
-        alpha = -spec.params.omega_prime[None, :] / cond
-        return (NuisanceField(zs, gamma, "gamma"), NuisanceField(zs, alpha, "alpha"))
-    # APE
+    record = _kind(spec.kind)
+    zs = z_space(spec.kind, p.space)
     gamma = regression_target_mean(p, spec)
-    pz = p.values.sum(axis=2)
-    _require_positive(pz, "treatment slice has zero mass")
-    perm, deriv = spec.params.perm, spec.params.deriv
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    alpha = pz[:, inv] / (deriv[inv][None, :] * pz) - 1.0
+    if record.logistic:
+        _require_positive(gamma, "outcome regression hits 0")
+        _require_positive(1.0 - gamma, "outcome regression hits 1")
+        gamma = np.log(gamma / (1.0 - gamma))
+    alpha = record.alpha(p, spec)
     return (NuisanceField(zs, gamma, "gamma"), NuisanceField(zs, alpha, "alpha"))
 
 
-def propensity(p: Density, spec: EstimandSpec) -> np.ndarray:
-    """pi(x) = P(D=1 | X=x) for the binary-treatment kinds."""
-    if spec.kind not in (ATE, LOD):
-        raise PreconditionError("propensity defined for binary-treatment kinds only")
-    pz = p.values.sum(axis=2)
-    p_x = pz.sum(axis=1)
-    _require_positive(p_x, "X slice has zero mass")
-    return pz[:, 1] / p_x
-
-
 # -----------------------------------------------------------------------------
-# the linear functional m1 and the target chi
+# the linear functional m1, the offset and the target chi
 # -----------------------------------------------------------------------------
+
+def m1_atoms(spec: EstimandSpec, space: GridSpace, h: np.ndarray) -> np.ndarray | float:
+    """m1(o, h) at every atom of the observation grid, for a field h on Z, as
+    an array (or scalar) that broadcasts to the grid."""
+    _check_space(spec, space)
+    return _kind(spec.kind).m1_atoms(spec, space, _on_z(spec, space, h))
+
 
 def m1_population(p: Density, spec: EstimandSpec, h: np.ndarray) -> float:
     """Exact E_P[m1(O, h)] for a test field h on the Z grid."""
-    _check_space(spec, p.space)
-    kind = spec.kind
-    zs = z_space(kind, p.space)
-    h = zs.check_values(np.asarray(h, dtype=float) * np.ones(zs.shape))
-    w = p.space.atom_weight
-    if kind in (ATE, LOD):
-        p_x = p.values.sum(axis=(1, 2))
-        return float(np.sum(p_x * (h[:, 1] - h[:, 0])) * w)
-    if kind == ECC_PLM:
-        y_mass = p.values[:, :, 1].sum(axis=1)
-        return float(np.sum(y_mass * h) * w)
-    if kind == DS:
-        w_x = p.space.axes[0].cell_weight
-        return float(np.sum(h * (spec.params.f2 - spec.params.f1)) * w_x)
-    if kind == WAD:
-        pz = p.values.sum(axis=2)
-        w_d = p.space.axes[1].cell_weight
-        p_x = pz.sum(axis=1) * w_d
-        inner = -(h * spec.params.omega_prime[None, :]).sum(axis=1) * w_d
-        w_x = p.space.axes[0].cell_weight
-        return float(np.sum(p_x * inner) * w_x)
-    # APE
-    pz = p.values.sum(axis=2)
-    perm = spec.params.perm
-    return float(np.sum(pz * (h[:, perm] - h)) * w)
+    return float(np.sum(p.values * m1_atoms(spec, p.space, h)) * p.space.atom_weight)
 
 
 def m1_rows(spec: EstimandSpec, space: GridSpace, rows: np.ndarray,
             h: np.ndarray) -> np.ndarray:
     """Per-observation m1(O_i, h) for dataset rows (flat atom indices)."""
-    _check_space(spec, space)
-    kind = spec.kind
-    zs = z_space(kind, space)
-    h = zs.check_values(np.asarray(h, dtype=float) * np.ones(zs.shape))
-    idx = np.stack(np.unravel_index(np.asarray(rows, dtype=np.int64), space.shape),
-                   axis=1)
-    if kind in (ATE, LOD):
-        return h[idx[:, 0], 1] - h[idx[:, 0], 0]
-    if kind == ECC_PLM:
-        y = idx[:, 2].astype(float)
-        return y * h[idx[:, 0]]
-    if kind == DS:
-        w_x = space.axes[0].cell_weight
-        const = float(np.sum(h * (spec.params.f2 - spec.params.f1)) * w_x)
-        return np.full(idx.shape[0], const)
-    if kind == WAD:
-        w_d = space.axes[1].cell_weight
-        per_x = -(h * spec.params.omega_prime[None, :]).sum(axis=1) * w_d
-        return per_x[idx[:, 0]]
-    perm = spec.params.perm
-    return h[idx[:, 0], perm[idx[:, 1]]] - h[idx[:, 0], idx[:, 1]]
-
-
-def functional_value(p: Density, spec: EstimandSpec) -> float:
-    """Exact chi(P) on the grid."""
-    _check_space(spec, p.space)
-    kind = spec.kind
-    gamma, alpha = nuisances_of(p, spec)
-    if kind == ECC_PLM:
-        # expected conditional covariance, not the auxiliary linear piece
-        g, q = gamma.values, alpha.values
-        t = np.array([0.0, 1.0])[None, :, None]
-        y = np.array([0.0, 1.0])[None, None, :]
-        resid = (t - g[:, None, None]) * (y - q[:, None, None])
-        return float(np.sum(p.values * resid) * p.space.atom_weight)
-    return m1_population(p, spec, gamma.values)
+    atoms = np.broadcast_to(m1_atoms(spec, space, h), space.shape)
+    return atoms.ravel()[np.asarray(rows, dtype=np.int64)]
 
 
 def ecc_offset_population(p: Density, spec: EstimandSpec) -> float:
-    """E_P[TY], the parametric part of the expected conditional covariance."""
-    if spec.kind != ECC_PLM:
-        raise PreconditionError("offset only defined for ecc_plm")
-    return float(p.values[:, 1, 1].sum() * p.space.atom_weight)
+    """E_P[offset(O)]: E[TY] for ecc_plm, the parametric part of the expected
+    conditional covariance; 0 for the kinds without an offset."""
+    offset = _kind(spec.kind).offset
+    if offset is None:
+        return 0.0
+    return float(np.sum(p.values * offset(p.space)) * p.space.atom_weight)
 
 
 def score_sign_offset(spec: EstimandSpec) -> int:
     """chi = offset + sign * (debiased linear functional); -1 for ecc_plm."""
-    return -1 if spec.kind == ECC_PLM else 1
+    return _kind(spec.kind).sign
+
+
+def chi_from_linear(p: Density, spec: EstimandSpec, linear: float) -> float:
+    """E_P[offset] + sign * linear, for the linear piece E_P[m1] of chi (or of
+    a debiased estimate of it)."""
+    return ecc_offset_population(p, spec) + score_sign_offset(spec) * linear
+
+
+def chi_rows_from_linear(spec: EstimandSpec, space: GridSpace, rows: np.ndarray,
+                         linear: np.ndarray) -> np.ndarray:
+    """Per-observation offset(O_i) + sign * linear_i."""
+    offset = _kind(spec.kind).offset
+    at_rows = 0.0 if offset is None else \
+        np.broadcast_to(offset(space), space.shape).ravel()[rows]
+    return at_rows + score_sign_offset(spec) * linear
+
+
+def functional_value(p: Density, spec: EstimandSpec) -> float:
+    """Exact chi(P) on the grid."""
+    gamma, _ = nuisances_of(p, spec)
+    return chi_from_linear(p, spec, m1_population(p, spec, gamma.values))
 
 
 # -----------------------------------------------------------------------------
@@ -581,7 +607,7 @@ def score_rho(spec: EstimandSpec, outcome: float | np.ndarray,
     """
     outcome = np.asarray(outcome, dtype=float)
     gamma_val = np.asarray(gamma_val, dtype=float)
-    if spec.kind == LOD:
+    if _kind(spec.kind).logistic:
         lam = 1.0 / (1.0 + np.exp(-gamma_val))
         return (outcome - lam) / (lam * (1.0 - lam))
     return outcome - gamma_val
@@ -589,35 +615,20 @@ def score_rho(spec: EstimandSpec, outcome: float | np.ndarray,
 
 def rho_rows(spec: EstimandSpec, space: GridSpace, rows: np.ndarray,
              gamma_field: np.ndarray) -> np.ndarray:
-    """Per-observation rho(O_i, gamma(Z_i)) for dataset rows."""
+    """Per-observation rho(O_i, gamma(Z_i)) for dataset rows, gathered from
+    rho at every atom of the observation grid."""
     _check_space(spec, space)
-    kind = spec.kind
-    zs = z_space(kind, space)
-    gamma_field = zs.check_values(np.asarray(gamma_field, dtype=float) * np.ones(zs.shape))
-    idx = np.stack(np.unravel_index(np.asarray(rows, dtype=np.int64), space.shape),
-                   axis=1)
-    if kind in (ATE, LOD, WAD, APE):
-        gvals = gamma_field[idx[:, 0], idx[:, 1]]
-        outcome = idx[:, 2].astype(float)
-    elif kind == ECC_PLM:
-        gvals = gamma_field[idx[:, 0]]
-        outcome = idx[:, 1].astype(float)
-    else:
-        gvals = gamma_field[idx[:, 0]]
-        outcome = idx[:, 1].astype(float)
-    return score_rho(spec, outcome, gvals)
+    t = _kind(spec.kind).target_axis
+    outcome = np.expand_dims(space.coords(t),
+                             tuple(a for a in range(len(space.shape)) if a != t))
+    atoms = score_rho(spec, outcome, z_to_grid(spec, space, gamma_field))
+    return atoms.ravel()[np.asarray(rows, dtype=np.int64)]
 
 
 def rho_bar(p: Density, spec: EstimandSpec, gamma_field: np.ndarray) -> np.ndarray:
     """E_P[rho(O, gamma_field(Z)) | Z = z], exactly, per Z atom."""
-    kind = spec.kind
-    zs = z_space(kind, p.space)
-    gamma_field = zs.check_values(np.asarray(gamma_field, dtype=float) * np.ones(zs.shape))
-    target = regression_target_mean(p, spec)
-    if kind == LOD:
-        lam = 1.0 / (1.0 + np.exp(-gamma_field))
-        return (target - lam) / (lam * (1.0 - lam))
-    return target - gamma_field
+    gamma_field = _on_z(spec, p.space, gamma_field)
+    return score_rho(spec, regression_target_mean(p, spec), gamma_field)
 
 
 def nu_upsilon_rho(spec: EstimandSpec, p: Density) -> tuple[np.ndarray, np.ndarray]:
@@ -628,7 +639,7 @@ def nu_upsilon_rho(spec: EstimandSpec, p: Density) -> tuple[np.ndarray, np.ndarr
     """
     zs = z_space(spec.kind, p.space)
     nu = -np.ones(zs.shape)
-    if spec.kind == LOD:
+    if _kind(spec.kind).logistic:
         ups = 1.0 - 2.0 * regression_target_mean(p, spec)
     else:
         ups = np.zeros(zs.shape)

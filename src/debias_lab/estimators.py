@@ -8,12 +8,11 @@ curvature term of the non-affine kinds) from Monte Carlo noise, so those
 identities can be asserted at 1e-10 rather than eyeballed through sampling
 error.
 
-Scores per kind (gamma_hat, alpha_hat are fields on the Z grid):
+One score serves every kind (gamma_hat, alpha_hat are fields on the Z grid;
+offset and sign come from the kind table in ``estimands``):
 
-  generic   psi(o) = m1(o, gamma_hat) + alpha_hat(z) rho(o, gamma_hat(z))
-  ecc_plm   psi(o) = t*y - [y*gamma_hat(x) + alpha_hat(x)(t - gamma_hat(x))]
-            (the E[TY] part is a plain sample mean; the bracket is the
-            debiased auxiliary functional, hence the sign flip)
+  generic   psi(o) = offset(o) + sign * (m1(o, gamma_hat)
+                     + alpha_hat(z) rho(o, gamma_hat(z)))
   dr-ate    the classic doubly robust score with the propensity clipped to
             [c, 1-c]; algebraically identical to the generic score with
             alpha_hat(x, d) = d/m_hat - (1-d)/(1-m_hat).
@@ -26,7 +25,6 @@ L2(P_Z).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -153,32 +151,19 @@ class EstimateReport:
 
 def _score_rows(spec: EstimandSpec, space: GridSpace, rows: np.ndarray,
                 gamma_hat: np.ndarray, alpha_hat: np.ndarray) -> np.ndarray:
-    zs = est.z_space(spec.kind, space)
-    alpha_hat = zs.check_values(np.asarray(alpha_hat, dtype=float) * np.ones(zs.shape))
-    idx = np.stack(np.unravel_index(rows, space.shape), axis=1)
-    if spec.kind in (est.ATE, est.LOD, est.WAD, est.APE):
-        alpha_at = alpha_hat[idx[:, 0], idx[:, 1]]
-    else:
-        alpha_at = alpha_hat[idx[:, 0]]
+    alpha_at = est.z_to_grid(spec, space, alpha_hat).ravel()[rows]
     core = (est.m1_rows(spec, space, rows, gamma_hat)
             + alpha_at * est.rho_rows(spec, space, rows, gamma_hat))
-    if spec.kind == est.ECC_PLM:
-        ty = idx[:, 1].astype(float) * idx[:, 2].astype(float)
-        return ty - core
-    return core
+    return est.chi_rows_from_linear(spec, space, rows, core)
 
 
 def plugin_estimate(data: Dataset, gamma_hat: np.ndarray,
                     spec: EstimandSpec) -> float:
-    """(1/n) sum m1(O_i, gamma_hat) (plus the t*y offset for ecc_plm)."""
+    """(1/n) sum m1(O_i, gamma_hat), with the kind's offset and sign."""
     if data.n == 0:
         raise EmptyDataError("plug-in estimate needs at least one observation")
     vals = est.m1_rows(spec, data.space, data.rows, gamma_hat)
-    if spec.kind == est.ECC_PLM:
-        idx = np.stack(np.unravel_index(data.rows, data.space.shape), axis=1)
-        ty = idx[:, 1].astype(float) * idx[:, 2].astype(float)
-        vals = ty - vals
-    return float(vals.mean())
+    return float(est.chi_rows_from_linear(spec, data.space, data.rows, vals).mean())
 
 
 def dml_estimate(data: Dataset, gamma_hat: np.ndarray, alpha_hat: np.ndarray,
@@ -235,10 +220,7 @@ def dr_ate_estimate(data: Dataset, g_hat: np.ndarray, m_hat: np.ndarray,
 # -----------------------------------------------------------------------------
 
 def population_plugin(p: Density, gamma_hat: np.ndarray, spec: EstimandSpec) -> float:
-    core = est.m1_population(p, spec, gamma_hat)
-    if spec.kind == est.ECC_PLM:
-        return est.ecc_offset_population(p, spec) - core
-    return core
+    return est.chi_from_linear(p, spec, est.m1_population(p, spec, gamma_hat))
 
 
 def population_dml(p: Density, gamma_hat: np.ndarray, alpha_hat: np.ndarray,
@@ -249,10 +231,7 @@ def population_dml(p: Density, gamma_hat: np.ndarray, alpha_hat: np.ndarray,
     alpha_hat = zs.check_values(np.asarray(alpha_hat, dtype=float) * np.ones(zs.shape))
     correction = float(np.sum(alpha_hat * est.rho_bar(p, spec, gamma_hat)
                               * pz.values) * zs.atom_weight)
-    core = est.m1_population(p, spec, gamma_hat) + correction
-    if spec.kind == est.ECC_PLM:
-        return est.ecc_offset_population(p, spec) - core
-    return core
+    return est.chi_from_linear(p, spec, est.m1_population(p, spec, gamma_hat) + correction)
 
 
 def population_dr_ate(p: Density, g_hat: np.ndarray, m_hat: np.ndarray,

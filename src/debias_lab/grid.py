@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -383,7 +382,3 @@ def point_mass(space: GridSpace, atom: int) -> Density:
     values = np.zeros(space.shape)
     values.ravel()[atom] = 1.0 / space.atom_weight
     return Density(space, values)
-
-
-def density_json_dumps(d: Density | SignedDensity) -> str:
-    return json.dumps(d.to_json())

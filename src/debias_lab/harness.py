@@ -24,7 +24,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -32,8 +32,7 @@ import numpy as np
 
 from . import adversary, bounds, estimands as est, estimators as dr
 from .errors import PreconditionError
-from .estimands import EstimandSpec
-from .grid import Density, marginal as grid_marginal, sample
+from .grid import marginal as grid_marginal, sample
 from .partition import iterated_partition
 from .presets import Preset, preset
 
@@ -299,11 +298,23 @@ def _sweep_points(config: ExperimentConfig
 
 def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]
                      ) -> tuple[float, float]:
-    """Least-squares slope of log y on log x with its standard error."""
-    lx = np.log(np.asarray(xs, dtype=float))
-    ly = np.log(np.maximum(np.asarray(ys, dtype=float), 1e-300))
-    if lx.size < 2:
+    """Least-squares slope of log y on log x with its standard error.
+
+    Every y must be positive: a zero median |error| has no logarithm, so it
+    raises rather than bending the fit.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.size < 2:
         raise PreconditionError("a slope fit needs at least two sweep points")
+    nonpositive = np.flatnonzero(~(ys > 0))
+    if nonpositive.size:
+        i = int(nonpositive[0])
+        raise PreconditionError(
+            f"median |error| is {float(ys[i])!r} at sweep value {float(xs[i])!r}; "
+            "a log-log slope needs positive medians"
+        )
+    lx, ly = np.log(xs), np.log(ys)
     design = np.stack([lx, np.ones_like(lx)], axis=1)
     coef, residuals, _, _ = np.linalg.lstsq(design, ly, rcond=None)
     slope = float(coef[0])

@@ -16,31 +16,28 @@ carry fractional memberships: a cell may contribute part of its measure to
 one block and the rest to another.  Bump values on split cells are the
 membership-weighted average of +/-1 and so lie strictly inside (-1, 1).
 
-The zero of the sign map is located by a coarse search over directions on
-the unit sphere followed by Nelder-Mead refinement, with two exactness
-fixups: a fast path solves proportional weight lists by an exact prefix
-split, and crossings that refine to within a whisker of a cell edge are
-snapped onto the edge when that does not hurt the residual.  Both fixups
-matter: several downstream identities (exact L2 perturbation norms, the
--2*eps_m*eps_g separation) need Delta^2 == 1 almost everywhere, which only
-holds when no cell is split.
+The balanced set is {h >= 0} for a degree-q polynomial h, and the search
+runs over the q crossing points of h in both orientations: damped least
+squares (scipy's trust-region reflective ``least_squares``) from a start at
+quantiles of the restricted measure and from seeded random starts.  Two
+exactness fixups follow: a fast path solves proportional weight lists by an
+exact prefix split, and crossings that land within a whisker of a cell edge
+are snapped onto the edge when that does not hurt the residual.  Both
+fixups matter: several downstream identities (exact L2 perturbation norms,
+the -2*eps_m*eps_g separation) need Delta^2 == 1 almost everywhere, which
+only holds when no cell is split.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .errors import (
-    InvalidDirectionError,
-    NoConvergenceError,
-    PreconditionError,
-)
-from .grid import Axis, GridSpace
+from .errors import NoConvergenceError, PreconditionError
+from .grid import Axis
 
 RESIDUAL_TOL = 1e-6
 _REFINE_TARGET = 1e-10
@@ -108,14 +105,8 @@ class BumpField:
 
 
 # -----------------------------------------------------------------------------
-# sign map on the sphere
+# bisection
 # -----------------------------------------------------------------------------
-
-def monomial_features(q: int, axis: Axis) -> np.ndarray:
-    """Feature values z^i, i = 0..q, at the cell edges (shape (q+1, cells+1))."""
-    edges = axis.edges
-    return np.stack([edges ** i for i in range(q + 1)])
-
 
 def _positive_fraction(h_edges: np.ndarray) -> np.ndarray:
     """Per-cell fraction of {h >= 0} for edge values of a piecewise-linear h."""
@@ -133,35 +124,6 @@ def _positive_fraction(h_edges: np.ndarray) -> np.ndarray:
     degenerate = (h_l == 0) & (h_r == 0)
     frac[degenerate] = 0.5
     return frac
-
-
-def sign_map(alpha: np.ndarray, weights: Sequence[np.ndarray], axis: Axis,
-             membership: np.ndarray | None = None,
-             features: np.ndarray | None = None) -> np.ndarray:
-    """Phi_j(alpha) = int sgn(h_alpha) w_j dmu, with proportional cell splits.
-
-    ``weights`` are per-atom values (midpoint quadrature); ``membership``
-    optionally restricts the measure to a fractional subset of the axis.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if not np.any(alpha):
-        raise InvalidDirectionError("sign_map needs a nonzero coefficient vector")
-    if features is None:
-        features = monomial_features(alpha.size - 1, axis)
-    h_edges = alpha @ features
-    frac = _positive_fraction(h_edges)
-    sgn = 2.0 * frac - 1.0
-    if membership is not None:
-        sgn = sgn * membership
-    cw = axis.cell_weight
-    return np.array([float(np.sum(sgn * w) * cw) for w in weights])
-
-
-def _positive_membership(alpha: np.ndarray, axis: Axis,
-                         membership: np.ndarray,
-                         features: np.ndarray) -> np.ndarray:
-    h_edges = np.asarray(alpha, dtype=float) @ features
-    return _positive_fraction(h_edges) * membership
 
 
 def _weights_proportional(weights: Sequence[np.ndarray],
@@ -229,14 +191,6 @@ def _half_split_residual(mem_in: np.ndarray, membership: np.ndarray,
         total = float(np.sum(membership * w) * cw)
         res = max(res, abs(inside - total / 2.0) / s)
     return res
-
-
-def _alpha_from_crossings(crossings: np.ndarray, orientation: float) -> np.ndarray:
-    """Monomial coefficients of h(z) = orientation * prod(z - c_i)."""
-    coef = np.array([1.0])
-    for c in crossings:
-        coef = np.convolve(coef, np.array([-c, 1.0]))
-    return orientation * coef
 
 
 def bisect(weights: Sequence[np.ndarray], axis: Axis,

@@ -253,14 +253,6 @@ def test_uncertainty_membership_reports(ate_family):
     assert not ok
 
 
-def test_ate_alternative_function_matches_family(ate_family):
-    lam = [1, -1, 1, -1]
-    direct = adv.ate_alternative(ate_family.space, ate_family.m_hat,
-                                 ate_family.g_hat, 0.1, 0.2,
-                                 ate_family.partition, lam)
-    assert np.array_equal(direct.values, ate_family.member(lam).values)
-
-
 # -----------------------------------------------------------------------------
 # generic two-step and PLM families
 # -----------------------------------------------------------------------------

@@ -131,6 +131,16 @@ def test_fit_loglog_slope_exact_line():
     assert stderr <= 1e-12
 
 
+def test_fit_loglog_slope_rejects_zero_median():
+    with pytest.raises(PreconditionError, match="sweep value 4.0"):
+        fit_loglog_slope([1.0, 2.0, 4.0], [0.5, 0.25, 0.0])
+    # population DML at the exact nuisances has exactly zero error
+    config = ExperimentConfig(kind="ate", estimator="dml", population=True,
+                              n_sweep=(100, 1000), replications=16, x_cells=8)
+    with pytest.raises(PreconditionError, match="median"):
+        run_rate_scan(config)
+
+
 # -----------------------------------------------------------------------------
 # CLI
 # -----------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from debias_lab.errors import InvalidDirectionError, PreconditionError
+from debias_lab.errors import PreconditionError
 from debias_lab.grid import Axis
 from debias_lab.partition import (
     BumpPartition,
@@ -12,41 +12,10 @@ from debias_lab.partition import (
     bump,
     equal_blocks,
     iterated_partition,
-    monomial_features,
     partition_json_dumps,
-    sign_map,
 )
 
 AXIS = Axis("continuous", "z1", 256)
-
-
-def test_sign_map_symmetric_split_is_zero():
-    # h(z) = z - 1/2 splits w == 1 evenly
-    alpha = np.array([-0.5, 1.0])
-    phi = sign_map(alpha, [np.ones(256)], AXIS)
-    assert abs(phi[0]) == 0.0
-
-
-def test_sign_map_quarter_split():
-    alpha = np.array([-0.25, 1.0])
-    phi = sign_map(alpha, [np.ones(256)], AXIS)
-    assert phi[0] == pytest.approx(0.5, abs=1e-15)
-
-
-def test_sign_map_oddness():
-    rng = np.random.default_rng(2)
-    x = AXIS.coords
-    weights = [np.ones(256), x, x * x]
-    for _ in range(25):
-        alpha = rng.standard_normal(4)
-        plus = sign_map(alpha, weights, AXIS)
-        minus = sign_map(-alpha, weights, AXIS)
-        assert np.max(np.abs(plus + minus)) <= 1e-12
-
-
-def test_sign_map_rejects_zero_alpha():
-    with pytest.raises(InvalidDirectionError):
-        sign_map(np.zeros(3), [np.ones(256)], AXIS)
 
 
 def test_bisect_uniform_weight():
@@ -174,9 +143,3 @@ def test_partition_json_document():
     assert doc["cells"] == 256
     assert len(doc["blocks"]) == 4
     assert len(doc["residuals"]) == 1  # one weight
-
-
-def test_monomial_features_shape():
-    feats = monomial_features(3, AXIS)
-    assert feats.shape == (4, 257)
-    assert np.allclose(feats[0], 1.0)
