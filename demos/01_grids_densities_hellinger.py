@@ -39,11 +39,11 @@ marg = marginal(tilted, [0])
 cond = conditional(tilted, {0: 3})
 print("marginal mass:", integrate(marg), " conditional mass:", integrate(cond))
 
-# Sampling is seeded and deterministic.
+# Sampling is seeded and deterministic; a dataset is its per-atom counts.
 data = sample(tilted, 100_000, seed=42)
-freq_left = np.mean(data.axis_coords()[:, 0] < 0.5)
-print("sampled P(X < 1/2):", freq_left,
-      " exact:", integrate(tilted, space.field(lambda x, d, y: x < 0.5)))
+left = space.field(lambda x, d, y: x < 0.5)
+print("sampled P(X < 1/2):", data.counts @ left.ravel() / data.n,
+      " exact:", integrate(tilted, left))
 
 # Hellinger distance between the base and the tilt.
 print("H^2(p, tilted):", hellinger_sq(p, tilted))

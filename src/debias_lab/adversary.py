@@ -596,10 +596,6 @@ class AteLocalFamily:
         )
         return est.ate_joint(self.space, m_lam, g_lam)
 
-    def members(self) -> list[tuple[np.ndarray, Density]]:
-        lams = all_sign_vectors(self.m_pairs)
-        return [(lam, self.member(lam)) for lam in lams]
-
     def nuisance_shift_norms(self, lam: Sequence[int]) -> tuple[float, float]:
         """(||m_lam - m_hat||_{P_X,2}, max_d ||g_lam(d,.) - g_hat(d,.)||)."""
         delta = bump(self.partition, lam).values
@@ -644,10 +640,6 @@ class DirectionFamily:
         if vals.min() < -1e-12:
             raise InfeasibleRadiusError(max(self.t_first, self.s_second), 0.0)
         return Density(self.anchor.space, vals)
-
-    def members(self) -> list[tuple[np.ndarray, Density]]:
-        lams = all_sign_vectors(self.m_pairs)
-        return [(lam, self.member(lam)) for lam in lams]
 
 
 class PlmFamily:
@@ -701,10 +693,6 @@ class PlmFamily:
         if vals.min() < -1e-12:
             raise UncertaintyViolationError("(u, v) too large for this anchor")
         return Density(self.anchor.space, vals)
-
-    def members(self) -> list[tuple[np.ndarray, Density]]:
-        lams = all_sign_vectors(self.m_pairs)
-        return [(lam, self.member(lam)) for lam in lams]
 
 
 def plm_auxiliary_value(p: Density) -> float:

@@ -25,8 +25,7 @@ import numpy as np
 
 from . import adversary, bounds, estimands as est, estimators as dr, harness
 from .errors import NoConvergenceError, PreconditionError
-from .grid import sample
-from .partition import all_sign_vectors, bump, iterated_partition, partition_json_dumps
+from .partition import all_sign_vectors, iterated_partition, partition_json_dumps
 from .presets import preset
 
 ESTIMATE_CSV_COLUMNS = ("kind", "n", "seed", "eps_gamma", "eps_alpha",
@@ -60,7 +59,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         alignment=args.alignment,
         population=args.population,
         n_fixed=args.n,
-        folds=args.folds,
         x_cells=args.x_cells,
         d_cells=args.d_cells,
     )
@@ -68,7 +66,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         config, pre, (args.eps_gamma, args.eps_alpha), args.n, args.seed
     )
     report = dr.EstimateReport(point=point, n=args.n, clip_constant=pre.spec.overlap,
-                               folds=args.folds, seed=args.seed)
+                               seed=args.seed)
     print(json.dumps({**report.to_json(), "oracle": oracle,
                       "abs_error": abs(point - oracle)}, indent=2))
     if args.csv:
@@ -195,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--eps-alpha", type=float, default=0.0)
     estimate.add_argument("--alignment", default="adversarial",
                           choices=("adversarial", "random"))
-    estimate.add_argument("--folds", type=int, default=2)
     estimate.add_argument("--population", action="store_true")
     estimate.add_argument("--estimator", default="dml",
                           choices=("plugin", "dr", "dml"))

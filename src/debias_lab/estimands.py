@@ -16,7 +16,7 @@ debiased score serves every kind:
 what differs between kinds: the axis layout, the regressed variable, the
 link, the sign and offset, the parameter class, alpha and the per-atom m1
 field.  Everything else in this module (grid layouts, nuisances, m1 and rho
-per atom, per row and in expectation, the target chi, the derivative
+per atom and in expectation, the target chi, the derivative
 weights) is derived from that record.
 
 Kinds:
@@ -554,7 +554,7 @@ def m1_population(p: Density, spec: EstimandSpec, h: np.ndarray) -> float:
 
 def m1_rows(spec: EstimandSpec, space: GridSpace, rows: np.ndarray,
             h: np.ndarray) -> np.ndarray:
-    """Per-observation m1(O_i, h) for dataset rows (flat atom indices)."""
+    """m1(o, h) at the atoms ``rows`` (flat indices into the observation grid)."""
     atoms = np.broadcast_to(m1_atoms(spec, space, h), space.shape)
     return atoms.ravel()[np.asarray(rows, dtype=np.int64)]
 
@@ -581,7 +581,7 @@ def chi_from_linear(p: Density, spec: EstimandSpec, linear: float) -> float:
 
 def chi_rows_from_linear(spec: EstimandSpec, space: GridSpace, rows: np.ndarray,
                          linear: np.ndarray) -> np.ndarray:
-    """Per-observation offset(O_i) + sign * linear_i."""
+    """offset(o) + sign * linear at the atoms ``rows`` (flat indices)."""
     offset = _kind(spec.kind).offset
     at_rows = 0.0 if offset is None else \
         np.broadcast_to(offset(space), space.shape).ravel()[rows]
@@ -615,8 +615,8 @@ def score_rho(spec: EstimandSpec, outcome: float | np.ndarray,
 
 def rho_rows(spec: EstimandSpec, space: GridSpace, rows: np.ndarray,
              gamma_field: np.ndarray) -> np.ndarray:
-    """Per-observation rho(O_i, gamma(Z_i)) for dataset rows, gathered from
-    rho at every atom of the observation grid."""
+    """rho(o, gamma_field(z)) at the atoms ``rows`` (flat indices), gathered
+    from rho at every atom of the observation grid."""
     _check_space(spec, space)
     t = _kind(spec.kind).target_axis
     outcome = np.expand_dims(space.coords(t),

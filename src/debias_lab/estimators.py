@@ -1,21 +1,22 @@
 """Plug-in and first-order debiased estimators, with population-exact twins.
 
-The sampled estimators average a per-observation score; every estimator also
-has a population variant that replaces the sample average by the exact grid
-expectation under a supplied density.  The population variants isolate the
-bias algebra (double robustness, the product-of-errors factorization, the
-curvature term of the non-affine kinds) from Monte Carlo noise, so those
-identities can be asserted at 1e-10 rather than eyeballed through sampling
-error.
+Every estimator is the mean of one per-atom score psi: a sampled estimate
+weights psi by the dataset's per-atom counts (a sum over the occupied atoms,
+so its cost does not grow with n), and its population twin is the exact
+expectation of the same psi under a supplied density.  The population
+variants isolate the bias algebra (double robustness, the product-of-errors
+factorization, the curvature term of the non-affine kinds) from Monte Carlo
+noise, so those identities can be asserted at 1e-10 rather than eyeballed
+through sampling error.
 
 One score serves every kind (gamma_hat, alpha_hat are fields on the Z grid;
 offset and sign come from the kind table in ``estimands``):
 
-  generic   psi(o) = offset(o) + sign * (m1(o, gamma_hat)
-                     + alpha_hat(z) rho(o, gamma_hat(z)))
-  dr-ate    the classic doubly robust score with the propensity clipped to
-            [c, 1-c]; algebraically identical to the generic score with
-            alpha_hat(x, d) = d/m_hat - (1-d)/(1-m_hat).
+  psi(o) = offset(o) + sign * (m1(o, gamma_hat) + alpha_hat(z) rho(o, gamma_hat(z))).
+
+The doubly robust ATE estimator is this score on the ATE kind with
+alpha_hat(x, d) = d/m_hat - (1-d)/(1-m_hat), the propensity clipped to
+[c, 1-c].
 
 Controlled corruption adds eps * (direction / ||direction||_{P_Z,2}) to a
 truth field, so the corrupted field misses the truth by exactly eps in
@@ -24,7 +25,7 @@ L2(P_Z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,6 +38,8 @@ from .errors import (
 from .estimands import EstimandSpec, NuisanceField
 from .grid import Dataset, Density, GridSpace, l2_nuisance_distance
 from .partition import BumpField
+
+_ATE_SPEC = EstimandSpec(est.ATE)
 
 
 # -----------------------------------------------------------------------------
@@ -136,58 +139,37 @@ class EstimateReport:
     point: float
     n: int
     clip_constant: float
-    folds: int
     seed: int
 
     def to_json(self) -> dict:
-        return {
-            "point": self.point,
-            "n": self.n,
-            "clip_constant": self.clip_constant,
-            "folds": self.folds,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
-def _score_rows(spec: EstimandSpec, space: GridSpace, rows: np.ndarray,
-                gamma_hat: np.ndarray, alpha_hat: np.ndarray) -> np.ndarray:
-    alpha_at = est.z_to_grid(spec, space, alpha_hat).ravel()[rows]
-    core = (est.m1_rows(spec, space, rows, gamma_hat)
-            + alpha_at * est.rho_rows(spec, space, rows, gamma_hat))
-    return est.chi_rows_from_linear(spec, space, rows, core)
+def _sample_mean(data: Dataset, spec: EstimandSpec, gamma_hat: np.ndarray,
+                 alpha_hat: np.ndarray | None = None) -> float:
+    """counts . psi / n over the occupied atoms, for the orthogonal score psi
+    (the plug-in score offset + sign * m1 when alpha_hat is None)."""
+    if data.n == 0:
+        raise EmptyDataError("an estimate needs at least one observation")
+    space, atoms = data.space, np.flatnonzero(data.counts)
+    core = est.m1_rows(spec, space, atoms, gamma_hat)
+    if alpha_hat is not None:
+        alpha_at = est.z_to_grid(spec, space, alpha_hat).ravel()[atoms]
+        core = core + alpha_at * est.rho_rows(spec, space, atoms, gamma_hat)
+    psi = est.chi_rows_from_linear(spec, space, atoms, core)
+    return float(data.counts[atoms] @ psi / data.n)
 
 
 def plugin_estimate(data: Dataset, gamma_hat: np.ndarray,
                     spec: EstimandSpec) -> float:
     """(1/n) sum m1(O_i, gamma_hat), with the kind's offset and sign."""
-    if data.n == 0:
-        raise EmptyDataError("plug-in estimate needs at least one observation")
-    vals = est.m1_rows(spec, data.space, data.rows, gamma_hat)
-    return float(est.chi_rows_from_linear(spec, data.space, data.rows, vals).mean())
+    return _sample_mean(data, spec, gamma_hat)
 
 
 def dml_estimate(data: Dataset, gamma_hat: np.ndarray, alpha_hat: np.ndarray,
-                 spec: EstimandSpec, folds: int = 2) -> float:
-    """Cross-fitted orthogonal-score average.
-
-    With externally supplied fields the folds only group the averaging, so
-    the estimate is identical for every fold count; the fold machinery is
-    exercised so that an attached learner slots in without changing callers.
-    """
-    if data.n == 0:
-        raise EmptyDataError("dml estimate needs at least one observation")
-    if folds < 1:
-        raise PreconditionError("folds must be >= 1")
-    folds = min(folds, data.n)
-    scores = _score_rows(spec, data.space, data.rows, gamma_hat, alpha_hat)
-    fold_of = np.arange(data.n) % folds
-    total = 0.0
-    for k in range(folds):
-        members = scores[fold_of == k]
-        if members.size == 0:
-            raise EmptyDataError(f"fold {k} is empty")
-        total += members.sum()
-    return float(total / data.n)
+                 spec: EstimandSpec) -> float:
+    """(1/n) sum psi(O_i) of the orthogonal score at the supplied fields."""
+    return _sample_mean(data, spec, gamma_hat, alpha_hat)
 
 
 def ate_alpha_from_propensity(m_hat: np.ndarray, clip: float = 0.05) -> np.ndarray:
@@ -198,21 +180,12 @@ def ate_alpha_from_propensity(m_hat: np.ndarray, clip: float = 0.05) -> np.ndarr
 
 def dr_ate_estimate(data: Dataset, g_hat: np.ndarray, m_hat: np.ndarray,
                     clip: float = 0.05) -> float:
-    """The doubly robust ATE score averaged over the sample.
+    """The doubly robust ATE estimate: the ATE DML estimate with the Riesz
+    weight of the propensity m_hat clipped to [clip, 1-clip].
 
-    g_hat has shape (n_x, 2); m_hat is clipped to [clip, 1-clip] before use.
+    g_hat has shape (n_x, 2); m_hat has shape (n_x,).
     """
-    if data.n == 0:
-        raise EmptyDataError("doubly robust estimate needs at least one observation")
-    m = np.clip(np.asarray(m_hat, dtype=float), clip, 1.0 - clip)
-    g = np.asarray(g_hat, dtype=float)
-    idx = np.stack(np.unravel_index(data.rows, data.space.shape), axis=1)
-    x, d, y = idx[:, 0], idx[:, 1].astype(float), idx[:, 2].astype(float)
-    g_at = g[x, idx[:, 1]]
-    m_at = m[x]
-    score = (g[x, 1] - g[x, 0]
-             + (d - m_at) / (m_at * (1.0 - m_at)) * (y - g_at))
-    return float(score.mean())
+    return dml_estimate(data, g_hat, ate_alpha_from_propensity(m_hat, clip), _ATE_SPEC)
 
 
 # -----------------------------------------------------------------------------
@@ -237,17 +210,7 @@ def population_dml(p: Density, gamma_hat: np.ndarray, alpha_hat: np.ndarray,
 def population_dr_ate(p: Density, g_hat: np.ndarray, m_hat: np.ndarray,
                       clip: float = 0.05) -> float:
     """Exact E_P of the doubly robust ATE score."""
-    m = np.clip(np.asarray(m_hat, dtype=float), clip, 1.0 - clip)
-    g = np.asarray(g_hat, dtype=float)
-    pz = p.values.sum(axis=2)           # (x, d) mass
-    g_true = p.values[:, :, 1] / pz     # E[Y | x, d]
-    p_x = pz.sum(axis=1)
-    w = p.space.atom_weight
-    plug = float(np.sum(p_x * (g[:, 1] - g[:, 0])) * w)
-    d_vals = np.array([0.0, 1.0])[None, :]
-    weight = (d_vals - m[:, None]) / (m * (1.0 - m))[:, None]
-    corr = float(np.sum(pz * weight * (g_true - g)) * w)
-    return plug + corr
+    return population_dml(p, g_hat, ate_alpha_from_propensity(m_hat, clip), _ATE_SPEC)
 
 
 def bias_product_reference(p: Density, spec: EstimandSpec, gamma_hat: np.ndarray,
@@ -288,15 +251,13 @@ def binned_learner(data: Dataset, target_axis: int, bins: int) -> np.ndarray:
         raise EmptyDataError("the learner needs at least one observation")
     group_axes = [a for a in range(len(space.axes)) if a != target_axis and a != 0]
     group_shape = tuple([bins] + [space.shape[a] for a in group_axes])
-    idx = data.axis_indices()
-    coords = data.axis_coords()
-    target = coords[:, target_axis]
-    bin_ix = idx[:, 0] * bins // n1
-    keys = [bin_ix] + [idx[:, a] for a in group_axes]
+    idx = np.indices(space.shape).reshape(len(space.axes), -1)  # cells per atom
+    target = space.coords(target_axis)[idx[target_axis]]
+    keys = [idx[0] * bins // n1] + [idx[a] for a in group_axes]
     flat = np.ravel_multi_index(tuple(keys), group_shape)
-    sums = np.bincount(flat, weights=target, minlength=int(np.prod(group_shape)))
-    counts = np.bincount(flat, minlength=int(np.prod(group_shape)))
-    means = np.where(counts > 0, sums / np.maximum(counts, 1), target.mean())
-    table = means.reshape(group_shape)
-    expanded = np.repeat(table, n1 // bins, axis=0)
-    return expanded
+    size = int(np.prod(group_shape))
+    sums = np.bincount(flat, weights=data.counts * target, minlength=size)
+    counts = np.bincount(flat, weights=data.counts, minlength=size)
+    global_mean = data.counts @ target / data.n
+    means = np.where(counts > 0, sums / np.maximum(counts, 1), global_mean)
+    return np.repeat(means.reshape(group_shape), n1 // bins, axis=0)

@@ -15,7 +15,9 @@ at p means p + t*h stays a density for all |t| up to the feasible radius.
 Conventions: values arrays always have shape ``space.shape`` (one dimension
 per axis, row-major flattening for serialization), and per-atom "fields"
 (nuisances, weights, test functions) are plain ndarrays on the same grid or
-on a sub-grid of it.
+on a sub-grid of it.  A sampled dataset is its vector of per-atom counts in
+that flat order, drawn by one multinomial draw, so sampling and every sample
+mean cost O(atoms) whatever the sample size.
 """
 
 from __future__ import annotations
@@ -124,9 +126,6 @@ class GridSpace:
             w *= ax.cell_weight
         return w
 
-    def axis_indices(self, role: Role) -> tuple[int, ...]:
-        return tuple(i for i, ax in enumerate(self.axes) if ax.role == role)
-
     def subgrid(self, keep: Sequence[int]) -> "GridSpace":
         return GridSpace(tuple(self.axes[i] for i in keep))
 
@@ -225,42 +224,40 @@ class SignedDensity:
 
 @dataclass(frozen=True)
 class Dataset:
-    """n i.i.d. observations, each stored as a flat atom index."""
+    """n i.i.d. observations as per-atom counts.
+
+    ``counts[a]`` is the number of observations on flat (row-major) atom
+    ``a``.  On a finite grid the counts are a sufficient statistic for every
+    sample mean the estimators take, so no per-observation array is kept.
+    """
 
     space: GridSpace
-    rows: np.ndarray
+    counts: np.ndarray
     seed: int
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64)
-        if rows.ndim != 1:
-            raise DimensionMismatchError("rows must be a 1-d array of atom indices")
-        if rows.size and (rows.min() < 0 or rows.max() >= self.space.n_atoms):
-            raise PreconditionError("dataset row indexes an atom outside the grid")
-        object.__setattr__(self, "rows", rows)
+        counts = np.asarray(self.counts, dtype=np.int64)
+        if counts.shape != (self.space.n_atoms,):
+            raise DimensionMismatchError(
+                f"counts shape {counts.shape} does not match the "
+                f"{self.space.n_atoms} atoms of the grid"
+            )
+        if counts.min() < 0:
+            raise PreconditionError("dataset counts must be nonnegative")
+        object.__setattr__(self, "counts", counts)
 
     @property
     def n(self) -> int:
-        return int(self.rows.size)
-
-    def axis_indices(self) -> np.ndarray:
-        """(n, n_axes) integer cell indices per observation."""
-        return np.stack(np.unravel_index(self.rows, self.space.shape), axis=1)
-
-    def axis_coords(self) -> np.ndarray:
-        """(n, n_axes) coordinate values per observation."""
-        idx = self.axis_indices()
-        cols = [self.space.coords(a)[idx[:, a]] for a in range(len(self.space.axes))]
-        return np.stack(cols, axis=1) if cols else np.zeros((self.n, 0))
+        return int(self.counts.sum())
 
     def to_csv(self) -> str:
+        """One row per observation, in atom order, with its cell per axis."""
         buf = io.StringIO()
         writer = csv.writer(buf)
-        names = [f"axis{i}" for i in range(len(self.space.axes))]
-        writer.writerow(["row"] + names)
-        idx = self.axis_indices()
-        for r in range(self.n):
-            writer.writerow([r] + [int(v) for v in idx[r]])
+        writer.writerow(["row"] + [f"axis{i}" for i in range(len(self.space.axes))])
+        atoms = np.repeat(np.arange(self.space.n_atoms), self.counts)
+        cells = np.stack(np.unravel_index(atoms, self.space.shape), axis=1)
+        writer.writerows([r] + cell for r, cell in enumerate(cells.tolist()))
         return buf.getvalue()
 
     @staticmethod
@@ -270,11 +267,22 @@ class Dataset:
         n_axes = len(header) - 1
         if n_axes != len(space.axes):
             raise DimensionMismatchError("CSV column count does not match the grid")
-        idx = np.array([[int(v) for v in row[1:]] for row in reader], dtype=np.int64)
-        if idx.size == 0:
-            return Dataset(space, np.zeros(0, dtype=np.int64), seed)
-        flat = np.ravel_multi_index(tuple(idx[:, a] for a in range(n_axes)), space.shape)
-        return Dataset(space, flat, seed)
+        rows = list(reader)
+        for line, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise DimensionMismatchError(
+                    f"CSV line {line} has {len(row)} fields, expected {len(header)}"
+                )
+        cells = np.array([row[1:] for row in rows], dtype=np.int64).reshape(-1, n_axes)
+        outside = np.flatnonzero(((cells < 0) | (cells >= space.shape)).any(axis=1))
+        if outside.size:
+            line = int(outside[0])
+            raise PreconditionError(
+                f"CSV line {line + 2} has cell {cells[line].tolist()} outside "
+                f"the grid of shape {space.shape}"
+            )
+        flat = np.ravel_multi_index(tuple(cells.T), space.shape)
+        return Dataset(space, np.bincount(flat, minlength=space.n_atoms), seed)
 
 
 # -----------------------------------------------------------------------------
@@ -342,12 +350,11 @@ def conditional(p: Density, fixed: dict[int, int]) -> Density:
 
 
 def sample(p: Density, n: int, seed: int) -> Dataset:
-    """n i.i.d. atom draws from the categorical law values*atom_weight."""
+    """n i.i.d. atom draws from the categorical law values*atom_weight, as
+    one multinomial draw of the per-atom counts (O(atoms) at any n)."""
     probs = p.values.ravel() * p.space.atom_weight
-    probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
-    rows = rng.choice(p.space.n_atoms, size=int(n), p=probs) if n else np.zeros(0, int)
-    return Dataset(p.space, rows, seed)
+    return Dataset(p.space, rng.multinomial(int(n), probs / probs.sum()), seed)
 
 
 def hellinger_sq(p: Density, q: Density) -> float:

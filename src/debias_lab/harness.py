@@ -56,7 +56,6 @@ class ExperimentConfig:
     population: bool = False
     n_fixed: int = 10_000
     eps_fixed: tuple[float, float] = (0.1, 0.1)
-    folds: int = 2
     x_cells: int = 256
     d_cells: int = 64
     overlap: float = 0.05
@@ -73,6 +72,12 @@ class ExperimentConfig:
             raise PreconditionError("slope fits need at least 16 replications")
         if self.estimator not in ("plugin", "dr", "dml"):
             raise PreconditionError("estimator must be plugin, dr or dml")
+        if self.estimator == "dr" and self.kind != est.ATE:
+            raise PreconditionError("the dr estimator is ATE-specific")
+        if self.population and self.n_sweep is not None:
+            raise PreconditionError(
+                "a population scan ignores n, so it cannot sweep n"
+            )
 
     @property
     def sweep_name(self) -> str:
@@ -95,8 +100,8 @@ class ExperimentConfig:
             "replications": self.replications, "seed": self.seed,
             "alignment": self.alignment, "population": self.population,
             "n_fixed": self.n_fixed, "eps_fixed": list(self.eps_fixed),
-            "folds": self.folds, "x_cells": self.x_cells,
-            "d_cells": self.d_cells, "overlap": self.overlap,
+            "x_cells": self.x_cells, "d_cells": self.d_cells,
+            "overlap": self.overlap,
         }
         if self.n_sweep is not None:
             doc["n_sweep"] = list(self.n_sweep)
@@ -121,7 +126,6 @@ class ExperimentConfig:
             population=doc.get("population", False),
             n_fixed=doc.get("n_fixed", 10_000),
             eps_fixed=tuple(doc.get("eps_fixed", (0.1, 0.1))),
-            folds=doc.get("folds", 2),
             x_cells=doc.get("x_cells", 256),
             d_cells=doc.get("d_cells", 64),
             overlap=doc.get("overlap", 0.05),
@@ -175,8 +179,6 @@ def estimate_once(config: ExperimentConfig, pre: Preset,
             ).values
 
     if config.estimator == "dr":
-        if spec.kind != est.ATE:
-            raise PreconditionError("the dr estimator is ATE-specific")
         m_hat = pre.extras["m_hat"]
         g_hat = pre.extras["g_hat"]
         if eps_alpha:
@@ -208,8 +210,7 @@ def estimate_once(config: ExperimentConfig, pre: Preset,
             point = dr.population_dml(anchor, gamma_hat, alpha_hat, spec)
         else:
             data = sample(anchor, n, derived_seed)
-            point = dr.dml_estimate(data, gamma_hat, alpha_hat, spec,
-                                    config.folds)
+            point = dr.dml_estimate(data, gamma_hat, alpha_hat, spec)
     return point, pre.oracle
 
 

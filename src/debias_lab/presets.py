@@ -14,8 +14,8 @@ import numpy as np
 
 from . import estimands as est
 from .errors import PreconditionError
-from .estimands import ApeParams, DsParams, EstimandSpec
-from .grid import Density, GridSpace
+from .estimands import DsParams, EstimandSpec
+from .grid import Density
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,8 @@ def test_plugin_bias_first_order_in_eps(small_presets):
 
 def test_empty_dataset_errors(small_presets):
     pre = small_presets[est.ATE]
-    empty = Dataset(pre.anchor.space, np.zeros(0, dtype=np.int64), 0)
+    empty = Dataset(pre.anchor.space,
+                    np.zeros(pre.anchor.space.n_atoms, dtype=np.int64), 0)
     with pytest.raises(EmptyDataError):
         dr.plugin_estimate(empty, pre.gamma, pre.spec)
     with pytest.raises(EmptyDataError):
@@ -132,13 +133,22 @@ def test_dr_equals_dml_on_ate():
         assert abs(a - b) <= 1e-12
 
 
-def test_dml_fold_count_is_irrelevant_with_fixed_fields(small_presets):
-    pre = small_presets[est.LOD]
-    data = sample(pre.anchor, 999, seed=4)
-    base = dr.dml_estimate(data, pre.gamma, pre.alpha, pre.spec, folds=1)
-    for folds in (2, 3, 5, 10):
-        assert dr.dml_estimate(data, pre.gamma, pre.alpha, pre.spec,
-                               folds=folds) == pytest.approx(base, abs=1e-13)
+def test_sampled_dml_at_n_1e12():
+    """A count vector makes n = 1e12 cheap; the error stays within 5 standard
+    errors, the variance taken exactly from the per-atom score table."""
+    pre = preset(est.ATE, x_cells=64)
+    space, n = pre.anchor.space, 10 ** 12
+    data = sample(pre.anchor, n, seed=0)
+    assert data.n == n and data.counts.shape == (space.n_atoms,)
+    atoms = np.arange(space.n_atoms)
+    alpha_at = est.z_to_grid(pre.spec, space, pre.alpha).ravel()
+    psi = (est.m1_rows(pre.spec, space, atoms, pre.gamma)
+           + alpha_at * est.rho_rows(pre.spec, space, atoms, pre.gamma))
+    prob = pre.anchor.values.ravel() * space.atom_weight
+    assert abs(prob @ psi - pre.oracle) <= 1e-12
+    stderr = np.sqrt(prob @ (psi - pre.oracle) ** 2 / n)
+    point = dr.dml_estimate(data, pre.gamma, pre.alpha, pre.spec)
+    assert abs(point - pre.oracle) <= 5.0 * stderr
 
 
 @pytest.mark.parametrize("kind", est.KINDS)

@@ -162,13 +162,13 @@ def test_sample_point_mass():
     space = GridSpace((continuous("z1", 4), binary("w")))
     p = point_mass(space, 5)
     data = sample(p, 50, seed=3)
-    assert np.all(data.rows == 5)
+    assert data.counts[5] == data.n == 50
 
 
 def test_sample_frequency_concentrates():
     p = uniform_density(two_point_space())
     data = sample(p, 1_000_000, seed=0)
-    freq = np.mean(data.rows == 0)
+    freq = data.counts[0] / data.n
     assert 0.498 <= freq <= 0.502
 
 
@@ -176,7 +176,7 @@ def test_sample_deterministic_and_empty():
     p = uniform_density(two_point_space())
     a = sample(p, 100, seed=11)
     b = sample(p, 100, seed=11)
-    assert np.array_equal(a.rows, b.rows)
+    assert np.array_equal(a.counts, b.counts)
     assert sample(p, 0, seed=1).n == 0
 
 
@@ -239,7 +239,17 @@ def test_dataset_csv_round_trip():
     data = sample(uniform_density(space), 20, seed=2)
     text = data.to_csv()
     back = Dataset.from_csv(space, text, seed=2)
-    assert np.array_equal(back.rows, data.rows)
+    assert np.array_equal(back.counts, data.counts)
+
+
+def test_dataset_csv_rejects_bad_rows():
+    space = GridSpace((continuous("z1", 4), binary("w")))
+    header = "row,axis0,axis1\n"
+    for cell in ("4,1", "-1,0"):
+        with pytest.raises(PreconditionError, match="CSV line 3"):
+            Dataset.from_csv(space, header + "0,0,1\n1," + cell + "\n")
+    with pytest.raises(DimensionMismatchError, match="CSV line 2"):
+        Dataset.from_csv(space, header + "0,3\n")
 
 
 def test_ess_sup_distance():

@@ -41,6 +41,18 @@ def test_config_validation():
                          eps_sweep=((0.1, 0.1),))  # two sweeps
 
 
+def test_config_rejects_population_n_sweep():
+    # population estimates ignore n: every replication would give error 0
+    with pytest.raises(PreconditionError, match="population"):
+        ExperimentConfig(kind="ate", population=True, n_sweep=(100, 1000))
+
+
+@pytest.mark.parametrize("kind", ["lod", "ecc_plm", "ds", "wad", "ape"])
+def test_config_rejects_dr_off_ate(kind):
+    with pytest.raises(PreconditionError, match="ATE"):
+        ExperimentConfig(kind=kind, estimator="dr", n_sweep=(100, 1000))
+
+
 def test_config_json_round_trip():
     config = eps_config()
     back = ExperimentConfig.from_json(json.loads(json.dumps(config.to_json())))
@@ -136,7 +148,8 @@ def test_fit_loglog_slope_rejects_zero_median():
         fit_loglog_slope([1.0, 2.0, 4.0], [0.5, 0.25, 0.0])
     # population DML at the exact nuisances has exactly zero error
     config = ExperimentConfig(kind="ate", estimator="dml", population=True,
-                              n_sweep=(100, 1000), replications=16, x_cells=8)
+                              eps_sweep=((0.0, 0.0), (0.1, 0.1)), replications=16,
+                              x_cells=8)
     with pytest.raises(PreconditionError, match="median"):
         run_rate_scan(config)
 

@@ -80,8 +80,9 @@ def test_mixed_bias_on_random_anchors(drawn):
 @PROPERTY
 @given(anchors, fields)
 def test_atom_weighted_rows_match_population(drawn, seed):
-    """A dataset holding each atom once, weighted by atom probability, turns
-    the sampled plug-in and DML averages into their population twins."""
+    """Weighted by atom probability, the per-atom plug-in and DML values give
+    their population twins; weighted by a count vector, the sampled
+    estimators."""
     spec, anchor = drawn
     space = anchor.space
     zs = est.z_space(spec.kind, space)
@@ -92,19 +93,32 @@ def test_atom_weighted_rows_match_population(drawn, seed):
     alpha_hat = rng.standard_normal(zs.shape)
 
     rows = np.arange(space.n_atoms)
-    data = Dataset(space, rows, seed=0)
     weight = anchor.values.ravel() * space.atom_weight
-    idx = data.axis_indices()
-    z_at = tuple(idx[:, a] for a in est.z_axes(spec.kind))
+    idx = np.unravel_index(rows, space.shape)
+    z_at = tuple(idx[a] for a in est.z_axes(spec.kind))
     m1 = est.m1_rows(spec, space, rows, gamma_hat)
     core = m1 + alpha_hat[z_at] * est.rho_rows(spec, space, rows, gamma_hat)
     if spec.kind == est.ECC_PLM:
-        ty = (idx[:, 1] * idx[:, 2]).astype(float)
+        ty = (idx[1] * idx[2]).astype(float)
         m1, core = ty - m1, ty - core
 
     assert abs(weight @ m1 - dr.population_plugin(anchor, gamma_hat, spec)) <= TOL
     assert abs(weight @ core
                - dr.population_dml(anchor, gamma_hat, alpha_hat, spec)) <= TOL
-    # the sampled estimators average exactly these per-row values
-    assert abs(dr.plugin_estimate(data, gamma_hat, spec) - m1.mean()) <= TOL
-    assert abs(dr.dml_estimate(data, gamma_hat, alpha_hat, spec) - core.mean()) <= TOL
+    # the sampled estimators are the count-weighted means of the same values
+    counts = rng.integers(0, 4, space.n_atoms) * (rng.random(space.n_atoms) < 0.5)
+    counts[rng.integers(space.n_atoms)] += 1
+    data, n = Dataset(space, counts, seed=0), counts.sum()
+    assert abs(dr.plugin_estimate(data, gamma_hat, spec) - counts @ m1 / n) <= TOL
+    assert abs(dr.dml_estimate(data, gamma_hat, alpha_hat, spec)
+               - counts @ core / n) <= TOL
+    if spec.kind == est.ATE:
+        # the classic doubly robust score; 0.01 and 0.99 get clipped
+        m_hat = rng.permutation(np.linspace(0.01, 0.99, zs.shape[0]))
+        m = np.clip(m_hat, 0.05, 0.95)[idx[0]]
+        x, d, y = idx[0], idx[1], idx[2].astype(float)
+        score = (gamma_hat[x, 1] - gamma_hat[x, 0]
+                 + (d - m) / (m * (1.0 - m)) * (y - gamma_hat[x, d]))
+        assert abs(dr.dr_ate_estimate(data, gamma_hat, m_hat) - counts @ score / n) <= TOL
+        assert abs(dr.population_dr_ate(anchor, gamma_hat, m_hat)
+                   - weight @ score) <= TOL
