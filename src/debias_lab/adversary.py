@@ -459,8 +459,8 @@ def gram_schmidt_invariant_direction(anchor: Density, f0: np.ndarray,
     w_idx = [i for i, ax in enumerate(space.axes) if ax.role == "w"]
     if not w_idx:
         raise PreconditionError("anchor space has no W axes")
-    f0 = space.check_values(np.asarray(f0, dtype=float) * np.ones(space.shape))
-    f1 = space.check_values(np.asarray(f1, dtype=float) * np.ones(space.shape))
+    f0 = space.broadcast(f0)
+    f1 = space.broadcast(f1)
 
     z_shape = tuple(space.shape[i] for i in z_idx)
     z_multi = np.unravel_index(int(z_atom), z_shape)

@@ -492,9 +492,8 @@ def z_marginal(p: Density, spec: EstimandSpec) -> Density:
 
 
 def _on_z(spec: EstimandSpec, space: GridSpace, values) -> np.ndarray:
-    """A scalar or Z-grid field as a checked array on the Z grid."""
-    zs = z_space(spec.kind, space)
-    return zs.check_values(np.asarray(values, dtype=float) * np.ones(zs.shape))
+    """A scalar or Z-grid field as a read-only array of the Z grid's shape."""
+    return z_space(spec.kind, space).broadcast(values)
 
 
 def z_to_grid(spec: EstimandSpec, space: GridSpace, values) -> np.ndarray:
@@ -510,16 +509,23 @@ def _z_slice_mass(p: Density, spec: EstimandSpec) -> np.ndarray:
 
 
 def regression_target_mean(p: Density, spec: EstimandSpec) -> np.ndarray:
-    """Conditional mean over Z of the regressed variable (Y, or T for ecc)."""
+    """Conditional mean over Z of the regressed variable (Y, or T for ecc),
+    as a read-only array computed once per density and kind."""
     record = _kind(spec.kind)
-    denom = _z_slice_mass(p, spec)
-    _require_positive(denom, "conditional slice has zero mass")
-    t = record.target_axis
-    hits = p.values.take(1, axis=t)
-    others = tuple(a - (a > t) for a in record.w_axes if a != t)
-    if others:
-        hits = hits.sum(axis=others)
-    return hits / denom
+
+    def compute() -> np.ndarray:
+        denom = _z_slice_mass(p, spec)
+        _require_positive(denom, "conditional slice has zero mass")
+        t = record.target_axis
+        hits = p.values.take(1, axis=t)
+        others = tuple(a - (a > t) for a in record.w_axes if a != t)
+        if others:
+            hits = hits.sum(axis=others)
+        mean = hits / denom
+        mean.flags.writeable = False
+        return mean
+
+    return p.derived(("regression_target_mean", spec.kind), compute)
 
 
 def nuisances_of(p: Density, spec: EstimandSpec) -> tuple[NuisanceField, NuisanceField]:
@@ -652,7 +658,7 @@ def riesz_identity_residual(p: Density, spec: EstimandSpec, h: np.ndarray) -> fl
     nu_m = alpha.values  # nu_rho == -1 for every kind
     pz = z_marginal(p, spec)
     zs = pz.space
-    h_arr = zs.check_values(np.asarray(h, dtype=float) * np.ones(zs.shape))
+    h_arr = zs.broadcast(h)
     riesz_side = float(np.sum(h_arr * nu_m * pz.values) * zs.atom_weight)
     return m1_population(p, spec, h_arr) - riesz_side
 

@@ -73,8 +73,8 @@ def _direction_on(space: GridSpace, direction: np.ndarray | BumpField) -> np.nda
         vals = direction.values
         shape = [1] * len(space.shape)
         shape[0] = vals.size
-        return vals.reshape(shape) * np.ones(space.shape)
-    return space.check_values(np.asarray(direction, dtype=float) * np.ones(space.shape))
+        return space.broadcast(vals.reshape(shape))
+    return space.broadcast(direction)
 
 
 def corrupt_nuisance(truth: NuisanceField, spec: CorruptionSpec,
@@ -122,8 +122,7 @@ def corruption_directions(z_grid: GridSpace, alignment: str, seed: int = 0,
 
     if alignment == "adversarial":
         if riesz_weight is not None:
-            first = z_grid.check_values(np.asarray(riesz_weight, dtype=float)
-                                        * np.ones(z_grid.shape)).copy()
+            first = z_grid.broadcast(riesz_weight).copy()
         else:
             first = bump_like(rng)
         return first, first.copy()
@@ -201,7 +200,7 @@ def population_dml(p: Density, gamma_hat: np.ndarray, alpha_hat: np.ndarray,
     """Exact E_P of the orthogonal score at the supplied nuisance fields."""
     pz = est.z_marginal(p, spec)
     zs = pz.space
-    alpha_hat = zs.check_values(np.asarray(alpha_hat, dtype=float) * np.ones(zs.shape))
+    alpha_hat = zs.broadcast(alpha_hat)
     correction = float(np.sum(alpha_hat * est.rho_bar(p, spec, gamma_hat)
                               * pz.values) * zs.atom_weight)
     return est.chi_from_linear(p, spec, est.m1_population(p, spec, gamma_hat) + correction)
@@ -222,8 +221,8 @@ def bias_product_reference(p: Density, spec: EstimandSpec, gamma_hat: np.ndarray
     gamma, alpha = est.nuisances_of(p, spec)
     pz = est.z_marginal(p, spec)
     zs = pz.space
-    gamma_hat = zs.check_values(np.asarray(gamma_hat, dtype=float) * np.ones(zs.shape))
-    alpha_hat = zs.check_values(np.asarray(alpha_hat, dtype=float) * np.ones(zs.shape))
+    gamma_hat = zs.broadcast(gamma_hat)
+    alpha_hat = zs.broadcast(alpha_hat)
     nu_rho, _ = est.nu_upsilon_rho(spec, p)
     integral = float(np.sum((gamma_hat - gamma.values) * nu_rho
                             * (alpha_hat - alpha.values) * pz.values)

@@ -11,6 +11,9 @@ arithmetic rather than quadrature accuracy.
 Densities are stored per atom with respect to mu.  A probability density
 integrates to 1, a signed perturbation to 0.  Feasibility of a perturbation h
 at p means p + t*h stays a density for all |t| up to the feasible radius.
+A Density's values are read-only, so what derives from the density alone
+(its marginals, conditional means) is computed once per density and kept
+with it (``Density.derived``); a grid computes its shape and weights once.
 
 Conventions: values arrays always have shape ``space.shape`` (one dimension
 per axis, row-major flattening for serialization), and per-atom "fields"
@@ -25,8 +28,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Hashable, Sequence, TypeVar
 
 import numpy as np
 
@@ -38,6 +42,8 @@ from .errors import (
 )
 
 MASS_TOL = 1e-12
+
+_T = TypeVar("_T")
 
 Role = str  # "z1" | "z2" | "w"
 _ROLES = ("z1", "z2", "w")
@@ -110,16 +116,16 @@ class GridSpace:
         if not self.axes:
             raise PreconditionError("a GridSpace needs at least one axis")
 
-    # -- geometry -------------------------------------------------------------
-    @property
+    # -- geometry (computed once per grid; equality stays on ``axes``) ---------
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(ax.size for ax in self.axes)
 
-    @property
+    @cached_property
     def n_atoms(self) -> int:
         return int(np.prod(self.shape))
 
-    @property
+    @cached_property
     def atom_weight(self) -> float:
         w = 1.0
         for ax in self.axes:
@@ -148,6 +154,17 @@ class GridSpace:
             )
         return arr
 
+    def broadcast(self, values) -> np.ndarray:
+        """A scalar or an array broadcastable to ``shape``, as a read-only
+        view of that shape (no per-atom copy)."""
+        arr = np.asarray(values, dtype=float)
+        try:
+            return np.broadcast_to(arr, self.shape)
+        except ValueError:
+            raise DimensionMismatchError(
+                f"values shape {arr.shape} does not broadcast to grid shape {self.shape}"
+            ) from None
+
     # -- serialization ----------------------------------------------------------
     def to_json(self) -> dict:
         return {
@@ -169,10 +186,16 @@ def _mass(space: GridSpace, values: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Density:
-    """Nonnegative per-atom density with total mass 1 (w.r.t. mu)."""
+    """Nonnegative per-atom density with total mass 1 (w.r.t. mu).
+
+    ``values`` is a read-only copy of the constructor's array, so a value
+    derived from the density (a marginal, a conditional mean) stays valid
+    for its lifetime and is computed once, by ``derived``.
+    """
 
     space: GridSpace
     values: np.ndarray
+    _memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = self.space.check_values(self.values)
@@ -185,7 +208,24 @@ class Density:
         m = _mass(self.space, arr)
         if abs(m - 1.0) > MASS_TOL * max(1.0, abs(m)):
             raise PreconditionError(f"density mass {m!r} is not 1 within {MASS_TOL}")
+        arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+
+    def derived(self, key: Hashable, compute: Callable[[], _T]) -> _T:
+        """``compute()`` on the first call for ``key``, the same object after.
+
+        ``compute`` must depend on this density alone and return an
+        immutable value (a Density or a read-only array).  Two threads that
+        race on a first call may both compute; they get equal values.
+        """
+        memo = self._memo
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_memo", memo)
+        value = memo.get(key)
+        if value is None:
+            value = memo.setdefault(key, compute())
+        return value
 
     def to_json(self) -> dict:
         return {"space": self.space.to_json(), "values": self.values.ravel().tolist()}
@@ -267,13 +307,14 @@ class Dataset:
         n_axes = len(header) - 1
         if n_axes != len(space.axes):
             raise DimensionMismatchError("CSV column count does not match the grid")
-        rows = list(reader)
-        for line, row in enumerate(rows, start=2):
+        cells = []
+        for line, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise DimensionMismatchError(
                     f"CSV line {line} has {len(row)} fields, expected {len(header)}"
                 )
-        cells = np.array([row[1:] for row in rows], dtype=np.int64).reshape(-1, n_axes)
+            cells.append([_csv_cell(text, line) for text in row[1:]])
+        cells = np.array(cells, dtype=np.int64).reshape(-1, n_axes)
         outside = np.flatnonzero(((cells < 0) | (cells >= space.shape)).any(axis=1))
         if outside.size:
             line = int(outside[0])
@@ -283,6 +324,15 @@ class Dataset:
             )
         flat = np.ravel_multi_index(tuple(cells.T), space.shape)
         return Dataset(space, np.bincount(flat, minlength=space.n_atoms), seed)
+
+
+def _csv_cell(text: str, line: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise PreconditionError(
+            f"CSV line {line} has a non-integer cell {text!r}"
+        ) from None
 
 
 # -----------------------------------------------------------------------------
@@ -321,16 +371,23 @@ def add_scaled(p: Density, t: float, h: SignedDensity) -> Density:
 
 
 def marginal(p: Density, keep_axes: Sequence[int]) -> Density:
-    """Sum out every axis not in keep_axes (with base-measure weights)."""
-    keep = sorted(set(int(a) for a in keep_axes))
+    """Sum out every axis not in keep_axes (with base-measure weights).
+
+    Computed once per density and axis set; later calls return that object.
+    """
+    keep = tuple(sorted(set(int(a) for a in keep_axes)))
     if any(a < 0 or a >= len(p.space.axes) for a in keep):
         raise PreconditionError("marginal axes outside the grid")
-    drop = tuple(a for a in range(len(p.space.axes)) if a not in keep)
-    w_drop = 1.0
-    for a in drop:
-        w_drop *= p.space.axes[a].cell_weight
-    values = p.values.sum(axis=drop) * w_drop if drop else p.values.copy()
-    return Density(p.space.subgrid(keep), values)
+
+    def compute() -> Density:
+        drop = tuple(a for a in range(len(p.space.axes)) if a not in keep)
+        w_drop = 1.0
+        for a in drop:
+            w_drop *= p.space.axes[a].cell_weight
+        values = p.values.sum(axis=drop) * w_drop if drop else p.values
+        return Density(p.space.subgrid(keep), values)
+
+    return p.derived(("marginal", keep), compute)
 
 
 def conditional(p: Density, fixed: dict[int, int]) -> Density:
@@ -374,9 +431,7 @@ def ess_sup_distance(p: Density, q: Density) -> float:
 
 def l2_nuisance_distance(f: np.ndarray, g: np.ndarray, p_z: Density) -> float:
     """||f - g||_{P_Z,2} = sqrt( sum (f-g)^2 p_z * atom_weight )."""
-    f_arr = p_z.space.check_values(np.asarray(f, dtype=float) * np.ones(p_z.space.shape))
-    g_arr = p_z.space.check_values(np.asarray(g, dtype=float) * np.ones(p_z.space.shape))
-    diff = f_arr - g_arr
+    diff = p_z.space.broadcast(f) - p_z.space.broadcast(g)
     return float(np.sqrt(np.sum(diff * diff * p_z.values) * p_z.space.atom_weight))
 
 

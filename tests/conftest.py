@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from debias_lab import estimands as est

@@ -13,7 +13,7 @@ import pytest
 
 from debias_lab import adversary as adv, bounds, estimands as est, estimators as dr
 from debias_lab.estimands import EstimandSpec, NuisanceField
-from debias_lab.grid import Density, l2_nuisance_distance, sample
+from debias_lab.grid import Density, sample
 from debias_lab.harness import fit_loglog_slope
 from debias_lab.partition import all_sign_vectors, bump, iterated_partition
 from debias_lab.presets import preset

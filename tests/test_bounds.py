@@ -3,8 +3,7 @@ import pytest
 
 from debias_lab import adversary as adv, bounds, estimands as est
 from debias_lab.errors import PreconditionError, SeparationError, SizeLimitError
-from debias_lab.estimands import EstimandSpec
-from debias_lab.grid import Density, hellinger_sq
+from debias_lab.grid import hellinger_sq
 from debias_lab.partition import iterated_partition
 from debias_lab.presets import preset
 

@@ -4,8 +4,6 @@ import pytest
 from debias_lab import estimands as est
 from debias_lab.errors import DegenerateNuisanceError, PreconditionError
 from debias_lab.estimands import DsParams, EstimandSpec
-from debias_lab.grid import Density
-from debias_lab.presets import preset
 
 
 def test_ate_alpha_at_half_propensity():

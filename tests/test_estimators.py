@@ -7,7 +7,7 @@ from debias_lab.errors import (
     EmptyDataError,
     PreconditionError,
 )
-from debias_lab.estimands import EstimandSpec, NuisanceField
+from debias_lab.estimands import NuisanceField
 from debias_lab.grid import Dataset, sample
 from debias_lab.partition import bump, equal_blocks
 from debias_lab.presets import preset

@@ -10,7 +10,6 @@ from debias_lab.errors import (
     PreconditionError,
 )
 from debias_lab.grid import (
-    Axis,
     Dataset,
     Density,
     GridSpace,
@@ -128,6 +127,34 @@ def test_marginal_onto_treatment():
     p = est.ate_joint(space, np.full(16, 0.3), np.full((16, 2), 0.5))
     marg = marginal(p, [1])
     assert np.allclose(marg.values, [0.7, 0.3], atol=1e-15)
+
+
+def test_density_values_are_a_read_only_copy():
+    raw = np.array([0.25, 0.75])
+    p = Density(two_point_space(), raw)
+    with pytest.raises(ValueError):
+        p.values[0] = 0.5
+    raw[0] = 0.5  # the caller's array stays writeable and is not shared
+    assert p.values[0] == 0.25
+
+
+def test_marginal_is_computed_once_per_density():
+    space = GridSpace((continuous("z1", 4), binary("w")))
+    p = uniform_density(space)
+    assert marginal(p, [0]) is marginal(p, (0,))
+    assert marginal(p, [1]) is marginal(p, [1])
+    assert marginal(p, [1]) is not marginal(p, [0])
+    fresh = Density(space, np.array(p.values))
+    assert marginal(fresh, [0]) is not marginal(p, [0])
+    assert np.array_equal(marginal(fresh, [0]).values, marginal(p, [0]).values)
+
+
+def test_grid_geometry_is_cached_and_equality_stays_on_axes():
+    a = GridSpace((continuous("z1", 4), binary("w")))
+    b = GridSpace((continuous("z1", 4), binary("w")))
+    assert (a.shape, a.n_atoms, a.atom_weight) == ((4, 2), 8, 0.25)
+    assert a.shape is a.shape
+    assert a == b and hash(a) == hash(b)  # b has computed no geometry yet
 
 
 def test_conditional_of_uniform_is_uniform():
@@ -250,6 +277,15 @@ def test_dataset_csv_rejects_bad_rows():
             Dataset.from_csv(space, header + "0,0,1\n1," + cell + "\n")
     with pytest.raises(DimensionMismatchError, match="CSV line 2"):
         Dataset.from_csv(space, header + "0,3\n")
+
+
+@pytest.mark.parametrize("cell, bad", [("a,1", "'a'"), ("1.5,0", "'1.5'"),
+                                       ("2,", "''")])
+def test_dataset_csv_rejects_non_integer_cells(cell, bad):
+    space = GridSpace((continuous("z1", 4), binary("w")))
+    text = "row,axis0,axis1\n0,0,1\n1," + cell + "\n"
+    with pytest.raises(PreconditionError, match=f"CSV line 3 .*{bad}"):
+        Dataset.from_csv(space, text)
 
 
 def test_ess_sup_distance():

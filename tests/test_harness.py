@@ -9,13 +9,11 @@ from debias_lab import harness
 from debias_lab.errors import NoConvergenceError, PreconditionError
 from debias_lab.harness import (
     ExperimentConfig,
-    RateScanResult,
     emit,
     fit_loglog_slope,
     records_from_csv,
     records_to_csv,
     run_rate_scan,
-    scatter_svg,
 )
 
 
@@ -223,3 +221,23 @@ def test_cli_exit_code_three_on_no_convergence(monkeypatch):
     parser_args = ["scan", "--config", "nope.json"]
     monkeypatch.setattr(cli, "_cmd_scan", boom)
     assert cli.main(parser_args) == 3
+
+
+@pytest.mark.parametrize("threads", ["2", "4"])
+@pytest.mark.parametrize("alignment", ["adversarial", "random"])
+def test_scan_records_identical_at_any_thread_count(monkeypatch, alignment, threads):
+    """Replications share one anchor and its memoized marginals; running
+    them on several threads, switching often, changes no record and no
+    byte of the CSV."""
+    config = eps_config(kind="wad", x_cells=32, d_cells=16, alignment=alignment)
+    monkeypatch.delenv("DEBIAS_LAB_THREADS", raising=False)
+    serial = run_rate_scan(config)
+    monkeypatch.setenv("DEBIAS_LAB_THREADS", threads)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run_rate_scan(config)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.records == serial.records
+    assert records_to_csv(threaded.records) == records_to_csv(serial.records)

@@ -1,4 +1,4 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module or a test file imports is used in that file."""
 
 import ast
 from pathlib import Path
@@ -9,6 +9,7 @@ import debias_lab
 
 MODULES = sorted(p for p in Path(debias_lab.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,6 +29,11 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TEST_FILES, ids=lambda p: f"tests/{p.name}")
+def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text()) == []
 
 

@@ -6,7 +6,6 @@ import pytest
 from debias_lab.errors import PreconditionError
 from debias_lab.grid import Axis
 from debias_lab.partition import (
-    BumpPartition,
     all_sign_vectors,
     bisect,
     bump,

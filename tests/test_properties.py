@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from debias_lab import estimands as est, estimators as dr
 from debias_lab.errors import PreconditionError
 from debias_lab.estimands import ApeParams, DsParams, EstimandSpec, WadParams
-from debias_lab.grid import Dataset
+from debias_lab.grid import Dataset, Density
 
 TOL = 1e-12
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -122,3 +122,30 @@ def test_atom_weighted_rows_match_population(drawn, seed):
         assert abs(dr.dr_ate_estimate(data, gamma_hat, m_hat) - counts @ score / n) <= TOL
         assert abs(dr.population_dr_ate(anchor, gamma_hat, m_hat)
                    - weight @ score) <= TOL
+
+
+@PROPERTY
+@given(anchors, fields)
+def test_memoized_anchor_matches_a_cold_copy(drawn, seed):
+    """Calls on one density at several fields (its marginals and conditional
+    means computed once) equal, bit for bit, the same calls on a fresh copy
+    that has computed nothing yet."""
+    spec, anchor = drawn
+    zs = est.z_space(spec.kind, anchor.space)
+    rng = np.random.default_rng(seed)
+
+    def cold():
+        return Density(anchor.space, np.array(anchor.values))
+
+    for _ in range(3):
+        gamma_hat = rng.uniform(0.2, 0.8, zs.shape)
+        if spec.kind == est.LOD:
+            gamma_hat = np.log(gamma_hat / (1.0 - gamma_hat))
+        alpha_hat = rng.standard_normal(zs.shape)
+        assert (dr.population_dml(anchor, gamma_hat, alpha_hat, spec)
+                == dr.population_dml(cold(), gamma_hat, alpha_hat, spec))
+        assert (dr.population_plugin(anchor, gamma_hat, spec)
+                == dr.population_plugin(cold(), gamma_hat, spec))
+        assert np.array_equal(est.rho_bar(anchor, spec, gamma_hat),
+                              est.rho_bar(cold(), spec, gamma_hat))
+        assert est.functional_value(anchor, spec) == est.functional_value(cold(), spec)
