@@ -36,7 +36,7 @@ from .errors import (
     PreconditionError,
 )
 from .estimands import EstimandSpec, NuisanceField
-from .grid import Dataset, Density, GridSpace, l2_nuisance_distance
+from .grid import Dataset, Density, GridSpace
 from .partition import BumpField
 
 _ATE_SPEC = EstimandSpec(est.ATE)
@@ -81,7 +81,8 @@ def corrupt_nuisance(truth: NuisanceField, spec: CorruptionSpec,
                      p_z: Density) -> NuisanceField:
     """truth + eps * direction / ||direction||_{P_Z,2}; exact L2 error eps."""
     direction = _direction_on(truth.space, spec.direction)
-    norm = l2_nuisance_distance(direction, np.zeros_like(direction), p_z)
+    on_z = p_z.space.broadcast(direction)
+    norm = float(np.sqrt(np.sum(on_z * on_z * p_z.values) * p_z.space.atom_weight))
     if norm == 0.0:
         if spec.eps == 0.0:
             return truth
@@ -109,7 +110,8 @@ def corruption_directions(z_grid: GridSpace, alignment: str, seed: int = 0,
     direction, so their error product integrates to exactly eps_g * eps_a;
     when the Riesz weight nu_m is supplied the common direction is nu_m
     itself, which also maximizes the plug-in's first-order bias.  Random
-    alignment draws independent +-1 patterns per Z1 cell.
+    alignment draws independent +-1 patterns per Z1 cell.  Both are
+    read-only views of the Z grid's shape.
     """
     rng = np.random.default_rng(seed)
     n1 = z_grid.shape[0]
@@ -118,14 +120,14 @@ def corruption_directions(z_grid: GridSpace, alignment: str, seed: int = 0,
         signs = 2.0 * r.integers(0, 2, size=n1) - 1.0
         shape = [1] * len(z_grid.shape)
         shape[0] = n1
-        return signs.reshape(shape) * np.ones(z_grid.shape)
+        return z_grid.broadcast(signs.reshape(shape))
 
     if alignment == "adversarial":
         if riesz_weight is not None:
-            first = z_grid.broadcast(riesz_weight).copy()
+            first = z_grid.broadcast(riesz_weight)
         else:
             first = bump_like(rng)
-        return first, first.copy()
+        return first, first
     return bump_like(rng), bump_like(rng)
 
 

@@ -16,16 +16,23 @@ carry fractional memberships: a cell may contribute part of its measure to
 one block and the rest to another.  Bump values on split cells are the
 membership-weighted average of +/-1 and so lie strictly inside (-1, 1).
 
-The balanced set is {h >= 0} for a degree-q polynomial h, and the search
-runs over the q crossing points of h in both orientations: damped least
-squares (scipy's trust-region reflective ``least_squares``) from a start at
-quantiles of the restricted measure and from seeded random starts.  Two
-exactness fixups follow: a fast path solves proportional weight lists by an
-exact prefix split, and crossings that land within a whisker of a cell edge
+A bisection lays the block's support cells end to end and cuts them at q
+positions c_1 <= ... <= c_q (in cell units, a cut cell filled linearly);
+the set is the last interval [c_q, K] and every other gap below it.  The
+Hobby-Rice theorem (1965) says such cuts halve any q weights, and the
+complement of a balanced set is balanced, so one orientation suffices.
+Each weight's mass below c is piecewise linear in c, so the residual has
+an exact Jacobian (a weight's mass in the cell holding each cut) and the
+search is damped Newton from a start at quantiles of the restricted measure
+and from seeded random starts.  Proportional weight lists take an exact
+prefix split instead, and cuts that land within a whisker of a cell edge
 are snapped onto the edge when that does not hurt the residual.  Both
-fixups matter: several downstream identities (exact L2 perturbation norms,
-the -2*eps_m*eps_g separation) need Delta^2 == 1 almost everywhere, which
-only holds when no cell is split.
+matter: several downstream identities (exact L2 perturbation norms, the
+-2*eps_m*eps_g separation) need Delta^2 == 1 almost everywhere, which only
+holds when no cell is split.  If every start misses, the half is a vertex
+of {0 <= u <= mem, W u = W mem / 2} found by purification from u = mem/2,
+exact to rounding and with at most q split cells, so a bisection never
+gives up.
 """
 
 from __future__ import annotations
@@ -41,7 +48,11 @@ from .grid import Axis
 
 RESIDUAL_TOL = 1e-6
 _REFINE_TARGET = 1e-10
-_EVAL_BUDGET = 10_000
+_EXACT = 1e-15         # Newton stops here: the residual is at rounding level
+_NEWTON_STEPS = 30
+_MIN_DAMPING = 1.0 / 64
+_RESTARTS = 32
+_SNAP = 1e-3           # cuts this close to a cell edge are tried on the edge
 
 
 @dataclass(frozen=True)
@@ -108,35 +119,23 @@ class BumpField:
 # bisection
 # -----------------------------------------------------------------------------
 
-def _positive_fraction(h_edges: np.ndarray) -> np.ndarray:
-    """Per-cell fraction of {h >= 0} for edge values of a piecewise-linear h."""
-    h_l, h_r = h_edges[:-1], h_edges[1:]
-    frac = np.empty(h_l.shape)
-    both_pos = (h_l >= 0) & (h_r >= 0)
-    both_neg = (h_l < 0) & (h_r < 0)
-    frac[both_pos] = 1.0
-    frac[both_neg] = 0.0
-    cross = ~(both_pos | both_neg)
-    if cross.any():
-        hl, hr = h_l[cross], h_r[cross]
-        t = hl / (hl - hr)
-        frac[cross] = np.where(hl >= 0, t, 1.0 - t)
-    degenerate = (h_l == 0) & (h_r == 0)
-    frac[degenerate] = 0.5
-    return frac
+def _weight_matrix(weights: Sequence[np.ndarray], axis: Axis) -> np.ndarray:
+    """The weights as rows of a (q, cells) array."""
+    return np.stack([np.broadcast_to(np.asarray(w, dtype=float), (axis.size,))
+                     for w in weights])
 
 
-def _weights_proportional(weights: Sequence[np.ndarray],
-                          membership: np.ndarray, cw: float) -> np.ndarray | None:
+def _weights_proportional(weights: np.ndarray,
+                          membership: np.ndarray) -> np.ndarray | None:
     """If every restricted weight is a multiple of one of them, return it."""
-    restricted = [w * membership for w in weights]
+    restricted = weights * membership
     base = None
     for w in restricted:
         if np.max(np.abs(w)) > 1e-13:
             base = w
             break
     if base is None:
-        return np.ones_like(membership) * membership  # all weights vanish
+        return membership.copy()  # all weights vanish
     scale = float(np.max(np.abs(base)))
     for w in restricted:
         coef = float(np.vdot(base, w) / np.vdot(base, base))
@@ -163,138 +162,168 @@ def _prefix_split(base: np.ndarray, membership: np.ndarray) -> np.ndarray:
     return mem_in
 
 
-def _snap_crossings(mem_in: np.ndarray, membership: np.ndarray,
-                    weights: Sequence[np.ndarray], cw: float,
-                    scales: np.ndarray, current: float) -> tuple[np.ndarray, float]:
-    """Round almost-whole-cell splits onto the cell edge when that helps."""
-    frac = np.divide(mem_in, membership, out=np.zeros_like(mem_in),
-                     where=membership > 0)
-    near = ((frac > 0) & (frac < 1e-3)) | ((frac < 1) & (frac > 1 - 1e-3))
-    if not near.any():
-        return mem_in, current
-    snapped = mem_in.copy()
-    snapped[near & (frac < 0.5)] = 0.0
-    full = near & (frac >= 0.5)
-    snapped[full] = membership[full]
-    res = _half_split_residual(snapped, membership, weights, cw, scales)
-    if res <= max(current, _REFINE_TARGET):
-        return snapped, res
-    return mem_in, current
-
-
 def _half_split_residual(mem_in: np.ndarray, membership: np.ndarray,
-                         weights: Sequence[np.ndarray], cw: float,
+                         weights: np.ndarray, cw: float,
                          scales: np.ndarray) -> float:
-    res = 0.0
-    for w, s in zip(weights, scales):
-        inside = float(np.sum(mem_in * w) * cw)
-        total = float(np.sum(membership * w) * cw)
-        res = max(res, abs(inside - total / 2.0) / s)
-    return res
+    """max_i |int_in w_i - (1/2) int w_i| / scale_i."""
+    gap = weights @ (mem_in - membership / 2.0) * cw
+    return float(np.max(np.abs(gap) / scales))
+
+
+class _CutSearch:
+    """Half-splits of q weights over K support cells by q alternating cuts.
+
+    ``a[i, k]`` is weight i's scaled mass on support cell k and ``cum`` its
+    running sum, so the mass of [0, c] is G_i(c) = cum[i, j] + (c - j) a[i, j]
+    with j = floor(c).  The set of cuts c_1 <= ... <= c_q is [c_q, K] plus
+    every other gap below it, and its residual sum_k s_k G(c_k) + G(K)/2
+    (signs s alternating, s_q = -1) is piecewise linear with Jacobian
+    s_k a[:, floor(c_k)].
+    """
+
+    def __init__(self, a: np.ndarray):
+        self.a = a
+        self.q, self.k = a.shape
+        self.cum = np.concatenate([np.zeros((self.q, 1)), np.cumsum(a, axis=1)],
+                                  axis=1)
+        self.signs = (-1.0) ** (self.q - np.arange(self.q))
+        self.half = self.cum[:, -1] / 2.0
+
+    def residual(self, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cells = np.minimum(cuts.astype(int), self.k - 1)
+        mass = self.cum[:, cells] + (cuts - cells) * self.a[:, cells]
+        return mass @ self.signs + self.half, cells
+
+    def newton(self, cuts: np.ndarray) -> tuple[np.ndarray, float]:
+        """Damped Newton from ``cuts``; returns the best cuts and max |r|."""
+        r, cells = self.residual(cuts)
+        merit = r @ r
+        for _ in range(_NEWTON_STEPS):
+            if np.max(np.abs(r)) <= _EXACT:
+                break
+            jac = self.a[:, cells] * self.signs
+            step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+            t = 1.0
+            while t >= _MIN_DAMPING:
+                trial = np.sort(np.clip(cuts + t * step, 0.0, self.k))
+                r_t, cells_t = self.residual(trial)
+                if r_t @ r_t < merit:
+                    break
+                t *= 0.5
+            else:
+                break
+            cuts, r, cells, merit = trial, r_t, cells_t, r_t @ r_t
+        return cuts, float(np.max(np.abs(r)))
+
+    def fraction(self, cuts: np.ndarray) -> np.ndarray:
+        """Share of each support cell inside the set (cut cells filled linearly)."""
+        cover = np.clip(cuts[:, None] - np.arange(self.k), 0.0, 1.0)
+        return 1.0 + self.signs @ cover
+
+    def gap(self, frac: np.ndarray) -> float:
+        return float(np.max(np.abs(self.a @ frac - self.half)))
+
+
+def _vertex_half(a: np.ndarray) -> np.ndarray:
+    """A vertex of {0 <= f <= 1, a f = a 1 / 2} with at most q fractional cells.
+
+    Purification from f = 1/2: sweep the cells keeping q+1 fractional ones
+    active, and move them along a null vector of a[:, active] until one
+    reaches 0 or 1.  Each move keeps a f fixed, so the result is exact up to
+    rounding.
+    """
+    q, k = a.shape
+    frac = np.full(k, 0.5)
+    active: list[int] = []
+    for cell in range(k):
+        active.append(cell)
+        if len(active) <= q:
+            continue
+        idx = np.array(active)
+        v = np.linalg.svd(a[:, idx])[2][-1]
+        f = frac[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(v > 0, (1.0 - f) / v, np.where(v < 0, -f / v, np.inf))
+        hit = int(np.argmin(room))
+        f = np.clip(f + room[hit] * v, 0.0, 1.0)
+        f[hit] = 1.0 if v[hit] > 0 else 0.0
+        frac[idx] = f
+        active = [c for c in active if 0.0 < frac[c] < 1.0]
+    return frac
 
 
 def bisect(weights: Sequence[np.ndarray], axis: Axis,
            membership: np.ndarray | None = None,
-           budget: int = _EVAL_BUDGET,
            seed: int = 0) -> np.ndarray:
     """Membership (in [0,1] per atom) of a set splitting every weight in half.
 
-    The returned set is {h >= 0} for a degree-q polynomial h; the search runs
-    over the polynomial's crossing points (with both orientations) via damped
-    least squares, which is far better conditioned than descending on the
-    sphere of coefficient vectors.  Crossings within a whisker of a cell edge
-    are snapped onto the edge when that does not hurt the residual, so an
-    exact whole-cell bisection is returned whenever one exists nearby.
-    Raises NoConvergenceError with the best scaled residual when the search
-    budget is exhausted above RESIDUAL_TOL.
+    Weights proportional to one nonnegative weight are split exactly by a
+    prefix.  Otherwise the support cells of ``membership`` are laid end to
+    end and the set is cut by q positions c_1 <= ... <= c_q in cell units:
+    it is [c_q, K] plus every other gap below, and a cell holding a cut is
+    filled linearly.  By the Hobby-Rice theorem such cuts always exist, and
+    one orientation suffices since the complement only negates the residual.
+    The residual is piecewise linear with an exact Jacobian, so damped
+    Newton runs from a start at quantiles of the restricted measure and
+    from seeded random starts.  Cuts within a whisker of a cell edge are
+    snapped onto it when that does not hurt the residual, so a whole-cell
+    bisection is returned whenever one lies nearby.  If every start misses,
+    the set is a vertex of {0 <= u <= mem, W u = W mem / 2}, found by
+    purification; it has at most q split cells.  Raises NoConvergenceError
+    with the scaled residual if the result is still above RESIDUAL_TOL.
     """
-    from scipy.optimize import least_squares
-
-    q = len(weights)
-    if q < 1:
+    if len(weights) < 1:
         raise PreconditionError("bisect needs at least one weight")
-    if q > 6:
-        raise PreconditionError("bisect supports at most 6 weights")
     if axis.kind != "continuous":
         raise PreconditionError("partitions are built on a continuous Z1 axis")
-    weights = [np.asarray(w, dtype=float) * np.ones(axis.size) for w in weights]
+    w = _weight_matrix(weights, axis)
     if membership is None:
         membership = np.ones(axis.size)
     cw = axis.cell_weight
-    scales = np.array([1.0 + float(np.sum(np.abs(w) * membership) * cw)
-                       for w in weights])
+    scales = 1.0 + np.abs(w) @ membership * cw
 
-    base = _weights_proportional(weights, membership, cw)
+    base = _weights_proportional(w, membership)
     if base is not None:
         mem_in = _prefix_split(base, membership)
-        res = _half_split_residual(mem_in, membership, weights, cw, scales)
-        if res <= RESIDUAL_TOL:
+        if _half_split_residual(mem_in, membership, w, cw, scales) <= RESIDUAL_TOL:
             return mem_in
 
-    edges = axis.edges
-    half_totals = np.array([float(np.sum(membership * w) * cw) / 2.0
-                            for w in weights])
+    support = np.flatnonzero(membership > 0)
+    mem_in = np.zeros_like(membership)
+    if support.size == 0:
+        return mem_in
+    mem_s = membership[support]
+    search = _CutSearch(w[:, support] * mem_s * cw / scales[:, None])
+    q, k = search.q, search.k
 
-    def membership_in(crossings: np.ndarray, orientation: float) -> np.ndarray:
-        h_edges = np.full(edges.size, orientation)
-        for c in crossings:
-            h_edges = h_edges * (edges - c)
-        return _positive_fraction(h_edges) * membership
+    cum_mem = np.concatenate([[0.0], np.cumsum(mem_s)])
 
-    def residual_vec(crossings: np.ndarray, orientation: float) -> np.ndarray:
-        mem_in = membership_in(crossings, orientation)
-        vals = np.array([float(np.sum(mem_in * w) * cw) for w in weights])
-        return (vals - half_totals) / scales
+    def quantile_cuts(fractions: np.ndarray) -> np.ndarray:
+        # cuts at given fractions of the restricted measure
+        target = fractions * cum_mem[-1]
+        cell = np.minimum(np.searchsorted(cum_mem[1:], target), k - 1)
+        return np.clip(cell + (target - cum_mem[cell]) / mem_s[cell], 0.0, k)
 
-    evals = 0
     rng = np.random.default_rng(0xB15EC7 + seed)
-    best: tuple[float, np.ndarray, float] | None = None
-
-    def quantile_positions(fractions: np.ndarray) -> np.ndarray:
-        # crossing positions at given fractions of the restricted measure;
-        # keeps starts inside the support, where the residual has slope
-        cum = np.concatenate([[0.0], np.cumsum(membership)])
-        total = cum[-1]
-        pos = np.empty(fractions.size)
-        for i, f in enumerate(fractions):
-            target = np.clip(f, 0.0, 1.0) * total
-            k = int(np.searchsorted(cum[1:], target))
-            k = min(k, membership.size - 1)
-            inside = (target - cum[k]) / membership[k] if membership[k] > 0 else 0.5
-            pos[i] = edges[k] + inside * (edges[k + 1] - edges[k])
-        return np.sort(pos)
-
-    base_fracs = np.arange(1, q + 1) / (q + 1.0)
-    starts: list[np.ndarray] = [quantile_positions(base_fracs)]
-    n_random = max(6, min(32, budget // (80 * q)))
-    for _ in range(n_random):
-        starts.append(quantile_positions(np.sort(rng.uniform(0.02, 0.98, size=q))))
-    for orientation in (1.0, -1.0):
-        for start in starts:
-            if evals >= budget:
-                break
-            out = least_squares(
-                residual_vec, start, args=(orientation,), method="trf",
-                bounds=(-0.5, 1.5), diff_step=1e-7,
-                xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                max_nfev=min(400, budget - evals),
-            )
-            evals += out.nfev * (q + 1)
-            res = float(np.max(np.abs(out.fun)))
-            if best is None or res < best[0]:
-                best = (res, np.asarray(out.x), orientation)
-            if best[0] <= _REFINE_TARGET:
-                break
-        if best is not None and best[0] <= _REFINE_TARGET:
+    for attempt in range(_RESTARTS + 1):
+        fractions = (np.arange(1, q + 1) / (q + 1.0) if attempt == 0
+                     else np.sort(rng.uniform(0.02, 0.98, size=q)))
+        cuts, res = search.newton(quantile_cuts(fractions))
+        if res <= _REFINE_TARGET:
+            frac = search.fraction(cuts)
+            edge = np.round(cuts)
+            near = np.abs(cuts - edge) < _SNAP
+            if near.any():
+                snapped = search.fraction(np.where(near, edge, cuts))
+                if search.gap(snapped) <= max(search.gap(frac), _REFINE_TARGET):
+                    frac = snapped
             break
-
-    best_res, crossings, orientation = best
-    mem_in = membership_in(crossings, orientation)
-    mem_in, best_res = _snap_crossings(mem_in, membership, weights, cw,
-                                       scales, best_res)
-    if best_res > RESIDUAL_TOL:
-        raise NoConvergenceError("bisection failed to balance the weights",
-                                 best_res)
+    else:
+        frac = _vertex_half(search.a)
+    mem_in[support] = mem_s * frac
+    res = _half_split_residual(mem_in, membership, w, cw, scales)
+    if res > RESIDUAL_TOL:
+        raise NoConvergenceError("bisection failed to balance the weights", res)
     return mem_in
 
 
@@ -304,27 +333,21 @@ def iterated_partition(weights: Sequence[np.ndarray], m_pairs: int, axis: Axis,
     n_blocks = 2 * int(m_pairs)
     if n_blocks < 2 or n_blocks & (n_blocks - 1):
         raise PreconditionError("2M must be a power of two")
-    weights = [np.asarray(w, dtype=float) * np.ones(axis.size) for w in weights]
+    w = _weight_matrix(weights, axis)
     blocks = [np.ones(axis.size)]
     level = 0
     while len(blocks) < n_blocks:
         nxt: list[np.ndarray] = []
         for b, mem in enumerate(blocks):
-            inside = bisect(weights, axis, membership=mem, seed=seed + 31 * level + b)
+            inside = bisect(w, axis, membership=mem, seed=seed + 31 * level + b)
             nxt.extend([inside, mem - inside])
         blocks = nxt
         level += 1
     membership = np.clip(np.stack(blocks), 0.0, None)
     cw = axis.cell_weight
-    totals = np.array([float(np.sum(w) * cw) for w in weights])
-    residuals = np.empty((len(weights), n_blocks))
-    for i, w in enumerate(weights):
-        for j in range(n_blocks):
-            residuals[i, j] = abs(
-                float(np.sum(membership[j] * w) * cw) - totals[i] / n_blocks
-            )
-    part = BumpPartition(axis, membership, tuple(weights), residuals)
-    scales = 1.0 + np.array([float(np.sum(np.abs(w)) * cw) for w in weights])
+    residuals = np.abs(w @ (membership.T - 1.0 / n_blocks) * cw)
+    part = BumpPartition(axis, membership, tuple(w), residuals)
+    scales = 1.0 + np.abs(w).sum(axis=1) * cw
     worst = float(np.max(residuals / scales[:, None]))
     if worst > RESIDUAL_TOL:
         raise NoConvergenceError("partition residuals exceed tolerance", worst)

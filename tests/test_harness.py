@@ -189,6 +189,7 @@ def test_cli_scan_and_partition(tmp_path):
     assert out.returncode == 0
     doc = json.loads(out.stdout)
     assert len(doc["blocks"]) == 8
+    assert all(share == 1.0 for block in doc["blocks"] for _, share in block)
 
     out = run_cli("partition", "--weights", "bogus")
     assert out.returncode == 2

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from debias_lab.errors import PreconditionError
 from debias_lab.grid import Axis
@@ -142,3 +143,72 @@ def test_partition_json_document():
     assert doc["cells"] == 256
     assert len(doc["blocks"]) == 4
     assert len(doc["residuals"]) == 1  # one weight
+
+
+# -----------------------------------------------------------------------------
+# exactness and split cells
+# -----------------------------------------------------------------------------
+
+def scaled_residual(part, weights) -> float:
+    w = np.stack(weights)
+    cw = part.axis.cell_weight
+    blocks = w @ part.membership.T * cw
+    target = w.sum(axis=1)[:, None] * cw / part.n_blocks
+    return float(np.max(np.abs(blocks - target) / (1.0 + np.abs(w).sum(axis=1)[:, None] * cw)))
+
+
+def split_cells(membership: np.ndarray) -> int:
+    return int(((membership > 1e-12) & (membership < 1.0 - 1e-12)).any(axis=0).sum())
+
+
+def max_bisection_splits(membership: np.ndarray) -> int:
+    """Most cells any one bisection of the recursion split between its halves."""
+    worst = 0
+    width = membership.shape[0]
+    while width > 1:
+        for lo in range(0, membership.shape[0], width):
+            half = width // 2
+            inside = membership[lo:lo + half].sum(axis=0)
+            outside = membership[lo + half:lo + width].sum(axis=0)
+            worst = max(worst, int(((inside > 0) & (outside > 0)).sum()))
+        width //= 2
+    return worst
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8), st.integers(8, 256), st.sampled_from([1, 2, 4]),
+       st.integers(0, 2 ** 32 - 1))
+def test_random_weight_lists_partition_exactly(q, cells, m_pairs, seed):
+    axis = Axis("continuous", "z1", cells)
+    weights = list(np.random.default_rng(seed).standard_normal((q, cells)))
+    part = iterated_partition(weights, m_pairs, axis)
+    mem = part.membership
+    assert mem.min() >= 0.0 and mem.max() <= 1.0
+    assert np.max(np.abs(mem.sum(axis=0) - 1.0)) <= 1e-12
+    assert scaled_residual(part, weights) <= 1e-10
+    assert max_bisection_splits(mem) <= q
+
+
+@pytest.mark.parametrize("cells", [64, 256, 1024])
+@pytest.mark.parametrize("m_pairs", [2, 4, 8, 16])
+def test_polynomial_and_sine_weights_partition(cells, m_pairs):
+    # {1, x, x^2, sin 3x} used to exhaust its restarts at every M >= 2
+    axis = Axis("continuous", "z1", cells)
+    x = axis.coords
+    weights = [np.ones(cells), x, x ** 2, np.sin(3 * x)]
+    part = iterated_partition(weights, m_pairs, axis)
+    assert scaled_residual(part, weights) <= 1e-10
+
+
+@pytest.mark.parametrize("cells", [64, 1024])
+@pytest.mark.parametrize("m_pairs", [1, 2, 4, 8])
+def test_affine_weights_keep_whole_cells(cells, m_pairs):
+    # Delta^2 == 1 needs every block to be a union of whole cells
+    axis = Axis("continuous", "z1", cells)
+    x = axis.coords
+    for m in (None, 0.4 + 0.25 * x, 0.35 + 0.1 * x):
+        weights = [np.ones(cells), x if m is None else 2.0 * m - 1.0]
+        part = iterated_partition(weights, m_pairs, axis)
+        assert split_cells(part.membership) == 0
+        assert scaled_residual(part, weights) <= 1e-10
+
