@@ -4,7 +4,7 @@ The harness sweeps one knob, runs seeded replications, and fits the slope
 of log(median |error|) against the log of the knob.  Three exponents fall
 out: -1/2 in n for sampling noise, 2 in eps for the debiased product bias,
 and 1 in eps for the plug-in's first-order bias.  Identical configs produce
-byte-identical CSVs; DEBIAS_LAB_THREADS only changes how fast they arrive.
+byte-identical CSVs.
 """
 
 from debias_lab.harness import ExperimentConfig, records_to_csv, run_rate_scan

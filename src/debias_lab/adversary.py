@@ -69,6 +69,11 @@ class DirectionPair:
     mixed_reference: float
 
 
+# What each _<kind>_directions returns: the direction that freezes gamma, the
+# one that freezes alpha, and their mixed second derivative.
+_Directions = tuple[np.ndarray, np.ndarray, float]
+
+
 def _half_space_sign(space: GridSpace) -> np.ndarray:
     """phi(x) = +1 on the left half of the Z1 axis, -1 on the right."""
     n_x = space.shape[0]
@@ -77,7 +82,7 @@ def _half_space_sign(space: GridSpace) -> np.ndarray:
     return phi
 
 
-def _ate_directions(anchor: Density, spec: EstimandSpec, variant: str) -> DirectionPair:
+def _ate_directions(anchor: Density, spec: EstimandSpec) -> _Directions:
     space = anchor.space
     phi = _half_space_sign(space)
     p = anchor.values
@@ -96,13 +101,8 @@ def _ate_directions(anchor: Density, spec: EstimandSpec, variant: str) -> Direct
     p_x = p.sum(axis=(1, 2))
     w_x = space.axes[0].cell_weight
     mixed = -float(np.sum(phi * phi * p_x) * w_x)  # = -1 for any anchor
-
-    if variant == "gamma":
-        return DirectionPair("ate", "gamma", SignedDensity(space, g0),
-                             SignedDensity(space, g1), mixed)
-    # alpha variant: H0 leaves the (x, d) marginals untouched, H1 := G0
-    return DirectionPair("ate", "alpha", SignedDensity(space, g1),
-                         SignedDensity(space, g0), mixed)
+    # G1 leaves the (x, d) marginals untouched, so it freezes alpha
+    return g0, g1, mixed
 
 
 def _wad_bump_phi(space: GridSpace, spec: EstimandSpec) -> np.ndarray:
@@ -140,7 +140,7 @@ def _wad_bump_phi(space: GridSpace, spec: EstimandSpec) -> np.ndarray:
     return phi / np.max(np.abs(phi))
 
 
-def _wad_directions(anchor: Density, spec: EstimandSpec, variant: str) -> DirectionPair:
+def _wad_directions(anchor: Density, spec: EstimandSpec) -> _Directions:
     space = anchor.space
     phi = _wad_bump_phi(space, spec)
     pz = anchor.values.sum(axis=2)
@@ -159,12 +159,7 @@ def _wad_directions(anchor: Density, spec: EstimandSpec, variant: str) -> Direct
     s_omega = -spec.params.omega_prime  # s(d) * omega(d)
     inner = (s_omega[None, :] * phi[None, :] ** 2 / pz).sum(axis=1) * w_d
     mixed = -float(np.sum(p_x * inner) * w_x)
-
-    if variant == "gamma":
-        return DirectionPair("wad", "gamma", SignedDensity(space, g0),
-                             SignedDensity(space, g1), mixed)
-    return DirectionPair("wad", "alpha", SignedDensity(space, g1),
-                         SignedDensity(space, g0), mixed)
+    return g0, g1, mixed
 
 
 def _ds_zeta(anchor: Density, spec: EstimandSpec) -> np.ndarray:
@@ -195,7 +190,7 @@ def _ds_zeta(anchor: Density, spec: EstimandSpec) -> np.ndarray:
     )
 
 
-def _ds_directions(anchor: Density, spec: EstimandSpec, variant: str) -> DirectionPair:
+def _ds_directions(anchor: Density, spec: EstimandSpec) -> _Directions:
     space = anchor.space
     zeta = _ds_zeta(anchor, spec)
     f = anchor.values.sum(axis=1)
@@ -205,15 +200,20 @@ def _ds_directions(anchor: Density, spec: EstimandSpec, variant: str) -> Directi
     w_x = space.axes[0].cell_weight
     diff = spec.params.f2 - spec.params.f1
     mixed = float(np.sum(zeta ** 2 * diff / f ** 2) * w_x)
-
-    if variant == "gamma":
-        return DirectionPair("ds", "gamma", SignedDensity(space, g0),
-                             SignedDensity(space, g1), mixed)
-    return DirectionPair("ds", "alpha", SignedDensity(space, g1),
-                         SignedDensity(space, g0), mixed)
+    return g0, g1, mixed
 
 
-def _lod_directions(anchor: Density, spec: EstimandSpec, variant: str) -> DirectionPair:
+def _lod_region(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g(1, x) and the indicator b of where it exceeds 1/2 (of where it is
+    below 1/2 when it exceeds it nowhere)."""
+    g1x = p[:, 1, 1] / p[:, 1, :].sum(axis=1)
+    region = g1x > 0.5
+    if not region.any():
+        region = g1x < 0.5
+    return g1x, region.astype(float)
+
+
+def _lod_directions(anchor: Density, spec: EstimandSpec) -> _Directions:
     space = anchor.space
     eta = spec.overlap
     p = anchor.values
@@ -221,15 +221,11 @@ def _lod_directions(anchor: Density, spec: EstimandSpec, variant: str) -> Direct
     p0dot = p[:, 0, :].sum(axis=1)
     if p.min() <= 0:
         raise ConstructionPreconditionError("LOD anchor must be strictly positive")
-    g1x = p[:, 1, 1] / p1dot
-    region = g1x > 0.5
-    if not region.any():
-        region = g1x < 0.5
-    if not region.any():
+    g1x, b = _lod_region(p)
+    if not b.any():
         raise ConstructionPreconditionError(
             "LOD construction needs g(1, x) != 1/2 on positive mass"
         )
-    b = region.astype(float)
     delta0 = eta / (8.0 * (1.0 - eta))
     delta1 = 1.0 / 8.0
 
@@ -243,32 +239,21 @@ def _lod_directions(anchor: Density, spec: EstimandSpec, variant: str) -> Direct
     p_x = p.sum(axis=(1, 2))
     w_x = space.axes[0].cell_weight
     mixed_g = -delta0 * delta1 * float(np.sum(b / g1x * p_x) * w_x)
-    if variant == "gamma":
-        return DirectionPair("lod", "gamma", SignedDensity(space, phi0),
-                             SignedDensity(space, phi1), mixed_g)
-    # alpha variant: H0 := the phi1 direction, companion H1 := the phi0 one
-    return DirectionPair("lod", "alpha", SignedDensity(space, phi1),
-                         SignedDensity(space, phi0), mixed_g)
+    return phi0, phi1, mixed_g
 
 
 def lod_curvature_reference(anchor: Density, spec: EstimandSpec) -> float:
     """Closed form of chi''[H0, H0] for the LOD construction:
     delta_1^2 * E_X[ b(X) (2 g(1,X) - 1) / g(1,X)^2 ]."""
     p = anchor.values
-    p1dot = p[:, 1, :].sum(axis=1)
-    g1x = p[:, 1, 1] / p1dot
-    region = g1x > 0.5
-    if not region.any():
-        region = g1x < 0.5
-    b = region.astype(float)
+    g1x, b = _lod_region(p)
     delta1 = 1.0 / 8.0
     p_x = p.sum(axis=(1, 2))
     w_x = anchor.space.axes[0].cell_weight
     return delta1 ** 2 * float(np.sum(b * (2.0 * g1x - 1.0) / g1x ** 2 * p_x) * w_x)
 
 
-def _plm_directions(anchor: Density, spec: EstimandSpec,
-                    variant: str) -> DirectionPair:
+def _plm_directions(anchor: Density, spec: EstimandSpec) -> _Directions:
     """Linearized (u, v) directions of the PLM family at the origin."""
     space = anchor.space
     p = anchor.values
@@ -295,11 +280,7 @@ def _plm_directions(anchor: Density, spec: EstimandSpec,
     # curvature of the exposed target E[Cov(T,Y|X)] = E[TY] - E[Y g(X;P)];
     # the auxiliary functional's mixed derivative is the negative of this
     mixed = float(np.sum(g * (1.0 - g) * phi * phi * p_x) * w_x)
-    if variant == "gamma":
-        return DirectionPair("ecc_plm", "gamma", SignedDensity(space, v_dir),
-                             SignedDensity(space, u_dir), mixed)
-    return DirectionPair("ecc_plm", "alpha", SignedDensity(space, u_dir),
-                         SignedDensity(space, v_dir), mixed)
+    return v_dir, u_dir, mixed
 
 
 def plm_slope(anchor: Density) -> float:
@@ -328,15 +309,20 @@ def direction_pair(spec: EstimandSpec, anchor: Density,
                    variant: str = "gamma") -> DirectionPair:
     """The per-kind invariant/companion pair at the anchor.
 
-    ``variant`` selects which nuisance the first direction freezes.  The APE
-    kind has no packaged adversarial construction (estimation only).
+    ``variant`` selects which nuisance the first direction freezes; the
+    companion is the direction that freezes the other one.  The APE kind has
+    no packaged adversarial construction (estimation only).
     """
     if variant not in ("gamma", "alpha"):
         raise PreconditionError("variant must be 'gamma' or 'alpha'")
     build = _DIRECTIONS.get(spec.kind)
     if build is None:
         raise PreconditionError(f"no adversarial construction for kind {spec.kind!r}")
-    return build(anchor, spec, variant)
+    first, second, mixed = build(anchor, spec)
+    if variant == "alpha":
+        first, second = second, first
+    return DirectionPair(spec.kind, variant, SignedDensity(anchor.space, first),
+                         SignedDensity(anchor.space, second), mixed)
 
 
 # -----------------------------------------------------------------------------

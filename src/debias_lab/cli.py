@@ -9,8 +9,8 @@ Subcommands:
   hellinger  exact testing-bound quantities on an enumerated ATE instance
   partition  build a balanced partition and print its JSON audit
 
-Exit codes: 0 success, 2 precondition violations, 3 convergence failures.
-DEBIAS_LAB_THREADS caps replication concurrency in `scan`.
+Exit codes: 0 success, 2 precondition violations (a malformed scan config
+among them), 3 convergence failures.
 """
 
 from __future__ import annotations
@@ -33,9 +33,16 @@ ESTIMATE_CSV_COLUMNS = ("kind", "n", "seed", "eps_gamma", "eps_alpha",
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    config = harness.ExperimentConfig.from_json(
-        json.loads(Path(args.config).read_text())
-    )
+    config_path = Path(args.config)
+    try:
+        doc = json.loads(config_path.read_text())
+    except OSError as exc:
+        raise PreconditionError(
+            f"cannot read scan config {config_path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise PreconditionError(
+            f"scan config {config_path} is not valid JSON: {exc}") from exc
+    config = harness.ExperimentConfig.from_json(doc)
     result = harness.run_rate_scan(config)
     path = harness.emit(result, args.format, args.out, stem="scan")
     print(json.dumps({

@@ -10,10 +10,10 @@ LOD with an exact Riesz weight (the curvature term), +1 for the plug-in's
 first-order bias.
 
 Replication r uses derived seed ``seed + r``, so any row of a result file
-can be regenerated in isolation.  Records are ordered by (sweep point,
-replication) whatever the execution order, and the CSV emitter formats
-floats with repr-faithful precision, so identical configs produce
-byte-identical files.
+can be regenerated in isolation.  Sweep points and their replications run
+in order on one thread, so records are ordered by (sweep point,
+replication), and the CSV emitter formats floats with repr-faithful
+precision, so identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ import csv
 import io
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -41,6 +39,13 @@ CSV_COLUMNS = (
     "n", "eps_gamma", "eps_alpha", "alignment", "population",
     "point", "oracle", "abs_error",
 )
+
+
+def _nested(value, seq):
+    """``value`` with every list or tuple in it rebuilt as ``seq``."""
+    if isinstance(value, (list, tuple)):
+        return seq(_nested(v, seq) for v in value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -61,11 +66,14 @@ class ExperimentConfig:
     overlap: float = 0.05
 
     def __post_init__(self):
-        sweeps = [s for s in (self.n_sweep, self.eps_sweep, self.m_sweep)
-                  if s is not None]
-        if len(sweeps) != 1:
+        if [self.n_sweep, self.eps_sweep, self.m_sweep].count(None) != 2:
             raise PreconditionError("exactly one sweep must be configured")
-        values = self.sweep_values()
+        if np.shape(self.eps_fixed) != (2,):
+            raise PreconditionError("eps_fixed must be an [eps_gamma, eps_alpha] pair")
+        try:
+            values = [value for value, _, _ in self.sweep_points()]
+        except (TypeError, ValueError) as exc:
+            raise PreconditionError(f"malformed {self.sweep_name}_sweep: {exc}") from exc
         if any(b <= a for a, b in zip(values, values[1:])):
             raise PreconditionError("sweep values must be strictly increasing")
         if self.replications < 16:
@@ -81,55 +89,34 @@ class ExperimentConfig:
 
     @property
     def sweep_name(self) -> str:
-        if self.n_sweep is not None:
-            return "n"
-        if self.eps_sweep is not None:
-            return "eps"
-        return "m"
+        """'n', 'eps' or 'm': the knob this config sweeps."""
+        return next(name for name in ("n", "eps", "m")
+                    if getattr(self, f"{name}_sweep") is not None)
 
-    def sweep_values(self) -> list[float]:
+    def sweep_points(self) -> list[tuple[float, tuple[float, float], int]]:
+        """(sweep_value, (eps_gamma, eps_alpha), n) per sweep point."""
         if self.n_sweep is not None:
-            return [float(v) for v in self.n_sweep]
+            return [(float(n), (0.0, 0.0), int(n)) for n in self.n_sweep]
         if self.eps_sweep is not None:
-            return [float(g) for g, _ in self.eps_sweep]
-        return [float(v) for v in self.m_sweep]
+            return [(float(g), (float(g), float(a)), self.n_fixed)
+                    for g, a in self.eps_sweep]
+        return [(float(m), self.eps_fixed, self.n_fixed) for m in self.m_sweep]
 
     def to_json(self) -> dict:
-        doc = {
-            "kind": self.kind, "estimator": self.estimator,
-            "replications": self.replications, "seed": self.seed,
-            "alignment": self.alignment, "population": self.population,
-            "n_fixed": self.n_fixed, "eps_fixed": list(self.eps_fixed),
-            "x_cells": self.x_cells, "d_cells": self.d_cells,
-            "overlap": self.overlap,
-        }
-        if self.n_sweep is not None:
-            doc["n_sweep"] = list(self.n_sweep)
-        if self.eps_sweep is not None:
-            doc["eps_sweep"] = [list(pair) for pair in self.eps_sweep]
-        if self.m_sweep is not None:
-            doc["m_sweep"] = list(self.m_sweep)
-        return doc
+        return {f.name: _nested(getattr(self, f.name), list) for f in fields(self)
+                if getattr(self, f.name) is not None}
 
     @staticmethod
     def from_json(doc: dict) -> "ExperimentConfig":
-        return ExperimentConfig(
-            kind=doc["kind"],
-            estimator=doc.get("estimator", "dml"),
-            n_sweep=tuple(doc["n_sweep"]) if "n_sweep" in doc else None,
-            eps_sweep=tuple(tuple(p) for p in doc["eps_sweep"])
-            if "eps_sweep" in doc else None,
-            m_sweep=tuple(doc["m_sweep"]) if "m_sweep" in doc else None,
-            replications=doc.get("replications", 32),
-            seed=doc.get("seed", 0),
-            alignment=doc.get("alignment", "adversarial"),
-            population=doc.get("population", False),
-            n_fixed=doc.get("n_fixed", 10_000),
-            eps_fixed=tuple(doc.get("eps_fixed", (0.1, 0.1))),
-            x_cells=doc.get("x_cells", 256),
-            d_cells=doc.get("d_cells", 64),
-            overlap=doc.get("overlap", 0.05),
-        )
+        """The config a JSON object describes: absent keys take the field
+        defaults, unknown keys (such as the retired ``folds``) are ignored."""
+        if not isinstance(doc, dict):
+            raise PreconditionError(
+                f"a scan config must be a JSON object, not {type(doc).__name__}")
+        if "kind" not in doc:
+            raise PreconditionError("a scan config needs a 'kind' key")
+        return ExperimentConfig(**{f.name: _nested(doc[f.name], tuple)
+                                   for f in fields(ExperimentConfig) if f.name in doc})
 
 
 @dataclass(frozen=True)
@@ -155,63 +142,49 @@ class RateScanResult:
 def estimate_once(config: ExperimentConfig, pre: Preset,
                    eps_pair: tuple[float, float], n: int,
                    derived_seed: int) -> tuple[float, float]:
-    """One replication: returns (point, oracle)."""
+    """One replication: returns (point, oracle).
+
+    eps_gamma corrupts gamma; eps_alpha corrupts the other field the
+    estimator reads: alpha for DML, the propensity for DR (the plug-in reads
+    no other).  Directions are drawn only for a nonzero eps.
+    """
     spec, anchor = pre.spec, pre.anchor
     eps_gamma, eps_alpha = eps_pair
-    z_grid = est.z_space(spec.kind, anchor.space)
     pz = est.z_marginal(anchor, spec)
 
-    gamma_hat = pre.gamma
-    alpha_hat = pre.alpha
-    if eps_gamma or eps_alpha:
-        dir_g, dir_a = dr.corruption_directions(z_grid, config.alignment,
-                                                derived_seed,
-                                                riesz_weight=pre.alpha)
-        if eps_gamma:
-            gamma_hat = dr.corrupt_nuisance(
-                est.NuisanceField(z_grid, pre.gamma, "gamma"),
-                dr.CorruptionSpec(eps_gamma, dir_g, config.alignment), pz,
-            ).values
-        if eps_alpha:
-            alpha_hat = dr.corrupt_nuisance(
-                est.NuisanceField(z_grid, pre.alpha, "alpha"),
-                dr.CorruptionSpec(eps_alpha, dir_a, config.alignment), pz,
-            ).values
+    def corrupt(values, role, eps, direction, p, limits=None):
+        """``values`` moved eps along ``direction`` in L2(p); as is at eps 0."""
+        if not eps:
+            return values
+        field = est.NuisanceField(p.space, values, role, limits)
+        return dr.corrupt_nuisance(
+            field, dr.CorruptionSpec(eps, direction, config.alignment), p).values
 
-    if config.estimator == "dr":
-        m_hat = pre.extras["m_hat"]
-        g_hat = pre.extras["g_hat"]
-        if eps_alpha:
-            dir_m = dr.corruption_directions(z_grid.subgrid([0]),
-                                             config.alignment, derived_seed)[1]
-            m_field = est.NuisanceField(
-                z_grid.subgrid([0]), m_hat, "propensity",
-                bounds=(config.overlap, 1.0 - config.overlap),
-            )
-            m_hat = dr.corrupt_nuisance(
-                m_field, dr.CorruptionSpec(eps_alpha, dir_m, config.alignment),
-                grid_marginal(anchor, [0]),
-            ).values
-        if eps_gamma:
-            g_hat = gamma_hat  # the gamma field of ATE is the outcome regression
-        if config.population:
-            point = dr.population_dr_ate(anchor, g_hat, m_hat, config.overlap)
-        else:
-            data = sample(anchor, n, derived_seed)
-            point = dr.dr_ate_estimate(data, g_hat, m_hat, config.overlap)
-    elif config.estimator == "plugin":
-        if config.population:
-            point = dr.population_plugin(anchor, gamma_hat, spec)
-        else:
-            data = sample(anchor, n, derived_seed)
-            point = dr.plugin_estimate(data, gamma_hat, spec)
-    else:
-        if config.population:
-            point = dr.population_dml(anchor, gamma_hat, alpha_hat, spec)
-        else:
-            data = sample(anchor, n, derived_seed)
-            point = dr.dml_estimate(data, gamma_hat, alpha_hat, spec)
-    return point, pre.oracle
+    dir_g = dir_a = None
+    if eps_gamma or eps_alpha:
+        dir_g, dir_a = dr.corruption_directions(pz.space, config.alignment,
+                                                derived_seed, riesz_weight=pre.alpha)
+    gamma_hat = corrupt(pre.gamma, "gamma", eps_gamma, dir_g, pz)
+    source = anchor if config.population else sample(anchor, n, derived_seed)
+
+    if config.estimator == "dml":
+        alpha_hat = corrupt(pre.alpha, "alpha", eps_alpha, dir_a, pz)
+        estimate = dr.population_dml if config.population else dr.dml_estimate
+        return estimate(source, gamma_hat, alpha_hat, spec), pre.oracle
+    if config.estimator == "plugin":
+        estimate = dr.population_plugin if config.population else dr.plugin_estimate
+        return estimate(source, gamma_hat, spec), pre.oracle
+
+    # the gamma field of ATE is the outcome regression
+    g_hat = gamma_hat if eps_gamma else pre.extras["g_hat"]
+    m_hat = pre.extras["m_hat"]
+    if eps_alpha:
+        p_x = grid_marginal(anchor, [0])
+        dir_m = dr.corruption_directions(p_x.space, config.alignment, derived_seed)[1]
+        m_hat = corrupt(m_hat, "propensity", eps_alpha, dir_m, p_x,
+                        (config.overlap, 1.0 - config.overlap))
+    estimate = dr.population_dr_ate if config.population else dr.dr_ate_estimate
+    return estimate(source, g_hat, m_hat, config.overlap), pre.oracle
 
 
 def _hellinger_once(config: ExperimentConfig, pre: Preset, m_pairs: int,
@@ -233,68 +206,38 @@ def _hellinger_once(config: ExperimentConfig, pre: Preset, m_pairs: int,
 def run_rate_scan(config: ExperimentConfig) -> RateScanResult:
     """Run the configured sweep and fit the log-log slope of the median error."""
     pre = preset(config.kind, config.x_cells, config.d_cells, config.overlap)
-    jobs: list[tuple[int, int, float, tuple[float, float], int, int]] = []
-    for si, value in enumerate(_sweep_points(config)):
+    sweep = config.sweep_name
+    records, values, medians, means = [], [], [], []
+    for value, eps_pair, n in config.sweep_points():
+        errors = []
         for rep in range(config.replications):
             derived = config.seed + rep
-            jobs.append((si, rep, *value, derived))
-
-    def run_job(job):
-        si, rep, sweep_value, eps_pair, n, derived = job
-        if config.sweep_name == "m":
-            point, oracle = _hellinger_once(config, pre, int(sweep_value), derived)
-        else:
-            point, oracle = estimate_once(config, pre, eps_pair, n, derived)
-        return si, rep, sweep_value, eps_pair, n, derived, point, oracle
-
-    threads = int(os.environ.get("DEBIAS_LAB_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(run_job, jobs))
-    else:
-        outputs = [run_job(j) for j in jobs]
-    outputs.sort(key=lambda row: (row[0], row[1]))
-
-    records = []
-    for si, rep, sweep_value, eps_pair, n, derived, point, oracle in outputs:
-        records.append({
-            "kind": config.kind,
-            "estimator": config.estimator,
-            "sweep": config.sweep_name,
-            "sweep_value": sweep_value,
-            "replication": rep,
-            "derived_seed": derived,
-            "n": n,
-            "eps_gamma": eps_pair[0],
-            "eps_alpha": eps_pair[1],
-            "alignment": config.alignment,
-            "population": config.population,
-            "point": point,
-            "oracle": oracle,
-            "abs_error": abs(point - oracle),
-        })
-
-    values = config.sweep_values()
-    medians, means = [], []
-    for si, v in enumerate(values):
-        errs = np.array([r["abs_error"] for r in records
-                         if r["sweep_value"] == v])
-        medians.append(float(np.median(errs)))
-        means.append(float(np.mean(errs)))
+            if sweep == "m":
+                point, oracle = _hellinger_once(config, pre, int(value), derived)
+            else:
+                point, oracle = estimate_once(config, pre, eps_pair, n, derived)
+            errors.append(abs(point - oracle))
+            records.append({
+                "kind": config.kind,
+                "estimator": config.estimator,
+                "sweep": sweep,
+                "sweep_value": value,
+                "replication": rep,
+                "derived_seed": derived,
+                "n": n,
+                "eps_gamma": eps_pair[0],
+                "eps_alpha": eps_pair[1],
+                "alignment": config.alignment,
+                "population": config.population,
+                "point": point,
+                "oracle": oracle,
+                "abs_error": errors[-1],
+            })
+        values.append(value)
+        medians.append(float(np.median(errors)))
+        means.append(float(np.mean(errors)))
     slope, stderr = fit_loglog_slope(values, medians)
     return RateScanResult(records, values, medians, means, slope, stderr)
-
-
-def _sweep_points(config: ExperimentConfig
-                  ) -> list[tuple[float, tuple[float, float], int]]:
-    """(sweep_value, (eps_gamma, eps_alpha), n) per sweep point."""
-    if config.n_sweep is not None:
-        return [(float(n), (0.0, 0.0), int(n)) for n in config.n_sweep]
-    if config.eps_sweep is not None:
-        return [(float(g), (float(g), float(a)), config.n_fixed)
-                for g, a in config.eps_sweep]
-    return [(float(m), config.eps_fixed, config.n_fixed)
-            for m in config.m_sweep]
 
 
 def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]

@@ -57,6 +57,14 @@ def test_config_json_round_trip():
     assert back == config
 
 
+def test_config_json_defaults_and_unknown_keys():
+    defaults = ExperimentConfig(kind="ate", n_sweep=(10, 100))
+    assert ExperimentConfig.from_json({"kind": "ate", "n_sweep": [10, 100]}) == defaults
+    # the retired "folds" and any other unknown key are read and ignored
+    doc = {"kind": "ate", "n_sweep": [10, 100], "folds": 5, "colour": "blue"}
+    assert ExperimentConfig.from_json(doc) == defaults
+
+
 def test_population_dml_eps_slope_two():
     result = run_rate_scan(eps_config())
     assert abs(result.slope - 2.0) <= 0.05
@@ -213,6 +221,27 @@ def test_cli_adversary_report():
     assert "curvature_closed_form" in doc["directions"]["alpha"]
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read scan config"),
+    ('{"kind": "ate",', "not valid JSON"),
+    ('[{"kind": "ate", "n_sweep": [10, 100]}]', "JSON object"),
+    ('{"n_sweep": [10, 100]}', "'kind'"),
+    ('{"kind": "ate", "n_sweep": "abc"}', "n_sweep"),
+    ('{"kind": "ate", "population": true, "eps_sweep": [[0.1], [0.2]]}',
+     "eps_sweep"),
+    ('{"kind": "ate", "m_sweep": [2, 4], "eps_fixed": [0.1]}', "eps_fixed"),
+], ids=["missing-file", "invalid-json", "top-level-list", "no-kind",
+        "string-sweep", "eps-pair-of-one", "eps-fixed-of-one"])
+def test_cli_scan_malformed_config_exits_two(tmp_path, capsys, text, message):
+    from debias_lab import cli
+
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["scan", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_exit_code_three_on_no_convergence(monkeypatch):
     from debias_lab import cli
 
@@ -222,23 +251,3 @@ def test_cli_exit_code_three_on_no_convergence(monkeypatch):
     parser_args = ["scan", "--config", "nope.json"]
     monkeypatch.setattr(cli, "_cmd_scan", boom)
     assert cli.main(parser_args) == 3
-
-
-@pytest.mark.parametrize("threads", ["2", "4"])
-@pytest.mark.parametrize("alignment", ["adversarial", "random"])
-def test_scan_records_identical_at_any_thread_count(monkeypatch, alignment, threads):
-    """Replications share one anchor and its memoized marginals; running
-    them on several threads, switching often, changes no record and no
-    byte of the CSV."""
-    config = eps_config(kind="wad", x_cells=32, d_cells=16, alignment=alignment)
-    monkeypatch.delenv("DEBIAS_LAB_THREADS", raising=False)
-    serial = run_rate_scan(config)
-    monkeypatch.setenv("DEBIAS_LAB_THREADS", threads)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = run_rate_scan(config)
-    finally:
-        sys.setswitchinterval(interval)
-    assert threaded.records == serial.records
-    assert records_to_csv(threaded.records) == records_to_csv(serial.records)

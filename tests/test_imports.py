@@ -1,4 +1,5 @@
-"""Every name a library module or a test file imports is used in that file."""
+"""Every name a library module or a test file imports is used in that file,
+and no library module reads the environment."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,29 @@ def test_no_unused_imports_in_tests(path):
 def test_unused_import_is_found():
     assert unused_imports("import os\nfrom math import pi, tau\nprint(pi)\n") == [
         "os (line 1)", "tau (line 2)"]
+
+
+def environment_reads(source: str) -> list[str]:
+    """Lines that touch ``os.environ`` or ``os.getenv`` (or import either)."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "os" and node.attr in ("environ", "getenv")):
+            hits.append(f"os.{node.attr} (line {node.lineno})")
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            hits += [f"from os import {a.name} (line {node.lineno})"
+                     for a in node.names if a.name in ("environ", "getenv")]
+    return hits
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    """Behaviour is set by arguments and configs, never by a hidden knob."""
+    assert environment_reads(path.read_text()) == []
+
+
+def test_environment_read_is_found():
+    source = ("import os\nfrom os import getenv\n"
+              "n = int(os.environ.get('N', '1')) + int(os.getenv('M', '0'))\n")
+    assert sorted(environment_reads(source)) == [
+        "from os import getenv (line 2)", "os.environ (line 3)", "os.getenv (line 3)"]
