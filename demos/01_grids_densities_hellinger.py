@@ -10,7 +10,7 @@ distances.
 import numpy as np
 
 from debias_lab.grid import (
-    GridSpace, Density, SignedDensity, add_scaled, binary, conditional,
+    GridSpace, SignedDensity, add_scaled, binary, conditional,
     continuous, feasible_radius, hellinger_sq, integrate, marginal, sample,
     uniform_density,
 )

@@ -7,7 +7,8 @@ estimand, multiplies them by sign-flip bumps to generate exponentially many
 indistinguishable alternatives, and provides the probes (finite-difference
 second derivatives, closed-form curvature integrals, nuisance-invariance
 checks, uncertainty-set membership) that certify every construction
-numerically.
+numerically.  Finite differences use fixed steps; anchor nuisances and the
+PLM auxiliary functional come from :mod:`estimands`.
 
 Families of alternatives come in three shapes:
 
@@ -46,7 +47,10 @@ from .errors import (
 )
 from .estimands import EstimandSpec
 from .grid import Density, GridSpace, SignedDensity, add_scaled, l2_nuisance_distance
-from .partition import BumpField, BumpPartition, all_sign_vectors, bump
+from .partition import BumpField, BumpPartition, all_sign_vectors, bump, iterated_partition
+
+_PLM = EstimandSpec(est.ECC_PLM)
+_FD_STEP = 1e-3  # step of the mixed second-derivative finite differences
 
 
 # -----------------------------------------------------------------------------
@@ -253,28 +257,29 @@ def lod_curvature_reference(anchor: Density, spec: EstimandSpec) -> float:
     return delta1 ** 2 * float(np.sum(b * (2.0 * g1x - 1.0) / g1x ** 2 * p_x) * w_x)
 
 
+def _plm_shift(g: np.ndarray, q: np.ndarray, theta: float, u: float,
+               v: float) -> np.ndarray:
+    """(x, t, y) coefficients of s(x) * Delta in the PLM member at (u, v) with
+    slope theta: the propensity moves by u s Delta, the outcome mean by v s Delta."""
+    shift = np.empty((g.size, 2, 2))
+    shift[:, 1, 1] = u * q - v * g + theta * u * (1 - 2 * g)
+    shift[:, 1, 0] = u * (1 - q) + v * g - theta * u * (1 - 2 * g)
+    shift[:, 0, 1] = -(u * q + v * (1 - g) + theta * u * (1 - 2 * g))
+    shift[:, 0, 0] = u * (q - 1) + v * (1 - g) + theta * u * (1 - 2 * g)
+    return shift
+
+
 def _plm_directions(anchor: Density, spec: EstimandSpec) -> _Directions:
     """Linearized (u, v) directions of the PLM family at the origin."""
     space = anchor.space
-    p = anchor.values
-    p_x = p.sum(axis=(1, 2))
-    g = p[:, 1, :].sum(axis=1) / p_x
-    q = p[:, :, 1].sum(axis=1) / p_x
+    gamma, alpha = est.nuisances_of(anchor, spec)
+    g, q = gamma.values, alpha.values
+    p_x = est.z_marginal(anchor, spec).values
     theta = plm_slope(anchor)
-    s = np.sqrt(g * (1.0 - g))
     phi = _half_space_sign(space)
-
-    u_dir = np.zeros(space.shape)  # moves g, leaves q fixed
-    u_dir[:, 1, 1] = (q + theta * (1.0 - 2.0 * g)) * s * phi
-    u_dir[:, 1, 0] = (1.0 - q - theta * (1.0 - 2.0 * g)) * s * phi
-    u_dir[:, 0, 1] = -(q + theta * (1.0 - 2.0 * g)) * s * phi
-    u_dir[:, 0, 0] = (q - 1.0 + theta * (1.0 - 2.0 * g)) * s * phi
-
-    v_dir = np.zeros(space.shape)  # moves q, leaves g fixed
-    v_dir[:, 1, 1] = -g * s * phi
-    v_dir[:, 1, 0] = g * s * phi
-    v_dir[:, 0, 1] = -(1.0 - g) * s * phi
-    v_dir[:, 0, 0] = (1.0 - g) * s * phi
+    s_phi = (np.sqrt(g * (1.0 - g)) * phi)[:, None, None]
+    u_dir = _plm_shift(g, q, theta, 1.0, 0.0) * s_phi  # moves g, leaves q fixed
+    v_dir = _plm_shift(g, q, theta, 0.0, 1.0) * s_phi  # moves q, leaves g fixed
 
     w_x = space.axes[0].cell_weight
     # curvature of the exposed target E[Cov(T,Y|X)] = E[TY] - E[Y g(X;P)];
@@ -286,8 +291,6 @@ def _plm_directions(anchor: Density, spec: EstimandSpec) -> _Directions:
 def plm_slope(anchor: Density) -> float:
     """Recover the constant treatment slope of a PLM anchor."""
     p = anchor.values
-    p_x = p.sum(axis=(1, 2))
-    g = p[:, 1, :].sum(axis=1) / p_x
     y1 = p[:, 1, 1] / p[:, 1, :].sum(axis=1)
     y0 = p[:, 0, 1] / p[:, 0, :].sum(axis=1)
     slopes = y1 - y0
@@ -344,9 +347,9 @@ def verify_invariance(anchor: Density, direction: SignedDensity,
     return worst
 
 
-def bumped_direction(direction: SignedDensity, field: BumpField,
-                     tol: float = 2e-6) -> SignedDensity:
-    """Delta(lambda, z1) * direction, atom-wise; requires int Delta dG = 0."""
+def bumped_direction(direction: SignedDensity, field: BumpField) -> SignedDensity:
+    """Delta(lambda, z1) * direction, atom-wise; requires int Delta dG = 0
+    (to 2e-6 relative to 1 + int |dG|)."""
     space = direction.space
     delta = field.values
     if delta.size != space.shape[0]:
@@ -356,21 +359,25 @@ def bumped_direction(direction: SignedDensity, field: BumpField,
     values = direction.values * delta.reshape(shape)
     mass = float(values.sum() * space.atom_weight)
     scale = 1.0 + float(np.abs(direction.values).sum() * space.atom_weight)
-    if abs(mass) > tol * scale:
+    if abs(mass) > 2e-6 * scale:
         raise PairingError(
             f"bump does not annihilate the direction: int Delta dG = {mass:.3e}"
         )
     # partition residual dust can exceed the SignedDensity mass contract;
-    # remove it proportionally to |values| (relative change <= tol per atom)
+    # remove it proportionally to |values| (relative change <= 2e-6 per atom)
     abs_mass = float(np.abs(values).sum() * space.atom_weight)
     if mass != 0.0 and abs_mass > 0.0:
         values = values - (mass / abs_mass) * np.abs(values)
     return SignedDensity(space, values)
 
 
+def _mixed_difference(f: Callable[[float, float], float], h: float) -> float:
+    """Central mixed finite difference of f at the origin with step h."""
+    return (f(h, h) - f(h, -h) - f(-h, h) + f(-h, -h)) / (4 * h * h)
+
+
 def second_derivative_fd(anchor: Density, dir_a: SignedDensity,
-                         dir_b: SignedDensity, spec: EstimandSpec,
-                         step: float = 1e-3) -> float:
+                         dir_b: SignedDensity, spec: EstimandSpec) -> float:
     """Central mixed finite difference of (s,t) -> chi(anchor + s a + t b)."""
 
     def chi_at(s: float, t: float) -> float:
@@ -381,43 +388,35 @@ def second_derivative_fd(anchor: Density, dir_a: SignedDensity,
             return est.functional_value(Density(anchor.space, vals), spec)
         except PreconditionError as exc:
             raise PreconditionError(
-                f"functional undefined at offset ({s:g},{t:g}); try a smaller step"
+                f"functional undefined at offset ({s:g},{t:g}); use shorter directions"
             ) from exc
 
-    h = float(step)
-    return (chi_at(h, h) - chi_at(h, -h) - chi_at(-h, h) + chi_at(-h, -h)) / (4 * h * h)
+    return _mixed_difference(chi_at, _FD_STEP)
 
 
 def nuisance_directional_derivative(anchor: Density, direction: SignedDensity,
-                                    spec: EstimandSpec, which: str = "gamma",
-                                    step: float = 1e-3,
-                                    richardson: bool = True) -> np.ndarray:
-    """Per-atom derivative of the nuisance along the direction, by central
-    differences with one optional Richardson extrapolation level."""
+                                    spec: EstimandSpec, step: float = 1e-3) -> np.ndarray:
+    """Per-atom derivative of gamma along the direction, by central
+    differences with one Richardson extrapolation level."""
 
     def central(h: float) -> np.ndarray:
-        up_g, up_a = est.nuisances_of(add_scaled(anchor, h, direction), spec)
-        dn_g, dn_a = est.nuisances_of(add_scaled(anchor, -h, direction), spec)
-        up = up_g.values if which == "gamma" else up_a.values
-        dn = dn_g.values if which == "gamma" else dn_a.values
-        return (up - dn) / (2.0 * h)
+        up, _ = est.nuisances_of(add_scaled(anchor, h, direction), spec)
+        dn, _ = est.nuisances_of(add_scaled(anchor, -h, direction), spec)
+        return (up.values - dn.values) / (2.0 * h)
 
-    if not richardson:
-        return central(step)
     coarse = central(step)
     fine = central(step / 2.0)
     return (4.0 * fine - coarse) / 3.0
 
 
-def closed_form_chi2_H0(anchor: Density, h0: SignedDensity, spec: EstimandSpec,
-                        step: float = 1e-4) -> float:
+def closed_form_chi2_H0(anchor: Density, h0: SignedDensity, spec: EstimandSpec) -> float:
     """chi''[H0, H0] via the curvature integral
     -int alpha(z) upsilon_rho(z) (gamma'_P(z)[H0])^2 dP_Z; zero for affine."""
     _, ups = est.nu_upsilon_rho(spec, anchor)
     if not np.any(ups):
         return 0.0
     _, alpha = est.nuisances_of(anchor, spec)
-    gprime = nuisance_directional_derivative(anchor, h0, spec, "gamma", step)
+    gprime = nuisance_directional_derivative(anchor, h0, spec, 1e-4)
     pz = est.z_marginal(anchor, spec)
     return -float(np.sum(alpha.values * ups * gprime ** 2 * pz.values)
                   * pz.space.atom_weight)
@@ -427,33 +426,36 @@ def closed_form_chi2_H0(anchor: Density, h0: SignedDensity, spec: EstimandSpec,
 # Gram-Schmidt invariant direction for ratio nuisances
 # -----------------------------------------------------------------------------
 
+def _z_slice(space: GridSpace, z_atom: int) -> tuple:
+    """Index of the W slice of the grid at one flat Z atom."""
+    z_idx = [i for i, ax in enumerate(space.axes) if ax.role in ("z1", "z2")]
+    z_multi = np.unravel_index(int(z_atom), tuple(space.shape[i] for i in z_idx))
+    slicer: list = [slice(None)] * len(space.axes)
+    for ax, c in zip(z_idx, z_multi):
+        slicer[ax] = int(c)
+    return tuple(slicer)
+
+
 def gram_schmidt_invariant_direction(anchor: Density, f0: np.ndarray,
                                      f1: np.ndarray, z_atom: int,
-                                     seed: int = 0,
-                                     nondegeneracy_floor: float = 1e-6,
-                                     retries: int = 8) -> np.ndarray:
+                                     seed: int = 0) -> np.ndarray:
     """Conditional perturbation g0(.|z) orthogonal to {1, F0 - alpha_z F1}.
 
     A ratio nuisance alpha(z;P) = E_P[F0|Z=z]/E_P[F1|Z=z] is exactly invariant
     under slice perturbations orthogonal (in the conditional base measure) to
     the constant function and to F0 - alpha_z F1.  The returned array holds
     the conditional density of the perturbation per W atom at the given Z
-    atom (to be embedded with :func:`slice_perturbation`).
+    atom (to be embedded with :func:`slice_perturbation`): one seeded normal
+    draw, projected.  F0's residual off {1, F1} must exceed 1e-6.
     """
     space = anchor.space
-    z_idx = [i for i, ax in enumerate(space.axes) if ax.role in ("z1", "z2")]
     w_idx = [i for i, ax in enumerate(space.axes) if ax.role == "w"]
     if not w_idx:
         raise PreconditionError("anchor space has no W axes")
     f0 = space.broadcast(f0)
     f1 = space.broadcast(f1)
 
-    z_shape = tuple(space.shape[i] for i in z_idx)
-    z_multi = np.unravel_index(int(z_atom), z_shape)
-    slicer: list = [slice(None)] * len(space.axes)
-    for ax, c in zip(z_idx, z_multi):
-        slicer[ax] = int(c)
-    sl = tuple(slicer)
+    sl = _z_slice(space, z_atom)
     p_slice = anchor.values[sl].ravel()
     f0_w = f0[sl].ravel()
     f1_w = f1[sl].ravel()
@@ -471,11 +473,9 @@ def gram_schmidt_invariant_direction(anchor: Density, f0: np.ndarray,
     # conditional second-moment floor: min_{a,b} E_mu[(F0 - a F1 - b)^2 | z]
     design = np.stack([f1_w, np.ones(n_w)], axis=1) * np.sqrt(w_w)
     resp = f0_w * np.sqrt(w_w)
-    _, res, _, _ = np.linalg.lstsq(design, resp, rcond=None)
-    floor = float(res[0]) if res.size else float(
-        np.sum((resp - design @ np.linalg.lstsq(design, resp, rcond=None)[0]) ** 2)
-    )
-    if floor <= nondegeneracy_floor:
+    coef = np.linalg.lstsq(design, resp, rcond=None)[0]
+    floor = float(np.sum((resp - design @ coef) ** 2))
+    if floor <= 1e-6:
         raise NondegeneracyError(
             f"F0 is (nearly) affine in F1 on the slice: residual {floor:.3e}"
         )
@@ -483,32 +483,25 @@ def gram_schmidt_invariant_direction(anchor: Density, f0: np.ndarray,
     c = float(np.sum(f_tilde) * w_w) / float(n_w * w_w)
     centered = f_tilde - c
     norm_sq = float(np.sum(centered ** 2) * w_w)
-    for k in range(retries):
-        rng = np.random.default_rng(seed + k)
-        trial = rng.standard_normal(n_w)
-        g0 = trial.copy()
-        g0 -= float(np.sum(trial * centered) * w_w) / norm_sq * centered
-        g0 -= float(np.sum(g0) * w_w) / (n_w * w_w)
-        if np.max(np.abs(g0)) > 1e-10:
-            return g0
-    raise NondegeneracyError(
-        "every seed field orthogonalized to zero: W space spans only {1, F}"
-    )
+    # the projection is zero only when the W space is spanned by {1, F}, and
+    # then it is zero for every draw
+    trial = np.random.default_rng(seed).standard_normal(n_w)
+    g0 = trial.copy()
+    g0 -= float(np.sum(trial * centered) * w_w) / norm_sq * centered
+    g0 -= float(np.sum(g0) * w_w) / (n_w * w_w)
+    if np.max(np.abs(g0)) <= 1e-10:
+        raise NondegeneracyError(
+            "the seed field orthogonalized to zero: W space spans only {1, F}"
+        )
+    return g0
 
 
 def slice_perturbation(anchor: Density, z_atom: int, g0_w: np.ndarray) -> SignedDensity:
     """Embed a per-W conditional perturbation at one Z atom into O."""
     space = anchor.space
-    z_idx = [i for i, ax in enumerate(space.axes) if ax.role in ("z1", "z2")]
-    z_shape = tuple(space.shape[i] for i in z_idx)
-    z_multi = np.unravel_index(int(z_atom), z_shape)
-    slicer: list = [slice(None)] * len(space.axes)
-    for ax, c in zip(z_idx, z_multi):
-        slicer[ax] = int(c)
+    sl = _z_slice(space, z_atom)
     values = np.zeros(space.shape)
-    values[tuple(slicer)] = np.asarray(g0_w, dtype=float).reshape(
-        values[tuple(slicer)].shape
-    )
+    values[sl] = np.asarray(g0_w, dtype=float).reshape(values[sl].shape)
     return SignedDensity(space, values)
 
 
@@ -565,6 +558,15 @@ class AteLocalFamily:
         self.eps_g = float(eps_g)
         self.partition = partition
         self.anchor = est.ate_joint(space, self.m_hat, self.g_hat)
+
+    @classmethod
+    def balanced(cls, space: GridSpace, m_hat: np.ndarray, g_hat: np.ndarray, eps_m: float,
+                 eps_g: float, m_pairs: int, seed: int = 0) -> "AteLocalFamily":
+        """The family on the partition of the Z1 axis into 2 m_pairs blocks
+        that balances (1, 2 m_hat - 1), searched from ``seed``."""
+        weights = [np.ones(space.shape[0]), 2.0 * np.asarray(m_hat) - 1.0]
+        part = iterated_partition(weights, m_pairs, space.axes[0], seed=seed)
+        return cls(space, m_hat, g_hat, eps_m, eps_g, part)
 
     @property
     def m_pairs(self) -> int:
@@ -651,10 +653,8 @@ class PlmFamily:
         self.v = float(v)
         self.partition = partition
         self.theta_hat = plm_slope(anchor)
-        p = anchor.values
-        p_x = p.sum(axis=(1, 2))
-        self.g_hat = p[:, 1, :].sum(axis=1) / p_x
-        self.q_hat = p[:, :, 1].sum(axis=1) / p_x
+        gamma, alpha = est.nuisances_of(anchor, _PLM)
+        self.g_hat, self.q_hat = gamma.values, alpha.values
         self.s = np.sqrt(self.g_hat * (1.0 - self.g_hat))
 
     @property
@@ -667,39 +667,18 @@ class PlmFamily:
 
     def member(self, lam: Sequence[int]) -> Density:
         delta = bump(self.partition, lam).values
-        u, v, th = self.u, self.v, self.theta_uv
-        g, q, s = self.g_hat, self.q_hat, self.s
-        p = self.anchor.values
-        bump_core = s * delta
-        vals = np.empty_like(p)
-        vals[:, 1, 1] = p[:, 1, 1] + (u * q - v * g + th * u * (1 - 2 * g)) * bump_core
-        vals[:, 1, 0] = p[:, 1, 0] + (u * (1 - q) + v * g - th * u * (1 - 2 * g)) * bump_core
-        vals[:, 0, 1] = p[:, 0, 1] - (u * q + v * (1 - g) + th * u * (1 - 2 * g)) * bump_core
-        vals[:, 0, 0] = p[:, 0, 0] + (u * (q - 1) + v * (1 - g) + th * u * (1 - 2 * g)) * bump_core
+        shift = _plm_shift(self.g_hat, self.q_hat, self.theta_uv, self.u, self.v)
+        vals = self.anchor.values + shift * (self.s * delta)[:, None, None]
         if vals.min() < -1e-12:
             raise UncertaintyViolationError("(u, v) too large for this anchor")
         return Density(self.anchor.space, vals)
 
 
-def plm_auxiliary_value(p: Density) -> float:
-    """The auxiliary PLM functional E_P[Y g(X;P)] = E_muX[g q] (uniform X)."""
-    vals = p.values
-    p_x = vals.sum(axis=(1, 2))
-    g = vals[:, 1, :].sum(axis=1) / p_x
-    q = vals[:, :, 1].sum(axis=1) / p_x
-    w_x = p.space.axes[0].cell_weight
-    return float(np.sum(g * q * p_x) * w_x)
-
-
-def plm_cross_derivative_fd(family_at: Callable[[float, float], Density],
-                            step: float = 1e-3) -> float:
-    """Mixed FD of (u,v) -> E[Y g(X)] along a PLM family constructor."""
-    h = float(step)
-    vals = {}
-    for su in (1, -1):
-        for sv in (1, -1):
-            vals[(su, sv)] = plm_auxiliary_value(family_at(su * h, sv * h))
-    return (vals[(1, 1)] - vals[(1, -1)] - vals[(-1, 1)] + vals[(-1, -1)]) / (4 * h * h)
+def plm_cross_derivative_fd(family_at: Callable[[float, float], Density]) -> float:
+    """Mixed FD of (u,v) -> E[Y g(X)] along a PLM family constructor; the
+    auxiliary functional is the PLM's mixed-bias value."""
+    return _mixed_difference(
+        lambda u, v: est.mixed_bias_value(family_at(u, v), _PLM), _FD_STEP)
 
 
 def mixture_density(family) -> Density:
@@ -738,7 +717,7 @@ def case1_weights(anchor: Density, spec: EstimandSpec,
     space = anchor.space
     gamma, alpha = est.nuisances_of(anchor, spec)
     nu_m = alpha.values  # nu_rho == -1
-    gprime = nuisance_directional_derivative(anchor, pair.second, spec, "gamma")
+    gprime = nuisance_directional_derivative(anchor, pair.second, spec)
     m1_at_gamma = est.m1_atoms(spec, space, gamma.values)
     core_full = est.z_to_grid(spec, space, nu_m * gprime)
     psi_mixed = core_full * anchor.values + m1_at_gamma * pair.second.values

@@ -11,8 +11,10 @@ budget delta implies.  The inequality
     optimal_test_error >= fano_risk(H^2)
 
 is a theorem, so it is asserted with no tolerance at all; the constant C in
-the product-measure Hellinger bound is not pinned by theory and is only ever
-*fitted* and reported, never asserted.
+the product-measure Hellinger bound is not pinned by theory, so the bound is
+stated at C = 1 and C is only ever *fitted* over a sweep and reported, never
+passed or asserted.  The minimax demonstration reports each hypothesis's
+empirical 0.9-quantile risk.
 """
 
 from __future__ import annotations
@@ -84,22 +86,24 @@ def _product_tensor(prob_rows: np.ndarray, n: int) -> np.ndarray:
     return out.ravel() / prob_rows.shape[0]
 
 
+def _product_laws(instance: TestingInstance) -> tuple[np.ndarray, np.ndarray]:
+    """(anchor^{(x)n}, mixture^{(x)n}) as atom-tuple probabilities."""
+    if not instance.enumerated:
+        raise PreconditionError("exact testing bounds need an enumerated instance")
+    return (_product_tensor(_atom_probs(instance.anchor)[None, :], instance.n),
+            _product_tensor(member_probs(instance), instance.n))
+
+
 def product_mixture_hellinger(instance: TestingInstance) -> float:
     """Exact H^2(anchor^{(x)n}, mean_lambda member_lambda^{(x)n})."""
-    if not instance.enumerated:
-        raise PreconditionError("the Hellinger enumeration needs an enumerated instance")
-    anchor_n = _product_tensor(_atom_probs(instance.anchor)[None, :], instance.n)
-    mixture_n = _product_tensor(member_probs(instance), instance.n)
+    anchor_n, mixture_n = _product_laws(instance)
     diff = np.sqrt(anchor_n) - np.sqrt(mixture_n)
     return float(np.sum(diff * diff))
 
 
 def optimal_test_error(instance: TestingInstance) -> float:
     """Exact Bayes error (1 - TV)/2 between anchor^n and the mixture."""
-    if not instance.enumerated:
-        raise PreconditionError("the Bayes-error oracle needs an enumerated instance")
-    anchor_n = _product_tensor(_atom_probs(instance.anchor)[None, :], instance.n)
-    mixture_n = _product_tensor(member_probs(instance), instance.n)
+    anchor_n, mixture_n = _product_laws(instance)
     tv = 0.5 * float(np.sum(np.abs(anchor_n - mixture_n)))
     return (1.0 - tv) / 2.0
 
@@ -111,14 +115,13 @@ def fano_risk(delta: float) -> float:
     return (1.0 - math.sqrt(delta * (1.0 - delta / 4.0))) / 2.0
 
 
-def theorem21_b(instance: TestingInstance, partition: BumpPartition,
-                constant: float = 1.0) -> tuple[float, float]:
-    """The chunk statistic b and the bound C n^2 (max_j p_j) b^2.
+def theorem21_b(instance: TestingInstance, partition: BumpPartition
+                ) -> tuple[float, float]:
+    """The chunk statistic b and the bound n^2 (max_j p_j) b^2 at C = 1.
 
     Chunks are X_j = (B_{2j-1} u B_{2j}) x (other axes); b is the worst
-    normalized chi-square mass of any alternative on any chunk.  ``constant``
-    stands in for the unspecified theory constant C and is reported, not
-    asserted.
+    normalized chi-square mass of any alternative on any chunk.  The theory
+    constant C is unspecified; :func:`fit_hellinger_constant` fits it.
     """
     anchor = instance.anchor
     space = anchor.space
@@ -143,7 +146,7 @@ def theorem21_b(instance: TestingInstance, partition: BumpPartition,
         p_max = max(p_max, p_j)
         mass = float(np.max(np.sum(chisq * chunk[None, :, None], axis=(1, 2))) * w)
         b = max(b, mass / p_j)
-    return b, constant * instance.n ** 2 * p_max * b * b
+    return b, instance.n ** 2 * p_max * b * b
 
 
 def fit_hellinger_constant(instances: Sequence[tuple[TestingInstance, BumpPartition]]
@@ -151,26 +154,10 @@ def fit_hellinger_constant(instances: Sequence[tuple[TestingInstance, BumpPartit
     """Empirical C: the smallest constant making the bound hold on a sweep."""
     c_fit = 0.0
     for instance, partition in instances:
-        h2 = product_mixture_hellinger(instance)
-        b, _ = theorem21_b(instance, partition)
-        if b == 0.0:
-            continue
-        p_max = _chunk_p_max(instance, partition)
-        c_fit = max(c_fit, h2 / (instance.n ** 2 * p_max * b * b))
+        b, bound = theorem21_b(instance, partition)
+        if b != 0.0:
+            c_fit = max(c_fit, product_mixture_hellinger(instance) / bound)
     return c_fit
-
-
-def _chunk_p_max(instance: TestingInstance, partition: BumpPartition) -> float:
-    space = instance.anchor.space
-    n1 = space.shape[0]
-    rest = space.n_atoms // n1
-    anchor_x = instance.anchor.values.reshape(n1, rest)
-    w = space.atom_weight
-    mem = partition.membership
-    return max(
-        float(np.sum((mem[2 * j] + mem[2 * j + 1])[:, None] * anchor_x) * w)
-        for j in range(partition.n_pairs)
-    )
 
 
 # -----------------------------------------------------------------------------
@@ -200,14 +187,13 @@ def oracle_estimator(spec: EstimandSpec) -> Estimator:
 
 
 def minimax_demo(instance: TestingInstance, estimator: Estimator, s: float,
-                 n_draw: int, replications: int = 32, xi: float = 0.1,
-                 seed: int = 0, max_hypotheses: int | None = None
+                 n_draw: int, replications: int = 32, seed: int = 0
                  ) -> tuple[float, dict]:
-    """Worst-case empirical (1 - xi)-quantile risk over the hypothesis set.
+    """Worst-case empirical 0.9-quantile risk over the hypothesis set.
 
     Verifies the separation condition |chi(member) - chi(anchor)| >= 2 s
     before running, then plays the estimator against the anchor and every
-    family member (or a seeded subset of max_hypotheses members).
+    family member.
     """
     spec = instance.spec
     chi_anchor = est.functional_value(instance.anchor, spec)
@@ -221,11 +207,6 @@ def minimax_demo(instance: TestingInstance, estimator: Estimator, s: float,
                 f"member {k} separates by {gap:.3e} < 2s = {2 * s:.3e}"
             )
         hypotheses.append((f"lambda{k}", member))
-    if max_hypotheses is not None and len(hypotheses) > max_hypotheses:
-        rng = np.random.default_rng(seed)
-        keep = rng.choice(len(hypotheses) - 1, size=max_hypotheses - 1,
-                          replace=False) + 1
-        hypotheses = [hypotheses[0]] + [hypotheses[i] for i in sorted(keep)]
 
     per_hypothesis = {}
     worst = 0.0
@@ -235,7 +216,7 @@ def minimax_demo(instance: TestingInstance, estimator: Estimator, s: float,
         for rep in range(replications):
             data = sample(hyp, n_draw, seed + 7919 * rep + 104729 * h)
             errors[rep] = abs(estimator(data, hyp) - chi_true)
-        q = float(np.quantile(errors, 1.0 - xi))
+        q = float(np.quantile(errors, 0.9))
         per_hypothesis[name] = q
         worst = max(worst, q)
     return worst, per_hypothesis

@@ -95,11 +95,9 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
     report: dict = {"kind": args.kind}
 
     if args.kind == est.ATE:
-        m_hat, g_hat = pre.extras["m_hat"], pre.extras["g_hat"]
-        weights = [np.ones(m_hat.size), 2.0 * m_hat - 1.0]
-        part = iterated_partition(weights, args.m_pairs, anchor.space.axes[0])
-        family = adversary.AteLocalFamily(anchor.space, m_hat, g_hat,
-                                          args.eps_gamma, args.eps_alpha, part)
+        family = adversary.AteLocalFamily.balanced(
+            anchor.space, pre.extras["m_hat"], pre.extras["g_hat"],
+            args.eps_gamma, args.eps_alpha, args.m_pairs)
         seps, marg_dev, member_dists = [], 0.0, []
         mix = adversary.mixture_density(family)
         marg_dev = float(np.max(np.abs(mix.values - anchor.values)))
@@ -145,14 +143,12 @@ def _cmd_hellinger(args: argparse.Namespace) -> int:
     if args.kind != est.ATE:
         raise PreconditionError("the hellinger audit runs on the ATE family")
     pre = preset(args.kind, x_cells=args.x_cells)
-    m_hat, g_hat = pre.extras["m_hat"], pre.extras["g_hat"]
-    weights = [np.ones(m_hat.size), 2.0 * m_hat - 1.0]
-    part = iterated_partition(weights, args.m_pairs, pre.anchor.space.axes[0])
-    family = adversary.AteLocalFamily(pre.anchor.space, m_hat, g_hat,
-                                      args.eps_gamma, args.eps_alpha, part)
+    family = adversary.AteLocalFamily.balanced(
+        pre.anchor.space, pre.extras["m_hat"], pre.extras["g_hat"],
+        args.eps_gamma, args.eps_alpha, args.m_pairs)
     inst = bounds.TestingInstance(pre.anchor, family, pre.spec, n=args.n)
     h2 = bounds.product_mixture_hellinger(inst)
-    b, bound = bounds.theorem21_b(inst, part)
+    b, bound = bounds.theorem21_b(inst, family.partition)
     print(json.dumps({
         "h2": h2,
         "b": b,

@@ -87,13 +87,6 @@ class Axis:
             return np.array([0.0, 1.0])
         return (np.arange(self.cells) + 0.5) / self.cells
 
-    @property
-    def edges(self) -> np.ndarray:
-        """Cell edges (continuous axes only)."""
-        if self.kind == "binary":
-            raise PreconditionError("binary axes have no cell edges")
-        return np.arange(self.cells + 1) / self.cells
-
 
 def binary(role: Role) -> Axis:
     return Axis("binary", role)
@@ -409,6 +402,8 @@ def conditional(p: Density, fixed: dict[int, int]) -> Density:
 def sample(p: Density, n: int, seed: int) -> Dataset:
     """n i.i.d. atom draws from the categorical law values*atom_weight, as
     one multinomial draw of the per-atom counts (O(atoms) at any n)."""
+    if n < 0:
+        raise PreconditionError(f"sample size n must be >= 0, got {n}")
     probs = p.values.ravel() * p.space.atom_weight
     rng = np.random.default_rng(seed)
     return Dataset(p.space, rng.multinomial(int(n), probs / probs.sum()), seed)

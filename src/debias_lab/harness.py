@@ -31,7 +31,6 @@ import numpy as np
 from . import adversary, bounds, estimands as est, estimators as dr
 from .errors import PreconditionError
 from .grid import marginal as grid_marginal, sample
-from .partition import iterated_partition
 from .presets import Preset, preset
 
 CSV_COLUMNS = (
@@ -39,6 +38,12 @@ CSV_COLUMNS = (
     "n", "eps_gamma", "eps_alpha", "alignment", "population",
     "point", "oracle", "abs_error",
 )
+
+
+# The Python types a scalar config key accepts from JSON, by its field's
+# annotation; matched exactly, so a bool is not an int, while an int is
+# accepted as a float.
+_SCALAR_TYPES = {"str": (str,), "bool": (bool,), "int": (int,), "float": (int, float)}
 
 
 def _nested(value, seq):
@@ -115,6 +120,12 @@ class ExperimentConfig:
                 f"a scan config must be a JSON object, not {type(doc).__name__}")
         if "kind" not in doc:
             raise PreconditionError("a scan config needs a 'kind' key")
+        for f in fields(ExperimentConfig):
+            accepted = _SCALAR_TYPES.get(f.type)
+            if accepted and f.name in doc and type(doc[f.name]) not in accepted:
+                raise PreconditionError(
+                    f"config key {f.name!r} must be a JSON {f.type}, "
+                    f"not {doc[f.name]!r}")
         return ExperimentConfig(**{f.name: _nested(doc[f.name], tuple)
                                    for f in fields(ExperimentConfig) if f.name in doc})
 
@@ -191,13 +202,10 @@ def _hellinger_once(config: ExperimentConfig, pre: Preset, m_pairs: int,
                     derived_seed: int) -> tuple[float, float]:
     if pre.spec.kind != est.ATE:
         raise PreconditionError("the M sweep is defined for the ATE family")
-    m_hat, g_hat = pre.extras["m_hat"], pre.extras["g_hat"]
-    weights = [np.ones(m_hat.size), 2.0 * m_hat - 1.0]
-    part = iterated_partition(weights, m_pairs, pre.anchor.space.axes[0],
-                              seed=derived_seed)
     eps_m, eps_g = config.eps_fixed
-    family = adversary.AteLocalFamily(pre.anchor.space, m_hat, g_hat,
-                                      eps_m, eps_g, part)
+    family = adversary.AteLocalFamily.balanced(
+        pre.anchor.space, pre.extras["m_hat"], pre.extras["g_hat"],
+        eps_m, eps_g, m_pairs, seed=derived_seed)
     inst = bounds.TestingInstance(pre.anchor, family, pre.spec,
                                   n=min(config.n_fixed, 2))
     return bounds.product_mixture_hellinger(inst), 0.0

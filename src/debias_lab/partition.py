@@ -354,31 +354,22 @@ def iterated_partition(weights: Sequence[np.ndarray], m_pairs: int, axis: Axis,
     return part
 
 
-def equal_blocks(axis: Axis, n_blocks: int,
-                 weight: np.ndarray | None = None) -> BumpPartition:
-    """Contiguous blocks of equal measure for one nonnegative weight.
+def equal_blocks(axis: Axis, n_blocks: int) -> BumpPartition:
+    """Contiguous blocks of equal base measure.
 
     Unlike :func:`iterated_partition` this places no power-of-two
     restriction on the block count; boundary cells are split fractionally.
     """
     if n_blocks < 2 or n_blocks % 2:
         raise PreconditionError("equal_blocks needs an even block count >= 2")
-    w = np.ones(axis.size) if weight is None else \
-        np.asarray(weight, dtype=float) * np.ones(axis.size)
-    if w.min() < 0:
-        raise PreconditionError("equal_blocks needs a nonnegative weight")
+    w = np.ones(axis.size)
     cum = np.concatenate([[0.0], np.cumsum(w)])
     total = cum[-1]
     membership = np.zeros((n_blocks, axis.size))
     for j in range(n_blocks):
         lo, hi = total * j / n_blocks, total * (j + 1) / n_blocks
-        inside = np.clip(np.minimum(cum[1:], hi) - np.maximum(cum[:-1], lo),
-                         0.0, None)
-        membership[j] = np.divide(inside, w, out=np.zeros_like(w), where=w > 0)
-    # atoms with zero weight belong to no block yet; give them to the first
-    zero_w = w == 0
-    if zero_w.any():
-        membership[0, zero_w] = 1.0
+        membership[j] = np.clip(np.minimum(cum[1:], hi) - np.maximum(cum[:-1], lo),
+                                0.0, None)
     cw = axis.cell_weight
     target = total * cw / n_blocks
     residuals = np.array([[abs(float(np.sum(membership[j] * w) * cw) - target)

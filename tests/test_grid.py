@@ -207,6 +207,12 @@ def test_sample_deterministic_and_empty():
     assert sample(p, 0, seed=1).n == 0
 
 
+def test_sample_rejects_negative_n():
+    p = uniform_density(two_point_space())
+    with pytest.raises(PreconditionError, match="n must be >= 0"):
+        sample(p, -5, seed=0)
+
+
 def test_hellinger_basic_values():
     half = Density(two_point_space(), np.array([0.5, 0.5]))
     sure = Density(two_point_space(), np.array([0.0, 1.0]))

@@ -230,8 +230,20 @@ def test_cli_adversary_report():
     ('{"kind": "ate", "population": true, "eps_sweep": [[0.1], [0.2]]}',
      "eps_sweep"),
     ('{"kind": "ate", "m_sweep": [2, 4], "eps_fixed": [0.1]}', "eps_fixed"),
+    ('{"kind": "ate", "n_sweep": [10, 100], "replications": "abc"}',
+     "'replications'"),
+    ('{"kind": "ate", "n_sweep": [10, 100], "replications": 16.5}',
+     "'replications'"),
+    ('{"kind": "ate", "n_sweep": [10, 100], "x_cells": "8"}', "'x_cells'"),
+    ('{"kind": "ate", "eps_sweep": [[0.1, 0.1], [0.2, 0.2]], "population": "no"}',
+     "'population'"),
+    ('{"kind": "ate", "n_sweep": [-10, 100], "x_cells": 8}', "n must be >= 0"),
+    ('{"kind": "ate", "eps_sweep": [[0.1, 0.1], [0.2, 0.2]], "n_fixed": -3,'
+     ' "x_cells": 8}', "n must be >= 0"),
 ], ids=["missing-file", "invalid-json", "top-level-list", "no-kind",
-        "string-sweep", "eps-pair-of-one", "eps-fixed-of-one"])
+        "string-sweep", "eps-pair-of-one", "eps-fixed-of-one",
+        "string-replications", "float-replications", "string-x-cells",
+        "string-population", "negative-n-sweep", "negative-n-fixed"])
 def test_cli_scan_malformed_config_exits_two(tmp_path, capsys, text, message):
     from debias_lab import cli
 

@@ -1,5 +1,5 @@
-"""Every name a library module or a test file imports is used in that file,
-and no library module reads the environment."""
+"""Every name a library module, a test file or a demo imports is used in that
+file, and no library module reads the environment."""
 
 import ast
 from pathlib import Path
@@ -11,6 +11,7 @@ import debias_lab
 MODULES = sorted(p for p in Path(debias_lab.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
 TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
+DEMO_FILES = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,6 +36,11 @@ def test_no_unused_imports(path):
 
 @pytest.mark.parametrize("path", TEST_FILES, ids=lambda p: f"tests/{p.name}")
 def test_no_unused_imports_in_tests(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", DEMO_FILES, ids=lambda p: f"demos/{p.name}")
+def test_no_unused_imports_in_demos(path):
     assert unused_imports(path.read_text()) == []
 
 
