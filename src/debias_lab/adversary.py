@@ -46,11 +46,20 @@ from .errors import (
     UncertaintyViolationError,
 )
 from .estimands import EstimandSpec
-from .grid import Density, GridSpace, SignedDensity, add_scaled, l2_nuisance_distance
-from .partition import BumpField, BumpPartition, all_sign_vectors, bump, iterated_partition
+from .grid import (
+    Density,
+    GridSpace,
+    SignedDensity,
+    add_scaled,
+    check_density_rows,
+    check_signed_rows,
+    l2_nuisance_distance,
+)
+from .partition import BumpField, BumpPartition, all_sign_vectors, bump, bumps, iterated_partition
 
 _PLM = EstimandSpec(est.ECC_PLM)
 _FD_STEP = 1e-3  # step of the mixed second-derivative finite differences
+_MIXTURE_BLOCK = 32  # sign vectors evaluated per stack in mixture_density
 
 
 # -----------------------------------------------------------------------------
@@ -350,25 +359,37 @@ def verify_invariance(anchor: Density, direction: SignedDensity,
 def bumped_direction(direction: SignedDensity, field: BumpField) -> SignedDensity:
     """Delta(lambda, z1) * direction, atom-wise; requires int Delta dG = 0
     (to 2e-6 relative to 1 + int |dG|)."""
+    return SignedDensity(direction.space, _bumped_rows(direction, field.values[None])[0])
+
+
+def _bumped_rows(direction: SignedDensity, deltas: np.ndarray) -> np.ndarray:
+    """:func:`bumped_direction` for each row of the (L, n_z1) bump values
+    ``deltas``, as an (L, *shape) array; the first row whose bump does not
+    annihilate the direction raises PairingError."""
     space = direction.space
-    delta = field.values
-    if delta.size != space.shape[0]:
+    if deltas.shape[1] != space.shape[0]:
         raise PreconditionError("bump field does not match the Z1 axis")
-    shape = [1] * len(space.shape)
-    shape[0] = delta.size
-    values = direction.values * delta.reshape(shape)
-    mass = float(values.sum() * space.atom_weight)
+    rows = deltas.shape[0]
+    along_z1 = (rows, -1) + (1,) * (len(space.shape) - 1)
+    values = direction.values * deltas.reshape(along_z1)
     scale = 1.0 + float(np.abs(direction.values).sum() * space.atom_weight)
-    if abs(mass) > 2e-6 * scale:
-        raise PairingError(
-            f"bump does not annihilate the direction: int Delta dG = {mass:.3e}"
-        )
+    abs_values = np.abs(values)
+    masses = values.reshape(rows, -1).sum(axis=1) * space.atom_weight
+    abs_masses = abs_values.reshape(rows, -1).sum(axis=1) * space.atom_weight
+    ratio = np.zeros(rows)
+    for i, (mass, abs_mass) in enumerate(zip(masses.tolist(), abs_masses.tolist())):
+        if abs(mass) > 2e-6 * scale:
+            raise PairingError(
+                f"bump does not annihilate the direction: int Delta dG = {mass:.3e}"
+            )
+        if mass != 0.0 and abs_mass > 0.0:
+            ratio[i] = mass / abs_mass
     # partition residual dust can exceed the SignedDensity mass contract;
     # remove it proportionally to |values| (relative change <= 2e-6 per atom)
-    abs_mass = float(np.abs(values).sum() * space.atom_weight)
-    if mass != 0.0 and abs_mass > 0.0:
-        values = values - (mass / abs_mass) * np.abs(values)
-    return SignedDensity(space, values)
+    if ratio.any():
+        values = values - ratio.reshape(along_z1) * abs_values
+    check_signed_rows(space, values)
+    return values
 
 
 def _mixed_difference(f: Callable[[float, float], float], h: float) -> float:
@@ -527,7 +548,30 @@ def uncertainty_membership(p: Density, anchor: Density, spec: EstimandSpec,
     return member, (d_gamma, d_alpha)
 
 
-class AteLocalFamily:
+class _SignVectorFamily:
+    """Alternatives indexed by sign vectors lambda in {-1, +1}^M.
+
+    A family evaluates its formula for a whole (L, M) stack of sign vectors
+    at once in ``_values``, which raises the family's typed error when a
+    member is infeasible.  ``members`` checks every row of that stack as a
+    density; ``member`` (in each family's own body) wraps its one row in a
+    Density, so the two agree bit for bit.
+    """
+
+    anchor: Density
+    partition: BumpPartition
+
+    @property
+    def m_pairs(self) -> int:
+        return self.partition.n_pairs
+
+    def members(self, lams: np.ndarray) -> np.ndarray:
+        """The member densities for the rows of the (L, M) sign array ``lams``,
+        as an (L, *shape) array."""
+        return check_density_rows(self.anchor.space, self._values(lams))
+
+
+class AteLocalFamily(_SignVectorFamily):
     """The joint ATE alternatives indexed by sign vectors.
 
     Built from anchor fields (m_hat, g_hat) with uniform X marginal and a
@@ -568,21 +612,20 @@ class AteLocalFamily:
         part = iterated_partition(weights, m_pairs, space.axes[0], seed=seed)
         return cls(space, m_hat, g_hat, eps_m, eps_g, part)
 
-    @property
-    def m_pairs(self) -> int:
-        return self.partition.n_pairs
-
-    def member(self, lam: Sequence[int]) -> Density:
-        delta = bump(self.partition, lam).values
+    def _values(self, lams: np.ndarray) -> np.ndarray:
+        delta = bumps(self.partition, lams)
         m_lam = self.m_hat + self.eps_m * delta
-        g_lam = np.empty_like(self.g_hat)
-        g_lam[:, 0] = self.g_hat[:, 0] + self.eps_g * delta * (
+        g_lam = np.empty(delta.shape + (2,))
+        g_lam[..., 0] = self.g_hat[:, 0] + self.eps_g * delta * (
             1.0 - self.m_hat + self.eps_m * delta
         )
-        g_lam[:, 1] = self.g_hat[:, 1] + self.eps_g * delta * (
+        g_lam[..., 1] = self.g_hat[:, 1] + self.eps_g * delta * (
             self.m_hat - self.eps_m * delta
         )
-        return est.ate_joint(self.space, m_lam, g_lam)
+        return est.ate_joint_values(self.space, m_lam, g_lam)
+
+    def member(self, lam: Sequence[int]) -> Density:
+        return Density(self.space, self._values(np.reshape(lam, (1, -1)))[0])
 
     def nuisance_shift_norms(self, lam: Sequence[int]) -> tuple[float, float]:
         """(||m_lam - m_hat||_{P_X,2}, max_d ||g_lam(d,.) - g_hat(d,.)||)."""
@@ -603,7 +646,7 @@ class AteLocalFamily:
         return m_shift, g_shift
 
 
-class DirectionFamily:
+class DirectionFamily(_SignVectorFamily):
     """Generic two-step family anchor + t*Delta*first + s*Delta*second."""
 
     def __init__(self, anchor: Density, spec: EstimandSpec, pair: DirectionPair,
@@ -615,22 +658,20 @@ class DirectionFamily:
         self.s_second = float(s_second)
         self.partition = partition
 
-    @property
-    def m_pairs(self) -> int:
-        return self.partition.n_pairs
-
-    def member(self, lam: Sequence[int]) -> Density:
-        field = bump(self.partition, lam)
-        first = bumped_direction(self.pair.first, field)
-        second = bumped_direction(self.pair.second, field)
-        vals = (self.anchor.values + self.t_first * first.values
-                + self.s_second * second.values)
+    def _values(self, lams: np.ndarray) -> np.ndarray:
+        delta = bumps(self.partition, lams)
+        first = _bumped_rows(self.pair.first, delta)
+        second = _bumped_rows(self.pair.second, delta)
+        vals = self.anchor.values + self.t_first * first + self.s_second * second
         if vals.min() < -1e-12:
             raise InfeasibleRadiusError(max(self.t_first, self.s_second), 0.0)
-        return Density(self.anchor.space, vals)
+        return vals
+
+    def member(self, lam: Sequence[int]) -> Density:
+        return Density(self.anchor.space, self._values(np.reshape(lam, (1, -1)))[0])
 
 
-class PlmFamily:
+class PlmFamily(_SignVectorFamily):
     """The (u, v) partially-linear family over sign vectors.
 
     Members tilt the slope to theta^{u,v} = (theta + u v) / (1 - u^2) and
@@ -658,20 +699,19 @@ class PlmFamily:
         self.s = np.sqrt(self.g_hat * (1.0 - self.g_hat))
 
     @property
-    def m_pairs(self) -> int:
-        return self.partition.n_pairs
-
-    @property
     def theta_uv(self) -> float:
         return (self.theta_hat + self.u * self.v) / (1.0 - self.u ** 2)
 
-    def member(self, lam: Sequence[int]) -> Density:
-        delta = bump(self.partition, lam).values
+    def _values(self, lams: np.ndarray) -> np.ndarray:
+        delta = bumps(self.partition, lams)
         shift = _plm_shift(self.g_hat, self.q_hat, self.theta_uv, self.u, self.v)
-        vals = self.anchor.values + shift * (self.s * delta)[:, None, None]
+        vals = self.anchor.values + shift * (self.s * delta)[..., None, None]
         if vals.min() < -1e-12:
             raise UncertaintyViolationError("(u, v) too large for this anchor")
-        return Density(self.anchor.space, vals)
+        return vals
+
+    def member(self, lam: Sequence[int]) -> Density:
+        return Density(self.anchor.space, self._values(np.reshape(lam, (1, -1)))[0])
 
 
 def plm_cross_derivative_fd(family_at: Callable[[float, float], Density]) -> float:
@@ -684,15 +724,17 @@ def plm_cross_derivative_fd(family_at: Callable[[float, float], Density]) -> flo
 def mixture_density(family) -> Density:
     """Uniform lambda-average of the family members' densities.
 
-    Enumerates all 2^M sign vectors, so M is capped at 16.
+    Enumerates all 2^M sign vectors, so M is capped at 16.  Members are
+    evaluated in stacks of _MIXTURE_BLOCK and added in lambda order.
     """
     m = family.m_pairs
     if m > 16:
         raise SizeLimitError("mixture over 2^M requires M <= 16")
     lams = all_sign_vectors(m)
     acc = np.zeros(family.anchor.space.shape)
-    for lam in lams:
-        acc += family.member(lam).values
+    for start in range(0, len(lams), _MIXTURE_BLOCK):
+        for row in family.members(lams[start:start + _MIXTURE_BLOCK]):
+            acc += row
     return Density(family.anchor.space, acc / len(lams))
 
 

@@ -74,15 +74,28 @@ def _atom_probs(p: Density) -> np.ndarray:
 
 def member_probs(instance: TestingInstance) -> np.ndarray:
     """(2^M, atoms) atom-probability rows, one per sign vector."""
-    lams = all_sign_vectors(instance.family.m_pairs)
-    return np.stack([_atom_probs(instance.family.member(lam)) for lam in lams])
+    family = instance.family
+    rows = family.members(all_sign_vectors(family.m_pairs))
+    return rows.reshape(len(rows), -1) * family.anchor.space.atom_weight
 
 
 def _product_tensor(prob_rows: np.ndarray, n: int) -> np.ndarray:
-    """Mean over rows of the n-fold outer product, flattened to atoms^n."""
-    letters = "abcd"[:n]
-    spec = ",".join(f"l{c}" for c in letters) + "->" + letters
-    out = np.einsum(spec, *([prob_rows] * n), optimize=True)
+    """Mean over rows of the n-fold outer product, flattened to atoms^n.
+
+    For n >= 3 the last two factors are one matrix product per leading
+    (n - 2)-tuple of atoms, sum_l (w_l P_l) (x) P_l with w_l the tuple's
+    probabilities under row l, so no temporary exceeds (rows, atoms).
+    """
+    if n <= 2:
+        letters = "abcd"[:n]
+        spec = ",".join(f"l{c}" for c in letters) + "->" + letters
+        out = np.einsum(spec, *([prob_rows] * n), optimize=True)
+    else:
+        atoms = prob_rows.shape[1]
+        out = np.empty((atoms,) * n)
+        for lead in np.ndindex(*(atoms,) * (n - 2)):
+            w = prob_rows[:, lead].prod(axis=1)
+            out[lead] = (w[:, None] * prob_rows).T @ prob_rows
     return out.ravel() / prob_rows.shape[0]
 
 
@@ -197,10 +210,10 @@ def minimax_demo(instance: TestingInstance, estimator: Estimator, s: float,
     """
     spec = instance.spec
     chi_anchor = est.functional_value(instance.anchor, spec)
-    lams = all_sign_vectors(instance.family.m_pairs)
+    family = instance.family
     hypotheses: list[tuple[str, Density]] = [("anchor", instance.anchor)]
-    for k, lam in enumerate(lams):
-        member = instance.family.member(lam)
+    for k, values in enumerate(family.members(all_sign_vectors(family.m_pairs))):
+        member = Density(family.anchor.space, values)
         gap = abs(est.functional_value(member, spec) - chi_anchor)
         if s > 0 and gap < 2.0 * s - 1e-12:
             raise SeparationError(

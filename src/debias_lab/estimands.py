@@ -379,6 +379,14 @@ def ate_joint(space: GridSpace, m: np.ndarray, g: np.ndarray,
     ``g`` has shape (n_x, 2) indexed by treatment level.  Also the LOD anchor
     factory (same factorization, binary outcome).
     """
+    return Density(space, ate_joint_values(space, m, g, p_x))
+
+
+def ate_joint_values(space: GridSpace, m: np.ndarray, g: np.ndarray,
+                     p_x: np.ndarray | None = None) -> np.ndarray:
+    """The values of :func:`ate_joint`, unchecked, for one (m, g) or a stack:
+    ``m`` of shape (..., n_x) and ``g`` of shape (..., n_x, 2) give values of
+    shape (..., *space.shape)."""
     n_x = space.shape[0]
     m = np.asarray(m, dtype=float) * np.ones(n_x)
     g = np.asarray(g, dtype=float) * np.ones((n_x, 2))
@@ -386,12 +394,12 @@ def ate_joint(space: GridSpace, m: np.ndarray, g: np.ndarray,
         p_x = np.ones(n_x)
     p_x = _normalize(np.asarray(p_x, dtype=float) * np.ones(n_x),
                      space.axes[0].cell_weight)
-    vals = np.empty(space.shape)
+    vals = np.empty(m.shape[:-1] + space.shape)
     for d in (0, 1):
         pd = m if d == 1 else 1.0 - m
-        vals[:, d, 0] = p_x * pd * (1.0 - g[:, d])
-        vals[:, d, 1] = p_x * pd * g[:, d]
-    return Density(space, vals)
+        vals[..., d, 0] = p_x * pd * (1.0 - g[..., d])
+        vals[..., d, 1] = p_x * pd * g[..., d]
+    return vals
 
 
 def plm_joint(space: GridSpace, g: np.ndarray, q: np.ndarray, theta: float) -> Density:

@@ -173,8 +173,39 @@ class GridSpace:
         )
 
 
-def _mass(space: GridSpace, values: np.ndarray) -> float:
-    return float(values.sum() * space.atom_weight)
+def check_density_rows(space: GridSpace, values: np.ndarray) -> np.ndarray:
+    """``values`` with negative dust set to 0, after checking each density in it.
+
+    ``values`` holds one density (shape ``space.shape``) or a stack of them
+    (shape (L, *space.shape)).  Each must have no atom below -MASS_TOL and
+    mass 1 within MASS_TOL; the first that fails raises PreconditionError.
+    ``Density`` and the stacked family members both check through here.
+    """
+    if values.min() < -MASS_TOL:
+        low = values.reshape(-1, space.n_atoms).min(axis=1)
+        raise PreconditionError(
+            f"density has a negative atom value {low[np.argmax(low < -MASS_TOL)]:.3e}"
+        )
+    # tolerate -1e-12-level dust from upstream arithmetic
+    arr = np.where(values < 0.0, 0.0, values)
+    w = space.atom_weight
+    for total in arr.reshape(-1, space.n_atoms).sum(axis=1).tolist():
+        m = total * w
+        if abs(m - 1.0) > MASS_TOL * max(1.0, abs(m)):
+            raise PreconditionError(f"density mass {m!r} is not 1 within {MASS_TOL}")
+    return arr
+
+
+def check_signed_rows(space: GridSpace, values: np.ndarray) -> None:
+    """Check that each signed density in ``values`` (one, or a stack of them)
+    has mass 0 within MASS_TOL relative to max(1, its total variation)."""
+    rows = values.reshape(-1, space.n_atoms)
+    w = space.atom_weight
+    for total, variation in zip(rows.sum(axis=1).tolist(),
+                                np.abs(rows).sum(axis=1).tolist()):
+        m = total * w
+        if abs(m) > MASS_TOL * max(1.0, variation * w):
+            raise PreconditionError(f"signed density mass {m!r} is not 0 within {MASS_TOL}")
 
 
 @dataclass(frozen=True)
@@ -191,16 +222,7 @@ class Density:
     _memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = self.space.check_values(self.values)
-        if arr.min() < -MASS_TOL:
-            raise PreconditionError(
-                f"density has a negative atom value {arr.min():.3e}"
-            )
-        # tolerate -1e-12-level dust from upstream arithmetic
-        arr = np.where(arr < 0.0, 0.0, arr)
-        m = _mass(self.space, arr)
-        if abs(m - 1.0) > MASS_TOL * max(1.0, abs(m)):
-            raise PreconditionError(f"density mass {m!r} is not 1 within {MASS_TOL}")
+        arr = check_density_rows(self.space, self.space.check_values(self.values))
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -238,10 +260,7 @@ class SignedDensity:
 
     def __post_init__(self):
         arr = self.space.check_values(self.values)
-        m = _mass(self.space, arr)
-        scale = max(1.0, float(np.abs(arr).sum() * self.space.atom_weight))
-        if abs(m) > MASS_TOL * scale:
-            raise PreconditionError(f"signed density mass {m!r} is not 0 within {MASS_TOL}")
+        check_signed_rows(self.space, arr)
         object.__setattr__(self, "values", arr)
 
     def to_json(self) -> dict:

@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -44,6 +45,11 @@ CSV_COLUMNS = (
 # annotation; matched exactly, so a bool is not an int, while an int is
 # accepted as a float.
 _SCALAR_TYPES = {"str": (str,), "bool": (bool,), "int": (int,), "float": (int, float)}
+
+
+def _is_number(value) -> bool:
+    """Whether ``value`` is a real number and not a bool (a JSON number)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _nested(value, seq):
@@ -75,10 +81,19 @@ class ExperimentConfig:
             raise PreconditionError("exactly one sweep must be configured")
         if np.shape(self.eps_fixed) != (2,):
             raise PreconditionError("eps_fixed must be an [eps_gamma, eps_alpha] pair")
+        for entry in self.eps_fixed:
+            if not _is_number(entry):
+                raise PreconditionError(f"eps_fixed entries must be numbers, not {entry!r}")
         try:
             values = [value for value, _, _ in self.sweep_points()]
         except (TypeError, ValueError) as exc:
             raise PreconditionError(f"malformed {self.sweep_name}_sweep: {exc}") from exc
+        if self.sweep_name in ("n", "m"):
+            for entry in getattr(self, f"{self.sweep_name}_sweep"):
+                if not (_is_number(entry) and float(entry).is_integer()):
+                    raise PreconditionError(
+                        f"{self.sweep_name}_sweep entries must be whole numbers, "
+                        f"not {entry!r}")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise PreconditionError("sweep values must be strictly increasing")
         if self.replications < 16:

@@ -377,20 +377,30 @@ def equal_blocks(axis: Axis, n_blocks: int) -> BumpPartition:
     return BumpPartition(axis, membership, (w,), residuals)
 
 
-def bump(partition: BumpPartition, lam: Sequence[int]) -> BumpField:
-    """Delta(lambda, .) = sum_i lam_i (mem_{2i} - mem_{2i+1})."""
-    lam_arr = np.asarray(lam, dtype=float)
-    if lam_arr.size != partition.n_pairs:
+def bumps(partition: BumpPartition, lams: np.ndarray) -> np.ndarray:
+    """Delta(lambda, .) for each row of the (L, M) sign array ``lams``: (L, atoms).
+
+    Each row adds lam_i (mem_{2i} - mem_{2i+1}) in pair order, so it equals
+    :func:`bump` of that row bit for bit.
+    """
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 2 or lams.shape[1] != partition.n_pairs:
         raise PreconditionError(
-            f"lambda needs {partition.n_pairs} signs, got {lam_arr.size}"
+            f"lambda needs {partition.n_pairs} signs per row, got shape {lams.shape}"
         )
-    if not np.all(np.abs(lam_arr) == 1.0):
+    if not np.all(np.abs(lams) == 1.0):
         raise PreconditionError("lambda entries must be +-1")
     mem = partition.membership
-    values = np.zeros(mem.shape[1])
-    for i, s in enumerate(lam_arr):
-        values += s * (mem[2 * i] - mem[2 * i + 1])
-    return BumpField(partition, lam_arr, values)
+    values = np.zeros((lams.shape[0], mem.shape[1]))
+    for signs, diff in zip(lams.T[:, :, None], mem[0::2] - mem[1::2]):
+        values += signs * diff
+    return values
+
+
+def bump(partition: BumpPartition, lam: Sequence[int]) -> BumpField:
+    """Delta(lambda, .) = sum_i lam_i (mem_{2i} - mem_{2i+1})."""
+    lam_arr = np.asarray(lam, dtype=float).ravel()
+    return BumpField(partition, lam_arr, bumps(partition, lam_arr[None])[0])
 
 
 def all_sign_vectors(m: int) -> np.ndarray:

@@ -176,3 +176,36 @@ def test_minimax_separation_check_fires():
     with pytest.raises(SeparationError):
         bounds.minimax_demo(inst, bounds.oracle_estimator(spec), s=0.5,
                             n_draw=10, replications=2)
+
+
+# -----------------------------------------------------------------------------
+# product laws at n >= 3: matrix products against the einsum reference
+# -----------------------------------------------------------------------------
+
+def einsum_product(prob_rows, n):
+    letters = "abcd"[:n]
+    spec = ",".join(f"l{c}" for c in letters) + "->" + letters
+    return np.einsum(spec, *([prob_rows] * n)).ravel() / prob_rows.shape[0]
+
+
+@pytest.mark.parametrize("n, atoms", [(3, 48), (3, 5), (4, 31), (4, 12)])
+def test_product_tensor_matches_einsum(n, atoms):
+    rng = np.random.default_rng(atoms + n)
+    rows = rng.uniform(0.1, 1.0, (64, atoms))
+    rows /= rows.sum(axis=1, keepdims=True)
+    reference = einsum_product(rows, n)
+    assert np.all(np.abs(bounds._product_tensor(rows, n) - reference) <= 1e-14 * reference)
+
+
+@pytest.mark.parametrize("n, x_cells, m_pairs", [(3, 12, 4), (4, 6, 2), (4, 7, 1)])
+def test_product_mixture_bounds_match_einsum(n, x_cells, m_pairs):
+    spec, anchor, fam, _ = small_ate_family(x_cells=x_cells, m_pairs=m_pairs,
+                                            eps_m=0.2, eps_g=0.2)
+    inst = bounds.TestingInstance(anchor, fam, spec, n=n)
+    anchor_n = einsum_product(anchor.values.ravel()[None] * anchor.space.atom_weight, n)
+    mixture_n = einsum_product(bounds.member_probs(inst), n)
+    h2 = float(np.sum((np.sqrt(anchor_n) - np.sqrt(mixture_n)) ** 2))
+    error = (1.0 - 0.5 * float(np.sum(np.abs(anchor_n - mixture_n)))) / 2.0
+    assert h2 > 0.0
+    assert abs(bounds.product_mixture_hellinger(inst) - h2) <= 1e-14 * h2
+    assert abs(bounds.optimal_test_error(inst) - error) <= 1e-14 * error

@@ -57,6 +57,13 @@ def test_config_json_round_trip():
     assert back == config
 
 
+def test_config_accepts_whole_float_sweep_entries_and_any_number_eps_fixed():
+    config = ExperimentConfig.from_json(
+        {"kind": "ate", "n_sweep": [10.0, 100], "eps_fixed": [0.2, 1]})
+    assert [n for _, _, n in config.sweep_points()] == [10, 100]
+    assert config.eps_fixed == (0.2, 1)
+
+
 def test_config_json_defaults_and_unknown_keys():
     defaults = ExperimentConfig(kind="ate", n_sweep=(10, 100))
     assert ExperimentConfig.from_json({"kind": "ate", "n_sweep": [10, 100]}) == defaults
@@ -240,10 +247,24 @@ def test_cli_adversary_report():
     ('{"kind": "ate", "n_sweep": [-10, 100], "x_cells": 8}', "n must be >= 0"),
     ('{"kind": "ate", "eps_sweep": [[0.1, 0.1], [0.2, 0.2]], "n_fixed": -3,'
      ' "x_cells": 8}', "n must be >= 0"),
+    ('{"kind": "ate", "n_sweep": [10.5, 100], "x_cells": 8, "replications": 16}',
+     "n_sweep entries must be whole numbers, not 10.5"),
+    ('{"kind": "ate", "n_sweep": [10, true], "x_cells": 8, "replications": 16}',
+     "n_sweep entries must be whole numbers, not True"),
+    ('{"kind": "ate", "m_sweep": [2.5, 4], "x_cells": 8, "n_fixed": 2,'
+     ' "replications": 16}', "m_sweep entries must be whole numbers, not 2.5"),
+    ('{"kind": "ate", "m_sweep": [2, 4], "eps_fixed": ["a", 1], "x_cells": 8,'
+     ' "n_fixed": 2, "replications": 16}', "eps_fixed entries must be numbers, not 'a'"),
+    ('{"kind": "ate", "eps_sweep": [[0.1, 0.1], [0.2, 0.2]], "eps_fixed": ["a", 1],'
+     ' "x_cells": 8, "replications": 16}', "eps_fixed entries must be numbers, not 'a'"),
+    ('{"kind": "ate", "n_sweep": [10, 100], "eps_fixed": [0.1, false], "x_cells": 8,'
+     ' "replications": 16}', "eps_fixed entries must be numbers, not False"),
 ], ids=["missing-file", "invalid-json", "top-level-list", "no-kind",
         "string-sweep", "eps-pair-of-one", "eps-fixed-of-one",
         "string-replications", "float-replications", "string-x-cells",
-        "string-population", "negative-n-sweep", "negative-n-fixed"])
+        "string-population", "negative-n-sweep", "negative-n-fixed",
+        "fractional-n-sweep", "bool-n-sweep", "fractional-m-sweep",
+        "string-eps-fixed-m-sweep", "string-eps-fixed-eps-sweep", "bool-eps-fixed"])
 def test_cli_scan_malformed_config_exits_two(tmp_path, capsys, text, message):
     from debias_lab import cli
 
