@@ -40,7 +40,7 @@ for kind in est.KINDS:
 # weight is -1 for every kind (the curvature weight is 0 except for lod):
 pre = preset(est.LOD, x_cells=64)
 resid = est.rho_bar(pre.anchor, pre.spec, pre.gamma)
-_, ups = est.nu_upsilon_rho(pre.spec, pre.anchor)
+ups = est.upsilon_rho(pre.spec, pre.anchor)
 print("\nlod: max |E[rho|Z]| at the truth:", np.max(np.abs(resid)))
 print("lod: upsilon_rho = 1 - 2 E[Y|Z], range:",
       (ups.min().round(4), ups.max().round(4)))

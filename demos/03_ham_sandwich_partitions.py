@@ -33,10 +33,10 @@ print("worst balance residual:", part.residuals.max())
 # Every one of the 2^4 bumps kills both weights.
 worst = 0.0
 for lam in all_sign_vectors(4):
-    delta = bump(part, lam).values
+    delta = bump(part, lam)
     worst = max(worst, abs((delta * 1.0).sum() * cw), abs((delta * x).sum() * cw))
 print("worst |int Delta w| over all 16 sign vectors:", worst)
 
 # Sign-flip fields are +-1-valued on whole-cell partitions.
-delta = bump(part, [1, -1, -1, 1]).values
+delta = bump(part, [1, -1, -1, 1])
 print("bump values are +-1:", sorted(set(np.round(delta, 12))))

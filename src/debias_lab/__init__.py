@@ -4,7 +4,7 @@ Layout:
 
   grid        finite measure spaces, densities, perturbations, sampling
   estimands   per-kind nuisances, scores, Riesz machinery, exact functionals
-  partition   ham-sandwich balanced partitions and sign-flip bump fields
+  partition   ham-sandwich balanced partitions and sign-flip bumps (plain arrays)
   adversary   invariant perturbation directions and local-alternative families
   estimators  plug-in / doubly robust / DML estimators and corruption
   bounds      exact Hellinger, Bayes error, and fuzzy-hypothesis risk floors
@@ -20,7 +20,7 @@ from .errors import (
 )
 from .estimands import EstimandSpec
 from .grid import Dataset, Density, GridSpace, SignedDensity
-from .partition import BumpField, BumpPartition
+from .partition import BumpPartition
 from .presets import preset
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "Density",
     "GridSpace",
     "SignedDensity",
-    "BumpField",
     "BumpPartition",
 ]
 

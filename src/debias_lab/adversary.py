@@ -55,7 +55,7 @@ from .grid import (
     check_signed_rows,
     l2_nuisance_distance,
 )
-from .partition import BumpField, BumpPartition, all_sign_vectors, bump, bumps, iterated_partition
+from .partition import BumpPartition, all_sign_vectors, bump, bumps, iterated_partition
 
 _PLM = EstimandSpec(est.ECC_PLM)
 _FD_STEP = 1e-3  # step of the mixed second-derivative finite differences
@@ -75,7 +75,6 @@ class DirectionPair:
     mixed second derivative chi''[first, second] on the grid.
     """
 
-    kind: str
     invariant_nuisance: str
     first: SignedDensity
     second: SignedDensity
@@ -333,7 +332,7 @@ def direction_pair(spec: EstimandSpec, anchor: Density,
     first, second, mixed = build(anchor, spec)
     if variant == "alpha":
         first, second = second, first
-    return DirectionPair(spec.kind, variant, SignedDensity(anchor.space, first),
+    return DirectionPair(variant, SignedDensity(anchor.space, first),
                          SignedDensity(anchor.space, second), mixed)
 
 
@@ -342,24 +341,24 @@ def direction_pair(spec: EstimandSpec, anchor: Density,
 # -----------------------------------------------------------------------------
 
 def verify_invariance(anchor: Density, direction: SignedDensity,
-                      spec: EstimandSpec, which: str,
-                      t_grid: Sequence[float] = (-0.05, -0.01, 0.01, 0.05)) -> float:
-    """Max atom-wise deviation of the named nuisance along anchor + t*dir."""
+                      spec: EstimandSpec, which: str) -> float:
+    """Max atom-wise deviation of the named nuisance along anchor + t*dir
+    over t in +-{0.01, 0.05}."""
     base_gamma, base_alpha = est.nuisances_of(anchor, spec)
     base = base_gamma.values if which == "gamma" else base_alpha.values
     worst = 0.0
-    for t in t_grid:
-        perturbed = add_scaled(anchor, float(t), direction)
+    for t in (-0.05, -0.01, 0.01, 0.05):
+        perturbed = add_scaled(anchor, t, direction)
         gam, alp = est.nuisances_of(perturbed, spec)
         vals = gam.values if which == "gamma" else alp.values
         worst = max(worst, float(np.max(np.abs(vals - base))))
     return worst
 
 
-def bumped_direction(direction: SignedDensity, field: BumpField) -> SignedDensity:
-    """Delta(lambda, z1) * direction, atom-wise; requires int Delta dG = 0
-    (to 2e-6 relative to 1 + int |dG|)."""
-    return SignedDensity(direction.space, _bumped_rows(direction, field.values[None])[0])
+def bumped_direction(direction: SignedDensity, delta: np.ndarray) -> SignedDensity:
+    """Delta(lambda, z1) * direction, atom-wise, for the (n_z1,) bump values
+    ``delta``; requires int Delta dG = 0 (to 2e-6 relative to 1 + int |dG|)."""
+    return SignedDensity(direction.space, _bumped_rows(direction, delta[None])[0])
 
 
 def _bumped_rows(direction: SignedDensity, deltas: np.ndarray) -> np.ndarray:
@@ -433,7 +432,7 @@ def nuisance_directional_derivative(anchor: Density, direction: SignedDensity,
 def closed_form_chi2_H0(anchor: Density, h0: SignedDensity, spec: EstimandSpec) -> float:
     """chi''[H0, H0] via the curvature integral
     -int alpha(z) upsilon_rho(z) (gamma'_P(z)[H0])^2 dP_Z; zero for affine."""
-    _, ups = est.nu_upsilon_rho(spec, anchor)
+    ups = est.upsilon_rho(spec, anchor)
     if not np.any(ups):
         return 0.0
     _, alpha = est.nuisances_of(anchor, spec)
@@ -481,9 +480,7 @@ def gram_schmidt_invariant_direction(anchor: Density, f0: np.ndarray,
     f0_w = f0[sl].ravel()
     f1_w = f1[sl].ravel()
     n_w = f0_w.size
-    w_w = 1.0
-    for i in w_idx:
-        w_w *= space.axes[i].cell_weight
+    w_w = space.subgrid(w_idx).atom_weight
 
     denom = float(np.sum(f1_w * p_slice))
     if abs(denom) < 1e-14:
@@ -548,14 +545,14 @@ def uncertainty_membership(p: Density, anchor: Density, spec: EstimandSpec,
     return member, (d_gamma, d_alpha)
 
 
-class _SignVectorFamily:
+class SignVectorFamily:
     """Alternatives indexed by sign vectors lambda in {-1, +1}^M.
 
     A family evaluates its formula for a whole (L, M) stack of sign vectors
     at once in ``_values``, which raises the family's typed error when a
     member is infeasible.  ``members`` checks every row of that stack as a
-    density; ``member`` (in each family's own body) wraps its one row in a
-    Density, so the two agree bit for bit.
+    density; ``member`` wraps its one row in a Density, so the two agree
+    bit for bit.
     """
 
     anchor: Density
@@ -570,8 +567,11 @@ class _SignVectorFamily:
         as an (L, *shape) array."""
         return check_density_rows(self.anchor.space, self._values(lams))
 
+    def member(self, lam: Sequence[int]) -> Density:
+        return Density(self.anchor.space, self._values(np.reshape(lam, (1, -1)))[0])
 
-class AteLocalFamily(_SignVectorFamily):
+
+class AteLocalFamily(SignVectorFamily):
     """The joint ATE alternatives indexed by sign vectors.
 
     Built from anchor fields (m_hat, g_hat) with uniform X marginal and a
@@ -624,12 +624,9 @@ class AteLocalFamily(_SignVectorFamily):
         )
         return est.ate_joint_values(self.space, m_lam, g_lam)
 
-    def member(self, lam: Sequence[int]) -> Density:
-        return Density(self.space, self._values(np.reshape(lam, (1, -1)))[0])
-
     def nuisance_shift_norms(self, lam: Sequence[int]) -> tuple[float, float]:
         """(||m_lam - m_hat||_{P_X,2}, max_d ||g_lam(d,.) - g_hat(d,.)||)."""
-        delta = bump(self.partition, lam).values
+        delta = bump(self.partition, lam)
         p_x_density = Density(
             self.space.subgrid([0]),
             np.ones(self.space.shape[0]),
@@ -646,7 +643,7 @@ class AteLocalFamily(_SignVectorFamily):
         return m_shift, g_shift
 
 
-class DirectionFamily(_SignVectorFamily):
+class DirectionFamily(SignVectorFamily):
     """Generic two-step family anchor + t*Delta*first + s*Delta*second."""
 
     def __init__(self, anchor: Density, spec: EstimandSpec, pair: DirectionPair,
@@ -667,11 +664,8 @@ class DirectionFamily(_SignVectorFamily):
             raise InfeasibleRadiusError(max(self.t_first, self.s_second), 0.0)
         return vals
 
-    def member(self, lam: Sequence[int]) -> Density:
-        return Density(self.anchor.space, self._values(np.reshape(lam, (1, -1)))[0])
 
-
-class PlmFamily(_SignVectorFamily):
+class PlmFamily(SignVectorFamily):
     """The (u, v) partially-linear family over sign vectors.
 
     Members tilt the slope to theta^{u,v} = (theta + u v) / (1 - u^2) and
@@ -710,9 +704,6 @@ class PlmFamily(_SignVectorFamily):
             raise UncertaintyViolationError("(u, v) too large for this anchor")
         return vals
 
-    def member(self, lam: Sequence[int]) -> Density:
-        return Density(self.anchor.space, self._values(np.reshape(lam, (1, -1)))[0])
-
 
 def plm_cross_derivative_fd(family_at: Callable[[float, float], Density]) -> float:
     """Mixed FD of (u,v) -> E[Y g(X)] along a PLM family constructor; the
@@ -745,9 +736,7 @@ def mixture_density(family) -> Density:
 def _reduce_to_z1(space: GridSpace, values: np.ndarray) -> np.ndarray:
     """w(z1) = int values dmu(other axes | z1)."""
     other = tuple(range(1, len(space.shape)))
-    w_other = 1.0
-    for a in other:
-        w_other *= space.axes[a].cell_weight
+    w_other = space.subgrid(other).atom_weight if other else 1.0
     return values.sum(axis=other) * w_other
 
 

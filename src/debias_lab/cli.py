@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import adversary, bounds, estimands as est, estimators as dr, harness
+from . import adversary, bounds, estimands as est, harness
 from .errors import NoConvergenceError, PreconditionError
 from .partition import all_sign_vectors, iterated_partition, partition_json_dumps
 from .presets import preset
@@ -44,7 +44,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             f"scan config {config_path} is not valid JSON: {exc}") from exc
     config = harness.ExperimentConfig.from_json(doc)
     result = harness.run_rate_scan(config)
-    path = harness.emit(result, args.format, args.out, stem="scan")
+    path = harness.emit(result, args.format, args.out)
     print(json.dumps({
         "slope": result.slope,
         "slope_stderr": result.slope_stderr,
@@ -72,9 +72,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     point, oracle = harness.estimate_once(
         config, pre, (args.eps_gamma, args.eps_alpha), args.n, args.seed
     )
-    report = dr.EstimateReport(point=point, n=args.n, clip_constant=pre.spec.overlap,
-                               seed=args.seed)
-    print(json.dumps({**report.to_json(), "oracle": oracle,
+    print(json.dumps({"point": point, "n": args.n, "clip_constant": pre.spec.overlap,
+                      "seed": args.seed, "oracle": oracle,
                       "abs_error": abs(point - oracle)}, indent=2))
     if args.csv:
         path = Path(args.csv)
@@ -173,6 +172,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     except KeyError as exc:
         raise PreconditionError(f"unknown weight name {exc.args[0]!r}; "
                                 f"choose from {sorted(named)}") from exc
+    if args.blocks % 2:
+        raise PreconditionError(f"--blocks must be even, not {args.blocks}")
     part = iterated_partition(weights, args.blocks // 2, axis)
     print(partition_json_dumps(part))
     return 0

@@ -645,19 +645,12 @@ def rho_bar(p: Density, spec: EstimandSpec, gamma_field: np.ndarray) -> np.ndarr
     return score_rho(spec, regression_target_mean(p, spec), gamma_field)
 
 
-def nu_upsilon_rho(spec: EstimandSpec, p: Density) -> tuple[np.ndarray, np.ndarray]:
-    """(nu_rho, upsilon_rho) fields on the Z grid.
-
-    nu_rho is identically -1 for every supported kind; upsilon_rho vanishes
-    for the affine kinds and equals 1 - 2*E[Y|Z] for lod.
-    """
-    zs = z_space(spec.kind, p.space)
-    nu = -np.ones(zs.shape)
+def upsilon_rho(spec: EstimandSpec, p: Density) -> np.ndarray:
+    """The curvature weight upsilon_rho on the Z grid: 0 for the affine kinds,
+    1 - 2*E[Y|Z] for lod.  (Its first-order twin nu_rho is -1 for every kind.)"""
     if _kind(spec.kind).logistic:
-        ups = 1.0 - 2.0 * regression_target_mean(p, spec)
-    else:
-        ups = np.zeros(zs.shape)
-    return nu, ups
+        return 1.0 - 2.0 * regression_target_mean(p, spec)
+    return np.zeros(z_space(spec.kind, p.space).shape)
 
 
 def riesz_identity_residual(p: Density, spec: EstimandSpec, h: np.ndarray) -> float:

@@ -25,7 +25,7 @@ L2(P_Z).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .errors import (
 )
 from .estimands import EstimandSpec, NuisanceField
 from .grid import Dataset, Density, GridSpace
-from .partition import BumpField
 
 _ATE_SPEC = EstimandSpec(est.ATE)
 
@@ -50,15 +49,15 @@ _ATE_SPEC = EstimandSpec(est.ATE)
 class CorruptionSpec:
     """Target L2(P_Z) error, corruption direction, and alignment tag.
 
-    ``direction`` is a per-Z-atom field or a BumpField on the Z1 axis
-    (broadcast over the remaining Z axes).  ``alignment`` records whether
-    gamma- and alpha-corruptions share one bump (adversarial) or use
+    ``direction`` is a field on the Z grid: any array that broadcasts to
+    it, a bump on the Z1 axis as (n_z1, 1, ...).  ``alignment`` records
+    whether gamma- and alpha-corruptions share one bump (adversarial) or use
     independent ones (random); the tag is bookkeeping for reports, the
     direction itself carries the geometry.
     """
 
     eps: float
-    direction: np.ndarray | BumpField
+    direction: np.ndarray
     alignment: str = "adversarial"
 
     def __post_init__(self):
@@ -68,19 +67,10 @@ class CorruptionSpec:
             raise PreconditionError("alignment must be 'adversarial' or 'random'")
 
 
-def _direction_on(space: GridSpace, direction: np.ndarray | BumpField) -> np.ndarray:
-    if isinstance(direction, BumpField):
-        vals = direction.values
-        shape = [1] * len(space.shape)
-        shape[0] = vals.size
-        return space.broadcast(vals.reshape(shape))
-    return space.broadcast(direction)
-
-
 def corrupt_nuisance(truth: NuisanceField, spec: CorruptionSpec,
                      p_z: Density) -> NuisanceField:
     """truth + eps * direction / ||direction||_{P_Z,2}; exact L2 error eps."""
-    direction = _direction_on(truth.space, spec.direction)
+    direction = truth.space.broadcast(spec.direction)
     on_z = p_z.space.broadcast(direction)
     norm = float(np.sqrt(np.sum(on_z * on_z * p_z.values) * p_z.space.atom_weight))
     if norm == 0.0:
@@ -134,17 +124,6 @@ def corruption_directions(z_grid: GridSpace, alignment: str, seed: int = 0,
 # -----------------------------------------------------------------------------
 # sampled estimators
 # -----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EstimateReport:
-    point: float
-    n: int
-    clip_constant: float
-    seed: int
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 def _sample_mean(data: Dataset, spec: EstimandSpec, gamma_hat: np.ndarray,
                  alpha_hat: np.ndarray | None = None) -> float:
@@ -225,10 +204,10 @@ def bias_product_reference(p: Density, spec: EstimandSpec, gamma_hat: np.ndarray
     zs = pz.space
     gamma_hat = zs.broadcast(gamma_hat)
     alpha_hat = zs.broadcast(alpha_hat)
-    nu_rho, _ = est.nu_upsilon_rho(spec, p)
-    integral = float(np.sum((gamma_hat - gamma.values) * nu_rho
-                            * (alpha_hat - alpha.values) * pz.values)
-                     * zs.atom_weight)
+    # nu_rho == -1 for every kind, and negating is exact
+    integral = -float(np.sum((gamma_hat - gamma.values)
+                             * (alpha_hat - alpha.values) * pz.values)
+                      * zs.atom_weight)
     return est.score_sign_offset(spec) * integral
 
 

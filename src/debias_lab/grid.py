@@ -131,13 +131,11 @@ class GridSpace:
     def coords(self, axis: int) -> np.ndarray:
         return self.axes[axis].coords
 
-    def meshgrid(self) -> list[np.ndarray]:
-        """Per-axis coordinate arrays broadcast to ``shape``."""
-        return list(np.meshgrid(*[ax.coords for ax in self.axes], indexing="ij"))
-
     def field(self, fn: Callable[..., np.ndarray]) -> np.ndarray:
-        """Evaluate ``fn(c0, c1, ...)`` on the coordinate meshgrid."""
-        return np.asarray(fn(*self.meshgrid()), dtype=float) * np.ones(self.shape)
+        """Evaluate ``fn(c0, c1, ...)`` on the per-axis coordinates broadcast
+        to ``shape``."""
+        coords = np.meshgrid(*[ax.coords for ax in self.axes], indexing="ij")
+        return np.asarray(fn(*coords), dtype=float) * np.ones(self.shape)
 
     def check_values(self, values: np.ndarray) -> np.ndarray:
         arr = np.asarray(values, dtype=float)
@@ -285,7 +283,6 @@ class Dataset:
 
     space: GridSpace
     counts: np.ndarray
-    seed: int
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -313,7 +310,7 @@ class Dataset:
         return buf.getvalue()
 
     @staticmethod
-    def from_csv(space: GridSpace, text: str, seed: int = 0) -> "Dataset":
+    def from_csv(space: GridSpace, text: str) -> "Dataset":
         reader = csv.reader(io.StringIO(text))
         header = next(reader)
         n_axes = len(header) - 1
@@ -335,7 +332,7 @@ class Dataset:
                 f"the grid of shape {space.shape}"
             )
         flat = np.ravel_multi_index(tuple(cells.T), space.shape)
-        return Dataset(space, np.bincount(flat, minlength=space.n_atoms), seed)
+        return Dataset(space, np.bincount(flat, minlength=space.n_atoms))
 
 
 def _csv_cell(text: str, line: int) -> int:
@@ -393,10 +390,8 @@ def marginal(p: Density, keep_axes: Sequence[int]) -> Density:
 
     def compute() -> Density:
         drop = tuple(a for a in range(len(p.space.axes)) if a not in keep)
-        w_drop = 1.0
-        for a in drop:
-            w_drop *= p.space.axes[a].cell_weight
-        values = p.values.sum(axis=drop) * w_drop if drop else p.values
+        values = (p.values.sum(axis=drop) * p.space.subgrid(drop).atom_weight
+                  if drop else p.values)
         return Density(p.space.subgrid(keep), values)
 
     return p.derived(("marginal", keep), compute)
@@ -425,7 +420,7 @@ def sample(p: Density, n: int, seed: int) -> Dataset:
         raise PreconditionError(f"sample size n must be >= 0, got {n}")
     probs = p.values.ravel() * p.space.atom_weight
     rng = np.random.default_rng(seed)
-    return Dataset(p.space, rng.multinomial(int(n), probs / probs.sum()), seed)
+    return Dataset(p.space, rng.multinomial(int(n), probs / probs.sum()))
 
 
 def hellinger_sq(p: Density, q: Density) -> float:

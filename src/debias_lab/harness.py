@@ -96,6 +96,8 @@ class ExperimentConfig:
                         f"not {entry!r}")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise PreconditionError("sweep values must be strictly increasing")
+        if self.seed < 0:
+            raise PreconditionError(f"config key 'seed' must be >= 0, not {self.seed!r}")
         if self.replications < 16:
             raise PreconditionError("slope fits need at least 16 replications")
         if self.estimator not in ("plugin", "dr", "dml"):
@@ -333,7 +335,7 @@ def records_from_csv(text: str) -> list[dict]:
     return out
 
 
-def scatter_svg(result: RateScanResult, title: str = "rate scan") -> str:
+def scatter_svg(result: RateScanResult) -> str:
     """Log-log scatter of per-replication errors with the fitted median line."""
     records = result.records
     if not records:
@@ -358,7 +360,7 @@ def scatter_svg(result: RateScanResult, title: str = "rate scan") -> str:
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<text x="{width/2}" y="24" text-anchor="middle">{title}: slope '
+        f'<text x="{width/2}" y="24" text-anchor="middle">scan: slope '
         f'{result.slope:.3f}</text>',
         f'<line x1="{margin}" y1="{height-margin}" x2="{width-margin}" '
         f'y2="{height-margin}" stroke="black"/>',
@@ -380,20 +382,18 @@ def scatter_svg(result: RateScanResult, title: str = "rate scan") -> str:
     return "\n".join(parts)
 
 
-def emit(result: RateScanResult, fmt: str, out_dir: str | Path,
-         stem: str = "scan") -> Path:
-    """Write the records in the requested format; returns the file path."""
+def emit(result: RateScanResult, fmt: str, out_dir: str | Path) -> Path:
+    """Write the records to scan.<fmt> in ``out_dir``; returns the file path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
-        path = out / f"{stem}.csv"
-        path.write_text(records_to_csv(result.records))
+        text = records_to_csv(result.records)
     elif fmt == "json":
-        path = out / f"{stem}.json"
-        path.write_text(json.dumps(result.to_json(), indent=2))
+        text = json.dumps(result.to_json(), indent=2)
     elif fmt == "svg":
-        path = out / f"{stem}.svg"
-        path.write_text(scatter_svg(result, stem))
+        text = scatter_svg(result)
     else:
         raise PreconditionError(f"unknown emit format {fmt!r}")
+    path = out / f"scan.{fmt}"
+    path.write_text(text)
     return path

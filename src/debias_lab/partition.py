@@ -67,7 +67,6 @@ class BumpPartition:
 
     axis: Axis
     membership: np.ndarray
-    weights: tuple[np.ndarray, ...]
     residuals: np.ndarray
 
     def __post_init__(self):
@@ -100,19 +99,6 @@ class BumpPartition:
             "blocks": blocks,
             "residuals": self.residuals.tolist(),
         }
-
-
-@dataclass(frozen=True)
-class BumpField:
-    """Delta(lambda, .) on the Z1 atoms for one sign vector lambda."""
-
-    partition: BumpPartition
-    lam: np.ndarray
-    values: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return int(self.lam.size)
 
 
 # -----------------------------------------------------------------------------
@@ -329,7 +315,15 @@ def bisect(weights: Sequence[np.ndarray], axis: Axis,
 
 def iterated_partition(weights: Sequence[np.ndarray], m_pairs: int, axis: Axis,
                        seed: int = 0) -> BumpPartition:
-    """Recursively bisect into 2M blocks (2M a power of two), paired as siblings."""
+    """Recursively bisect into 2M blocks (2M a power of two), paired as siblings.
+
+    Siblings can be identical.  On a block with k <= q support cells where
+    the q weights have rank k, u = mem/2 is the only half that balances
+    them (the vertex fallback starts there and moves cells only once more
+    than q are active), so both siblings get half of every cell and Delta
+    is 0 on that pair for every lambda.  On the 4-cell ATE preset at M = 2
+    every family member then equals the anchor.
+    """
     n_blocks = 2 * int(m_pairs)
     if n_blocks < 2 or n_blocks & (n_blocks - 1):
         raise PreconditionError("2M must be a power of two")
@@ -346,7 +340,7 @@ def iterated_partition(weights: Sequence[np.ndarray], m_pairs: int, axis: Axis,
     membership = np.clip(np.stack(blocks), 0.0, None)
     cw = axis.cell_weight
     residuals = np.abs(w @ (membership.T - 1.0 / n_blocks) * cw)
-    part = BumpPartition(axis, membership, tuple(w), residuals)
+    part = BumpPartition(axis, membership, residuals)
     scales = 1.0 + np.abs(w).sum(axis=1) * cw
     worst = float(np.max(residuals / scales[:, None]))
     if worst > RESIDUAL_TOL:
@@ -374,7 +368,7 @@ def equal_blocks(axis: Axis, n_blocks: int) -> BumpPartition:
     target = total * cw / n_blocks
     residuals = np.array([[abs(float(np.sum(membership[j] * w) * cw) - target)
                            for j in range(n_blocks)]])
-    return BumpPartition(axis, membership, (w,), residuals)
+    return BumpPartition(axis, membership, residuals)
 
 
 def bumps(partition: BumpPartition, lams: np.ndarray) -> np.ndarray:
@@ -397,10 +391,9 @@ def bumps(partition: BumpPartition, lams: np.ndarray) -> np.ndarray:
     return values
 
 
-def bump(partition: BumpPartition, lam: Sequence[int]) -> BumpField:
-    """Delta(lambda, .) = sum_i lam_i (mem_{2i} - mem_{2i+1})."""
-    lam_arr = np.asarray(lam, dtype=float).ravel()
-    return BumpField(partition, lam_arr, bumps(partition, lam_arr[None])[0])
+def bump(partition: BumpPartition, lam: Sequence[int]) -> np.ndarray:
+    """Delta(lambda, .) = sum_i lam_i (mem_{2i} - mem_{2i+1}) on the Z1 atoms."""
+    return bumps(partition, np.reshape(lam, (1, -1)))[0]
 
 
 def all_sign_vectors(m: int) -> np.ndarray:

@@ -279,7 +279,7 @@ def test_plm_family_invariants(medium_presets):
     part = iterated_partition([np.ones(64)], 4, pre.anchor.space.axes[0])
     fam = adv.PlmFamily(pre.anchor, 0.2, 0.15, part)
     for lam in all_sign_vectors(4)[::5]:
-        delta = bump(part, lam).values
+        delta = bump(part, lam)
         member = fam.member(lam)
         gam, alp = est.nuisances_of(member, pre.spec)
         g_lam = fam.g_hat + 0.2 * fam.s * delta

@@ -59,7 +59,7 @@ def test_score_rho_values():
 def test_lod_upsilon_zero_at_half(small_presets):
     space = est.make_space(est.LOD, x_cells=8)
     p = est.ate_joint(space, np.full(8, 0.4), np.full((8, 2), 0.5))
-    _, ups = est.nu_upsilon_rho(EstimandSpec(est.LOD), p)
+    ups = est.upsilon_rho(EstimandSpec(est.LOD), p)
     assert np.max(np.abs(ups)) < 1e-14
 
 
@@ -100,7 +100,7 @@ def test_lod_upsilon_by_second_differences(small_presets):
     up = est.rho_bar(pre.anchor, pre.spec, pre.gamma + h)
     dn = est.rho_bar(pre.anchor, pre.spec, pre.gamma - h)
     ups_fd = (up - 2 * mid + dn) / (h * h)
-    _, ups = est.nu_upsilon_rho(pre.spec, pre.anchor)
+    ups = est.upsilon_rho(pre.spec, pre.anchor)
     assert np.max(np.abs(ups_fd - ups)) <= 1e-5
 
 

@@ -34,7 +34,7 @@ def test_corrupt_exact_l2_error_with_bump(small_presets):
     pz = est.z_marginal(pre.anchor, pre.spec)
     part = equal_blocks(pre.anchor.space.axes[0], 4)
     field = NuisanceField(zs, pre.gamma, "gamma")
-    spec = dr.CorruptionSpec(0.13, bump(part, [1, -1]))
+    spec = dr.CorruptionSpec(0.13, bump(part, [1, -1])[:, None])
     out = dr.corrupt_nuisance(field, spec, pz)
     assert abs(l2_nuisance_distance(out.values, field.values, pz) - 0.13) <= 1e-10
 
@@ -101,7 +101,7 @@ def test_plugin_bias_first_order_in_eps(small_presets):
 def test_empty_dataset_errors(small_presets):
     pre = small_presets[est.ATE]
     empty = Dataset(pre.anchor.space,
-                    np.zeros(pre.anchor.space.n_atoms, dtype=np.int64), 0)
+                    np.zeros(pre.anchor.space.n_atoms, dtype=np.int64))
     with pytest.raises(EmptyDataError):
         dr.plugin_estimate(empty, pre.gamma, pre.spec)
     with pytest.raises(EmptyDataError):

@@ -271,7 +271,7 @@ def test_dataset_csv_round_trip():
     space = GridSpace((continuous("z1", 4), binary("w")))
     data = sample(uniform_density(space), 20, seed=2)
     text = data.to_csv()
-    back = Dataset.from_csv(space, text, seed=2)
+    back = Dataset.from_csv(space, text)
     assert np.array_equal(back.counts, data.counts)
 
 

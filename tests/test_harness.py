@@ -259,12 +259,15 @@ def test_cli_adversary_report():
      ' "x_cells": 8, "replications": 16}', "eps_fixed entries must be numbers, not 'a'"),
     ('{"kind": "ate", "n_sweep": [10, 100], "eps_fixed": [0.1, false], "x_cells": 8,'
      ' "replications": 16}', "eps_fixed entries must be numbers, not False"),
+    ('{"kind": "ate", "population": true, "eps_sweep": [[0.1, 0.1], [0.2, 0.2]],'
+     ' "seed": -3, "x_cells": 8, "replications": 16}', "'seed' must be >= 0, not -3"),
 ], ids=["missing-file", "invalid-json", "top-level-list", "no-kind",
         "string-sweep", "eps-pair-of-one", "eps-fixed-of-one",
         "string-replications", "float-replications", "string-x-cells",
         "string-population", "negative-n-sweep", "negative-n-fixed",
         "fractional-n-sweep", "bool-n-sweep", "fractional-m-sweep",
-        "string-eps-fixed-m-sweep", "string-eps-fixed-eps-sweep", "bool-eps-fixed"])
+        "string-eps-fixed-m-sweep", "string-eps-fixed-eps-sweep", "bool-eps-fixed",
+        "negative-seed"])
 def test_cli_scan_malformed_config_exits_two(tmp_path, capsys, text, message):
     from debias_lab import cli
 
@@ -273,6 +276,24 @@ def test_cli_scan_malformed_config_exits_two(tmp_path, capsys, text, message):
         path.write_text(text)
     assert cli.main(["scan", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_estimate_negative_seed_exits_two(tmp_path, capsys):
+    from debias_lab import cli
+
+    argv = ["estimate", "--kind", "ate", "--seed", "-1", "--x-cells", "8",
+            "--csv", str(tmp_path / "est.csv")]
+    assert cli.main(argv) == 2
+    assert "'seed' must be >= 0, not -1" in capsys.readouterr().err
+    assert not (tmp_path / "est.csv").exists()
+
+
+@pytest.mark.parametrize("blocks", [3, 5, 9])
+def test_cli_partition_odd_block_count_exits_two(capsys, blocks):
+    from debias_lab import cli
+
+    assert cli.main(["partition", "--cells", "16", "--blocks", str(blocks)]) == 2
+    assert f"--blocks must be even, not {blocks}" in capsys.readouterr().err
 
 
 def test_cli_exit_code_three_on_no_convergence(monkeypatch):

@@ -1,7 +1,11 @@
 """Every name a library module, a test file or a demo imports is used in that
-file, and no library module reads the environment."""
+file, no library module reads the environment, and every function the
+benchmark traces by name exists."""
 
 import ast
+import importlib
+import json
+import types
 from pathlib import Path
 
 import pytest
@@ -73,3 +77,27 @@ def test_environment_read_is_found():
               "n = int(os.environ.get('N', '1')) + int(os.getenv('M', '0'))\n")
     assert sorted(environment_reads(source)) == [
         "from os import getenv (line 2)", "os.environ (line 3)", "os.getenv (line 3)"]
+
+
+def traced_call_names() -> list[str]:
+    """The ``<module>.<function>`` of every ``.calls`` metric in BENCHMARK.json."""
+    doc = json.loads((Path(__file__).parent.parent / "BENCHMARK.json").read_text())
+    return [m["name"][:-len(".calls")] for m in doc["per_layer"]
+            if m["name"].endswith(".calls")]
+
+
+@pytest.mark.parametrize("name", traced_call_names())
+def test_traced_name_resolves(name):
+    """The per-layer tracer finds a name as a public function defined in its
+    module, or as a ``member`` method in the body of a public class defined
+    there; a traced name that resolves neither way would read 0 calls."""
+    module_name, attr = name.split(".")
+    mod = importlib.import_module(f"debias_lab.{module_name}")
+    public = {a: obj for a, obj in vars(mod).items()
+              if not a.startswith("_") and getattr(obj, "__module__", None) == mod.__name__}
+    if attr == "member":
+        owners = [cls for cls in public.values() if isinstance(cls, type)
+                  and isinstance(vars(cls).get("member"), types.FunctionType)]
+        assert owners, f"no public class of {mod.__name__} defines member"
+    else:
+        assert isinstance(public.get(attr), types.FunctionType), name

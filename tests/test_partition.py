@@ -75,9 +75,9 @@ def test_partition_rejects_non_power_of_two():
 def test_bump_two_halves():
     part = iterated_partition([np.ones(256)], 1, AXIS)
     field = bump(part, [1])
-    assert np.all(np.abs(field.values) == 1.0)
+    assert np.all(np.abs(field) == 1.0)
     # one half is +1 and the other -1
-    assert np.sum(field.values) == pytest.approx(0.0, abs=1e-12)
+    assert np.sum(field) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bump_zero_integral_all_lambdas():
@@ -85,14 +85,14 @@ def test_bump_zero_integral_all_lambdas():
     part = equal_blocks(AXIS, 6)
     for lam in all_sign_vectors(3):
         field = bump(part, lam)
-        assert abs(np.sum(field.values) * AXIS.cell_weight) <= 1e-12
+        assert abs(np.sum(field) * AXIS.cell_weight) <= 1e-12
 
 
 def test_bump_flip_locality():
     part = iterated_partition([np.ones(256)], 4, AXIS)
     lam = np.array([1.0, 1.0, 1.0, 1.0])
-    base = bump(part, lam).values
-    flipped = bump(part, [1.0, -1.0, 1.0, 1.0]).values
+    base = bump(part, lam)
+    flipped = bump(part, [1.0, -1.0, 1.0, 1.0])
     pair_support = (part.membership[2] + part.membership[3]) > 0
     assert np.allclose(flipped[pair_support], -base[pair_support])
     assert np.array_equal(flipped[~pair_support], base[~pair_support])
@@ -102,14 +102,14 @@ def test_bump_square_integrates_to_one_on_clean_partition():
     x = AXIS.coords
     part = iterated_partition([np.ones(256), x], 4, AXIS)
     field = bump(part, [1, -1, 1, 1])
-    assert abs(np.sum(field.values ** 2) * AXIS.cell_weight - 1.0) <= 1e-6
+    assert abs(np.sum(field ** 2) * AXIS.cell_weight - 1.0) <= 1e-6
 
 
 def test_bump_average_over_lambda_is_zero():
     part = iterated_partition([np.ones(256)], 4, AXIS)
     acc = np.zeros(256)
     for lam in all_sign_vectors(4):
-        acc += bump(part, lam).values
+        acc += bump(part, lam)
     assert np.max(np.abs(acc)) == 0.0
 
 
@@ -123,7 +123,7 @@ def test_bump_balance_50_random_lambdas():
         field = bump(part, lam)
         for w in weights:
             scale = 1.0 + float(np.sum(np.abs(w)) * AXIS.cell_weight)
-            val = abs(np.sum(field.values * w) * AXIS.cell_weight)
+            val = abs(np.sum(field * w) * AXIS.cell_weight)
             assert val <= 2e-6 * scale
 
 

@@ -108,7 +108,7 @@ def test_atom_weighted_rows_match_population(drawn, seed):
     # the sampled estimators are the count-weighted means of the same values
     counts = rng.integers(0, 4, space.n_atoms) * (rng.random(space.n_atoms) < 0.5)
     counts[rng.integers(space.n_atoms)] += 1
-    data, n = Dataset(space, counts, seed=0), counts.sum()
+    data, n = Dataset(space, counts), counts.sum()
     assert abs(dr.plugin_estimate(data, gamma_hat, spec) - counts @ m1 / n) <= TOL
     assert abs(dr.dml_estimate(data, gamma_hat, alpha_hat, spec)
                - counts @ core / n) <= TOL

@@ -136,7 +136,7 @@ def test_stack_pairing_error():
     values[:4] = [1.0, -0.5]
     values[4:] = [-1.0, 0.5]
     direction = SignedDensity(space, values)
-    pair = adv.DirectionPair(est.ATE, "gamma", direction, direction, 0.0)
+    pair = adv.DirectionPair("gamma", direction, direction, 0.0)
     family = adv.DirectionFamily(uniform_density(space), est.EstimandSpec(est.ATE),
                                  pair, 0.01, 0.01, equal_blocks(space.axes[0], 2))
     assert_same_error(family, PairingError, all_sign_vectors(1))
