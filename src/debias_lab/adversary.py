@@ -54,12 +54,15 @@ from .grid import (
     check_density_rows,
     check_signed_rows,
     l2_nuisance_distance,
+    marginal,
 )
 from .partition import BumpPartition, all_sign_vectors, bump, bumps, iterated_partition
 
+_ATE = EstimandSpec(est.ATE)
 _PLM = EstimandSpec(est.ECC_PLM)
 _FD_STEP = 1e-3  # step of the mixed second-derivative finite differences
 _MIXTURE_BLOCK = 32  # sign vectors evaluated per stack in mixture_density
+_LOD_DELTA1 = 1.0 / 8.0  # the outcome step delta_1 of the LOD construction
 
 
 # -----------------------------------------------------------------------------
@@ -98,8 +101,8 @@ def _ate_directions(anchor: Density, spec: EstimandSpec) -> _Directions:
     space = anchor.space
     phi = _half_space_sign(space)
     p = anchor.values
-    p1dot = p[:, 1, :].sum(axis=1)
-    p0dot = p[:, 0, :].sum(axis=1)
+    pz = est.z_marginal(anchor, spec).values
+    p0dot, p1dot = pz[:, 0], pz[:, 1]
     if p0dot.min() <= 0 or p1dot.min() <= 0:
         raise ConstructionPreconditionError("anchor needs positive treatment slices")
 
@@ -110,7 +113,7 @@ def _ate_directions(anchor: Density, spec: EstimandSpec) -> _Directions:
     g1[:, 1, 1] = phi * p1dot
     g1[:, 1, 0] = -phi * p1dot
 
-    p_x = p.sum(axis=(1, 2))
+    p_x = marginal(anchor, [0]).values
     w_x = space.axes[0].cell_weight
     mixed = -float(np.sum(phi * phi * p_x) * w_x)  # = -1 for any anchor
     # G1 leaves the (x, d) marginals untouched, so it freezes alpha
@@ -155,7 +158,7 @@ def _wad_bump_phi(space: GridSpace, spec: EstimandSpec) -> np.ndarray:
 def _wad_directions(anchor: Density, spec: EstimandSpec) -> _Directions:
     space = anchor.space
     phi = _wad_bump_phi(space, spec)
-    pz = anchor.values.sum(axis=2)
+    pz = est.z_marginal(anchor, spec).values
     if pz.min() <= 0:
         raise ConstructionPreconditionError("anchor needs positive (x, d) slices")
     cond = anchor.values / pz[:, :, None]
@@ -178,7 +181,7 @@ def _ds_zeta(anchor: Density, spec: EstimandSpec) -> np.ndarray:
     """zeta = 1_A - c 1_B on the first constant-sign run of f2 - f1."""
     diff = spec.params.f2 - spec.params.f1
     n_x = anchor.space.shape[0]
-    f = anchor.values.sum(axis=1)
+    f = est.z_marginal(anchor, spec).values
     for sign in (-1.0, 1.0):
         mask = sign * diff > 1e-12
         run = 0
@@ -205,7 +208,7 @@ def _ds_zeta(anchor: Density, spec: EstimandSpec) -> np.ndarray:
 def _ds_directions(anchor: Density, spec: EstimandSpec) -> _Directions:
     space = anchor.space
     zeta = _ds_zeta(anchor, spec)
-    f = anchor.values.sum(axis=1)
+    f = est.z_marginal(anchor, spec).values
     g0 = zeta[:, None] * anchor.values
     g1 = np.stack([zeta, -zeta], axis=1)  # (-1)^y * zeta
 
@@ -215,10 +218,10 @@ def _ds_directions(anchor: Density, spec: EstimandSpec) -> _Directions:
     return g0, g1, mixed
 
 
-def _lod_region(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lod_region(anchor: Density, spec: EstimandSpec) -> tuple[np.ndarray, np.ndarray]:
     """g(1, x) and the indicator b of where it exceeds 1/2 (of where it is
     below 1/2 when it exceeds it nowhere)."""
-    g1x = p[:, 1, 1] / p[:, 1, :].sum(axis=1)
+    g1x = est.regression_target_mean(anchor, spec)[:, 1]
     region = g1x > 0.5
     if not region.any():
         region = g1x < 0.5
@@ -229,40 +232,37 @@ def _lod_directions(anchor: Density, spec: EstimandSpec) -> _Directions:
     space = anchor.space
     eta = spec.overlap
     p = anchor.values
-    p1dot = p[:, 1, :].sum(axis=1)
-    p0dot = p[:, 0, :].sum(axis=1)
     if p.min() <= 0:
         raise ConstructionPreconditionError("LOD anchor must be strictly positive")
-    g1x, b = _lod_region(p)
+    pz = est.z_marginal(anchor, spec).values
+    p0dot, p1dot = pz[:, 0], pz[:, 1]
+    g1x, b = _lod_region(anchor, spec)
     if not b.any():
         raise ConstructionPreconditionError(
             "LOD construction needs g(1, x) != 1/2 on positive mass"
         )
     delta0 = eta / (8.0 * (1.0 - eta))
-    delta1 = 1.0 / 8.0
 
     phi0 = np.zeros(space.shape)
     phi0[:, 1, :] = delta0 * p[:, 1, :]
     phi0[:, 0, :] = -delta0 * (p1dot / p0dot)[:, None] * p[:, 0, :]
     phi1 = np.zeros(space.shape)
-    phi1[:, 1, 1] = delta1 * b * p[:, 1, 0]
-    phi1[:, 1, 0] = -delta1 * b * p[:, 1, 0]
+    phi1[:, 1, 1] = _LOD_DELTA1 * b * p[:, 1, 0]
+    phi1[:, 1, 0] = -_LOD_DELTA1 * b * p[:, 1, 0]
 
-    p_x = p.sum(axis=(1, 2))
+    p_x = marginal(anchor, [0]).values
     w_x = space.axes[0].cell_weight
-    mixed_g = -delta0 * delta1 * float(np.sum(b / g1x * p_x) * w_x)
+    mixed_g = -delta0 * _LOD_DELTA1 * float(np.sum(b / g1x * p_x) * w_x)
     return phi0, phi1, mixed_g
 
 
 def lod_curvature_reference(anchor: Density, spec: EstimandSpec) -> float:
     """Closed form of chi''[H0, H0] for the LOD construction:
     delta_1^2 * E_X[ b(X) (2 g(1,X) - 1) / g(1,X)^2 ]."""
-    p = anchor.values
-    g1x, b = _lod_region(p)
-    delta1 = 1.0 / 8.0
-    p_x = p.sum(axis=(1, 2))
+    g1x, b = _lod_region(anchor, spec)
+    p_x = marginal(anchor, [0]).values
     w_x = anchor.space.axes[0].cell_weight
-    return delta1 ** 2 * float(np.sum(b * (2.0 * g1x - 1.0) / g1x ** 2 * p_x) * w_x)
+    return _LOD_DELTA1 ** 2 * float(np.sum(b * (2.0 * g1x - 1.0) / g1x ** 2 * p_x) * w_x)
 
 
 def _plm_shift(g: np.ndarray, q: np.ndarray, theta: float, u: float,
@@ -280,8 +280,7 @@ def _plm_shift(g: np.ndarray, q: np.ndarray, theta: float, u: float,
 def _plm_directions(anchor: Density, spec: EstimandSpec) -> _Directions:
     """Linearized (u, v) directions of the PLM family at the origin."""
     space = anchor.space
-    gamma, alpha = est.nuisances_of(anchor, spec)
-    g, q = gamma.values, alpha.values
+    g, q = est.nuisances_of(anchor, spec)
     p_x = est.z_marginal(anchor, spec).values
     theta = plm_slope(anchor)
     phi = _half_space_sign(space)
@@ -344,13 +343,12 @@ def verify_invariance(anchor: Density, direction: SignedDensity,
                       spec: EstimandSpec, which: str) -> float:
     """Max atom-wise deviation of the named nuisance along anchor + t*dir
     over t in +-{0.01, 0.05}."""
-    base_gamma, base_alpha = est.nuisances_of(anchor, spec)
-    base = base_gamma.values if which == "gamma" else base_alpha.values
+    pick = 0 if which == "gamma" else 1
+    base = est.nuisances_of(anchor, spec)[pick]
     worst = 0.0
     for t in (-0.05, -0.01, 0.01, 0.05):
         perturbed = add_scaled(anchor, t, direction)
-        gam, alp = est.nuisances_of(perturbed, spec)
-        vals = gam.values if which == "gamma" else alp.values
+        vals = est.nuisances_of(perturbed, spec)[pick]
         worst = max(worst, float(np.max(np.abs(vals - base))))
     return worst
 
@@ -391,6 +389,17 @@ def _bumped_rows(direction: SignedDensity, deltas: np.ndarray) -> np.ndarray:
     return values
 
 
+def _radius_error(scale: float, anchor: np.ndarray, step: np.ndarray
+                  ) -> InfeasibleRadiusError:
+    """The error for an infeasible anchor + step taken at ``scale``: the
+    feasible radius is |scale| times the largest c with anchor + c * step >= 0
+    at every atom (of every row, for a stack of steps), min(anchor / -step)
+    over the negative atoms of step."""
+    down = step < 0.0
+    c = float(np.min(np.broadcast_to(anchor, step.shape)[down] / -step[down]))
+    return InfeasibleRadiusError(scale, abs(scale) * c)
+
+
 def _mixed_difference(f: Callable[[float, float], float], h: float) -> float:
     """Central mixed finite difference of f at the origin with step h."""
     return (f(h, h) - f(h, -h) - f(-h, h) + f(-h, -h)) / (4 * h * h)
@@ -403,7 +412,8 @@ def second_derivative_fd(anchor: Density, dir_a: SignedDensity,
     def chi_at(s: float, t: float) -> float:
         vals = anchor.values + s * dir_a.values + t * dir_b.values
         if vals.min() < -1e-12:
-            raise InfeasibleRadiusError(max(abs(s), abs(t)), 0.0)
+            raise _radius_error(max(abs(s), abs(t)), anchor.values,
+                                s * dir_a.values + t * dir_b.values)
         try:
             return est.functional_value(Density(anchor.space, vals), spec)
         except PreconditionError as exc:
@@ -422,7 +432,7 @@ def nuisance_directional_derivative(anchor: Density, direction: SignedDensity,
     def central(h: float) -> np.ndarray:
         up, _ = est.nuisances_of(add_scaled(anchor, h, direction), spec)
         dn, _ = est.nuisances_of(add_scaled(anchor, -h, direction), spec)
-        return (up.values - dn.values) / (2.0 * h)
+        return (up - dn) / (2.0 * h)
 
     coarse = central(step)
     fine = central(step / 2.0)
@@ -438,7 +448,7 @@ def closed_form_chi2_H0(anchor: Density, h0: SignedDensity, spec: EstimandSpec) 
     _, alpha = est.nuisances_of(anchor, spec)
     gprime = nuisance_directional_derivative(anchor, h0, spec, 1e-4)
     pz = est.z_marginal(anchor, spec)
-    return -float(np.sum(alpha.values * ups * gprime ** 2 * pz.values)
+    return -float(np.sum(alpha * ups * gprime ** 2 * pz.values)
                   * pz.space.atom_weight)
 
 
@@ -539,8 +549,8 @@ def uncertainty_membership(p: Density, anchor: Density, spec: EstimandSpec,
     gam_p, alp_p = est.nuisances_of(p, spec)
     gam_a, alp_a = est.nuisances_of(anchor, spec)
     pz = est.z_marginal(p, spec)
-    d_gamma = l2_nuisance_distance(gam_p.values, gam_a.values, pz)
-    d_alpha = l2_nuisance_distance(alp_p.values, alp_a.values, pz)
+    d_gamma = l2_nuisance_distance(gam_p, gam_a, pz)
+    d_alpha = l2_nuisance_distance(alp_p, alp_a, pz)
     member = d_gamma <= eps_gamma + 1e-12 and d_alpha <= eps_alpha + 1e-12
     return member, (d_gamma, d_alpha)
 
@@ -634,10 +644,10 @@ class AteLocalFamily(SignVectorFamily):
         m_shift = l2_nuisance_distance(self.m_hat + self.eps_m * delta,
                                        self.m_hat, p_x_density)
         member = self.member(lam)
-        gam, _ = est.nuisances_of(member, EstimandSpec(est.ATE))
-        gam0, _ = est.nuisances_of(self.anchor, EstimandSpec(est.ATE))
+        gam, _ = est.nuisances_of(member, _ATE)
+        gam0, _ = est.nuisances_of(self.anchor, _ATE)
         g_shift = max(
-            l2_nuisance_distance(gam.values[:, d], gam0.values[:, d], p_x_density)
+            l2_nuisance_distance(gam[:, d], gam0[:, d], p_x_density)
             for d in (0, 1)
         )
         return m_shift, g_shift
@@ -661,7 +671,8 @@ class DirectionFamily(SignVectorFamily):
         second = _bumped_rows(self.pair.second, delta)
         vals = self.anchor.values + self.t_first * first + self.s_second * second
         if vals.min() < -1e-12:
-            raise InfeasibleRadiusError(max(self.t_first, self.s_second), 0.0)
+            raise _radius_error(max(self.t_first, self.s_second), self.anchor.values,
+                                self.t_first * first + self.s_second * second)
         return vals
 
 
@@ -688,8 +699,7 @@ class PlmFamily(SignVectorFamily):
         self.v = float(v)
         self.partition = partition
         self.theta_hat = plm_slope(anchor)
-        gamma, alpha = est.nuisances_of(anchor, _PLM)
-        self.g_hat, self.q_hat = gamma.values, alpha.values
+        self.g_hat, self.q_hat = est.nuisances_of(anchor, _PLM)
         self.s = np.sqrt(self.g_hat * (1.0 - self.g_hat))
 
     @property
@@ -746,10 +756,9 @@ def case1_weights(anchor: Density, spec: EstimandSpec,
     the two-step expansion: {1, nu_m gamma'[G1] p + m1(o,gamma) g1,
     m1(o,gamma) g0, g0, g1}."""
     space = anchor.space
-    gamma, alpha = est.nuisances_of(anchor, spec)
-    nu_m = alpha.values  # nu_rho == -1
+    gamma, nu_m = est.nuisances_of(anchor, spec)  # nu_rho == -1
     gprime = nuisance_directional_derivative(anchor, pair.second, spec)
-    m1_at_gamma = est.m1_atoms(spec, space, gamma.values)
+    m1_at_gamma = est.m1_atoms(spec, space, gamma)
     core_full = est.z_to_grid(spec, space, nu_m * gprime)
     psi_mixed = core_full * anchor.values + m1_at_gamma * pair.second.values
     weights = [

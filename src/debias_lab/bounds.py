@@ -211,20 +211,20 @@ def minimax_demo(instance: TestingInstance, estimator: Estimator, s: float,
     spec = instance.spec
     chi_anchor = est.functional_value(instance.anchor, spec)
     family = instance.family
-    hypotheses: list[tuple[str, Density]] = [("anchor", instance.anchor)]
+    hypotheses: list[tuple[str, Density, float]] = [("anchor", instance.anchor, chi_anchor)]
     for k, values in enumerate(family.members(all_sign_vectors(family.m_pairs))):
         member = Density(family.anchor.space, values)
-        gap = abs(est.functional_value(member, spec) - chi_anchor)
+        chi_member = est.functional_value(member, spec)
+        gap = abs(chi_member - chi_anchor)
         if s > 0 and gap < 2.0 * s - 1e-12:
             raise SeparationError(
                 f"member {k} separates by {gap:.3e} < 2s = {2 * s:.3e}"
             )
-        hypotheses.append((f"lambda{k}", member))
+        hypotheses.append((f"lambda{k}", member, chi_member))
 
     per_hypothesis = {}
     worst = 0.0
-    for h, (name, hyp) in enumerate(hypotheses):
-        chi_true = est.functional_value(hyp, spec)
+    for h, (name, hyp, chi_true) in enumerate(hypotheses):
         errors = np.empty(replications)
         for rep in range(replications):
             data = sample(hyp, n_draw, seed + 7919 * rep + 104729 * h)

@@ -155,7 +155,7 @@ def _require_positive(arr: np.ndarray, message: str, strict: float = 0.0) -> Non
 
 def _propensity_alpha(p: Density, spec: EstimandSpec) -> np.ndarray:
     """alpha(x, d) = d/pi(x) - (1-d)/(1-pi(x)) with pi = P(D=1 | x)."""
-    pz = p.values.sum(axis=2)
+    pz = _z_slice_mass(p, spec)
     p_x = pz.sum(axis=1)
     _require_positive(p_x, "X slice has zero mass")
     pi = pz[:, 1] / p_x
@@ -166,19 +166,19 @@ def _propensity_alpha(p: Density, spec: EstimandSpec) -> np.ndarray:
 
 def _ecc_alpha(p: Density, spec: EstimandSpec) -> np.ndarray:
     """alpha(x) = E[Y | x]."""
-    p_x = p.values.sum(axis=(1, 2))
+    p_x = _z_slice_mass(p, spec)
     _require_positive(p_x, "X slice has zero mass")
     return p.values[:, :, 1].sum(axis=1) / p_x
 
 
 def _ds_alpha(p: Density, spec: EstimandSpec) -> np.ndarray:
-    f = p.values.sum(axis=1)
+    f = _z_slice_mass(p, spec)
     _require_positive(f, "X marginal hits zero")
     return (spec.params.f2 - spec.params.f1) / f
 
 
 def _wad_alpha(p: Density, spec: EstimandSpec) -> np.ndarray:
-    pz = p.values.sum(axis=2)
+    pz = _z_slice_mass(p, spec)
     w_d = p.space.axes[1].cell_weight
     p_x = pz.sum(axis=1) * w_d
     _require_positive(p_x, "X marginal hits zero")
@@ -188,7 +188,7 @@ def _wad_alpha(p: Density, spec: EstimandSpec) -> np.ndarray:
 
 
 def _ape_alpha(p: Density, spec: EstimandSpec) -> np.ndarray:
-    pz = p.values.sum(axis=2)
+    pz = _z_slice_mass(p, spec)
     _require_positive(pz, "treatment slice has zero mass")
     perm, deriv = spec.params.perm, spec.params.deriv
     inv = np.empty_like(perm)
@@ -321,7 +321,8 @@ class EstimandSpec:
 
 @dataclass(frozen=True)
 class NuisanceField:
-    """Per-Z-atom values of one nuisance, with optional range bounds."""
+    """Per-Z-atom values of one nuisance with optional range bounds: the
+    input of :func:`estimators.corrupt_nuisance`, which keeps to them."""
 
     space: GridSpace
     values: np.ndarray
@@ -336,10 +337,6 @@ class NuisanceField:
                 raise PreconditionError(
                     f"{self.role} field leaves its bounds [{lo}, {hi}]"
                 )
-
-    def to_json(self) -> dict:
-        return {"space": self.space.to_json(),
-                "values": self.values.ravel().tolist(), "role": self.role}
 
 
 # -----------------------------------------------------------------------------
@@ -365,11 +362,15 @@ def z_space(kind: str, space: GridSpace) -> GridSpace:
     return space.subgrid(z_axes(kind))
 
 
-def _normalize(weights: np.ndarray, cell_weight: float) -> np.ndarray:
-    total = float(np.sum(weights) * cell_weight)
+def _x_density(space: GridSpace, p_x: np.ndarray | None) -> np.ndarray:
+    """The X marginal p_x (uniform when None) on the X axis, normalized to
+    integrate to one."""
+    n_x = space.shape[0]
+    weights = np.ones(n_x) if p_x is None else np.asarray(p_x, dtype=float) * np.ones(n_x)
+    total = float(np.sum(weights) * space.axes[0].cell_weight)
     if total <= 0:
         raise PreconditionError("cannot normalize a nonpositive weight vector")
-    return np.asarray(weights, dtype=float) / total
+    return weights / total
 
 
 def ate_joint(space: GridSpace, m: np.ndarray, g: np.ndarray,
@@ -390,10 +391,7 @@ def ate_joint_values(space: GridSpace, m: np.ndarray, g: np.ndarray,
     n_x = space.shape[0]
     m = np.asarray(m, dtype=float) * np.ones(n_x)
     g = np.asarray(g, dtype=float) * np.ones((n_x, 2))
-    if p_x is None:
-        p_x = np.ones(n_x)
-    p_x = _normalize(np.asarray(p_x, dtype=float) * np.ones(n_x),
-                     space.axes[0].cell_weight)
+    p_x = _x_density(space, p_x)
     vals = np.empty(m.shape[:-1] + space.shape)
     for d in (0, 1):
         pd = m if d == 1 else 1.0 - m
@@ -423,10 +421,7 @@ def plm_joint(space: GridSpace, g: np.ndarray, q: np.ndarray, theta: float) -> D
 def ds_joint(space: GridSpace, q: np.ndarray, p_x: np.ndarray | None = None) -> Density:
     n_x = space.shape[0]
     q = np.asarray(q, dtype=float) * np.ones(n_x)
-    if p_x is None:
-        p_x = np.ones(n_x)
-    p_x = _normalize(np.asarray(p_x, dtype=float) * np.ones(n_x),
-                     space.axes[0].cell_weight)
+    p_x = _x_density(space, p_x)
     vals = np.stack([p_x * (1.0 - q), p_x * q], axis=1)
     return Density(space, vals)
 
@@ -444,10 +439,7 @@ def dose_joint(space: GridSpace, f_d: np.ndarray, g: np.ndarray,
     g = np.asarray(g, dtype=float) * np.ones((n_x, n_d))
     w_d = space.axes[1].cell_weight
     f_d = f_d / (f_d.sum(axis=1, keepdims=True) * w_d)
-    if p_x is None:
-        p_x = np.ones(n_x)
-    p_x = _normalize(np.asarray(p_x, dtype=float) * np.ones(n_x),
-                     space.axes[0].cell_weight)
+    p_x = _x_density(space, p_x)
     vals = np.empty(space.shape)
     vals[:, :, 1] = p_x[:, None] * f_d * g
     vals[:, :, 0] = p_x[:, None] * f_d * (1.0 - g)
@@ -536,18 +528,22 @@ def regression_target_mean(p: Density, spec: EstimandSpec) -> np.ndarray:
     return p.derived(("regression_target_mean", spec.kind), compute)
 
 
-def nuisances_of(p: Density, spec: EstimandSpec) -> tuple[NuisanceField, NuisanceField]:
-    """gamma(.;P) and alpha(.;P) evaluated atom-wise from conditionals of p."""
+def _gamma(p: Density, spec: EstimandSpec) -> np.ndarray:
+    """gamma(.;P) on the Z grid: the regression target mean, or its log-odds
+    for a logistic kind."""
     _check_space(spec, p.space)
-    record = _kind(spec.kind)
-    zs = z_space(spec.kind, p.space)
     gamma = regression_target_mean(p, spec)
-    if record.logistic:
+    if _kind(spec.kind).logistic:
         _require_positive(gamma, "outcome regression hits 0")
         _require_positive(1.0 - gamma, "outcome regression hits 1")
         gamma = np.log(gamma / (1.0 - gamma))
-    alpha = record.alpha(p, spec)
-    return (NuisanceField(zs, gamma, "gamma"), NuisanceField(zs, alpha, "alpha"))
+    return gamma
+
+
+def nuisances_of(p: Density, spec: EstimandSpec) -> tuple[np.ndarray, np.ndarray]:
+    """gamma(.;P) and alpha(.;P), as arrays on the Z grid, evaluated atom-wise
+    from conditionals of p."""
+    return _gamma(p, spec), _kind(spec.kind).alpha(p, spec)
 
 
 # -----------------------------------------------------------------------------
@@ -604,8 +600,7 @@ def chi_rows_from_linear(spec: EstimandSpec, space: GridSpace, rows: np.ndarray,
 
 def functional_value(p: Density, spec: EstimandSpec) -> float:
     """Exact chi(P) on the grid."""
-    gamma, _ = nuisances_of(p, spec)
-    return chi_from_linear(p, spec, m1_population(p, spec, gamma.values))
+    return chi_from_linear(p, spec, m1_population(p, spec, _gamma(p, spec)))
 
 
 # -----------------------------------------------------------------------------
@@ -655,8 +650,7 @@ def upsilon_rho(spec: EstimandSpec, p: Density) -> np.ndarray:
 
 def riesz_identity_residual(p: Density, spec: EstimandSpec, h: np.ndarray) -> float:
     """E_P[m1(O,h)] - E_P[h * nu_m] with nu_m = -alpha*nu_rho; expected ~ 0."""
-    _, alpha = nuisances_of(p, spec)
-    nu_m = alpha.values  # nu_rho == -1 for every kind
+    _, nu_m = nuisances_of(p, spec)  # nu_rho == -1 for every kind
     pz = z_marginal(p, spec)
     zs = pz.space
     h_arr = zs.broadcast(h)
@@ -675,4 +669,4 @@ def mixed_bias_value(p: Density, spec: EstimandSpec) -> float:
     _, alpha = nuisances_of(p, spec)
     pz = z_marginal(p, spec)
     target = regression_target_mean(p, spec)  # rho_0 has E[rho_0|Z] = target
-    return float(np.sum(target * alpha.values * pz.values) * pz.space.atom_weight)
+    return float(np.sum(target * alpha * pz.values) * pz.space.atom_weight)

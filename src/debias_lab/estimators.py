@@ -205,8 +205,8 @@ def bias_product_reference(p: Density, spec: EstimandSpec, gamma_hat: np.ndarray
     gamma_hat = zs.broadcast(gamma_hat)
     alpha_hat = zs.broadcast(alpha_hat)
     # nu_rho == -1 for every kind, and negating is exact
-    integral = -float(np.sum((gamma_hat - gamma.values)
-                             * (alpha_hat - alpha.values) * pz.values)
+    integral = -float(np.sum((gamma_hat - gamma)
+                             * (alpha_hat - alpha) * pz.values)
                       * zs.atom_weight)
     return est.score_sign_offset(spec) * integral
 

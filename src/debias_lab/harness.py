@@ -104,6 +104,8 @@ class ExperimentConfig:
             raise PreconditionError("estimator must be plugin, dr or dml")
         if self.estimator == "dr" and self.kind != est.ATE:
             raise PreconditionError("the dr estimator is ATE-specific")
+        if self.m_sweep is not None and self.kind != est.ATE:
+            raise PreconditionError("the M sweep is defined for the ATE family")
         if self.population and self.n_sweep is not None:
             raise PreconditionError(
                 "a population scan ignores n, so it cannot sweep n"
@@ -217,8 +219,6 @@ def estimate_once(config: ExperimentConfig, pre: Preset,
 
 def _hellinger_once(config: ExperimentConfig, pre: Preset, m_pairs: int,
                     derived_seed: int) -> tuple[float, float]:
-    if pre.spec.kind != est.ATE:
-        raise PreconditionError("the M sweep is defined for the ATE family")
     eps_m, eps_g = config.eps_fixed
     family = adversary.AteLocalFamily.balanced(
         pre.anchor.space, pre.extras["m_hat"], pre.extras["g_hat"],

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimands as est
-from .errors import PreconditionError
 from .estimands import DsParams, EstimandSpec
 from .grid import Density
 
@@ -44,14 +43,12 @@ def preset(kind: str, x_cells: int = 256, d_cells: int = 64,
         g_hat = np.stack([np.full(x.size, 0.45), np.full(x.size, 0.7)], axis=1)
         anchor = est.ate_joint(space, m_hat, g_hat)
         spec = EstimandSpec(est.LOD, overlap=overlap)
-        extras = {"m_hat": m_hat, "g_hat": g_hat}
     elif kind == est.ECC_PLM:
         g = 0.4 + 0.2 * x
         theta = 0.15
         q = (0.3 + 0.2 * x) + theta * g
         anchor = est.plm_joint(space, g, q, theta)
         spec = EstimandSpec(est.ECC_PLM, overlap=overlap)
-        extras = {"g": g, "q": q, "theta": theta}
     elif kind == est.DS:
         q = 0.3 + 0.4 * x
         f1 = np.ones(x.size)
@@ -70,8 +67,6 @@ def preset(kind: str, x_cells: int = 256, d_cells: int = 64,
         g = 0.35 + 0.25 * d[None, :] + 0.1 * x[:, None]
         anchor = est.dose_joint(space, np.tile(f_d, (x.size, 1)), g)
         spec = EstimandSpec(est.APE, est.ape_reversal(space), overlap=overlap)
-    else:
-        raise PreconditionError(f"unknown estimand kind {kind!r}")
     gamma, alpha = est.nuisances_of(anchor, spec)
     oracle = est.functional_value(anchor, spec)
-    return Preset(spec, anchor, gamma.values, alpha.values, oracle, extras)
+    return Preset(spec, anchor, gamma, alpha, oracle, extras)

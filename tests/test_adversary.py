@@ -3,6 +3,7 @@ import pytest
 
 from debias_lab import adversary as adv, estimands as est
 from debias_lab.errors import (
+    InfeasibleRadiusError,
     NondegeneracyError,
     PairingError,
     PreconditionError,
@@ -284,8 +285,8 @@ def test_plm_family_invariants(medium_presets):
         gam, alp = est.nuisances_of(member, pre.spec)
         g_lam = fam.g_hat + 0.2 * fam.s * delta
         q_lam = fam.q_hat - 0.15 * fam.s * delta
-        assert np.max(np.abs(gam.values - g_lam)) <= 1e-12
-        assert np.max(np.abs(alp.values - q_lam)) <= 1e-12
+        assert np.max(np.abs(gam - g_lam)) <= 1e-12
+        assert np.max(np.abs(alp - q_lam)) <= 1e-12
         recon = g_lam * (q_lam + fam.theta_uv * (1.0 - g_lam))
         assert np.max(np.abs(member.values[:, 1, 1] - recon)) <= 1e-12
 
@@ -405,3 +406,34 @@ def test_gram_schmidt_binary_w_degenerates():
     f1 = np.ones((4, 2))
     with pytest.raises(NondegeneracyError):
         adv.gram_schmidt_invariant_direction(anchor, f0, f1, 0)
+
+
+def test_infeasible_family_reports_its_feasible_radius():
+    # ds preset, M = 2, t = 50, s = 20: feasible only up to t = 0.557
+    pre = preset(est.DS, x_cells=64, d_cells=16)
+    pair = adv.direction_pair(pre.spec, pre.anchor, "gamma")
+    weights = [np.ones(64)] + [d.values.reshape(64, -1).sum(axis=1)
+                               for d in (pair.first, pair.second)]
+    part = iterated_partition(weights, 2, pre.anchor.space.axes[0])
+    t, s = 50.0, 20.0
+    lams = all_sign_vectors(2)
+    for evaluate in (lambda fam: fam.member([1, 1]), lambda fam: fam.members(lams)):
+        with pytest.raises(InfeasibleRadiusError) as err:
+            evaluate(adv.DirectionFamily(pre.anchor, pre.spec, pair, t, s, part))
+        assert err.value.t == t
+        assert 0.0 < err.value.radius < t
+        k = 0.999 * err.value.radius / t
+        evaluate(adv.DirectionFamily(pre.anchor, pre.spec, pair, k * t, k * s, part))
+
+
+def test_infeasible_finite_difference_reports_its_feasible_radius():
+    pre = preset(est.DS, x_cells=64, d_cells=16)
+    big = SignedDensity(pre.anchor.space,
+                        1e3 * adv.direction_pair(pre.spec, pre.anchor, "gamma").first.values)
+    with pytest.raises(InfeasibleRadiusError) as err:
+        adv.second_derivative_fd(pre.anchor, big, big, pre.spec)
+    # the first offset tried is (h, h), the step h along big + big
+    h = err.value.t
+    assert 0.0 < err.value.radius < h
+    scaled = pre.anchor.values + 0.999 * err.value.radius * (big.values + big.values)
+    assert scaled.min() >= 0.0

@@ -10,15 +10,15 @@ def test_ate_alpha_at_half_propensity():
     space = est.make_space(est.ATE, x_cells=8)
     p = est.ate_joint(space, np.full(8, 0.5), np.full((8, 2), 0.4))
     _, alpha = est.nuisances_of(p, EstimandSpec(est.ATE))
-    assert np.allclose(alpha.values[:, 1], 2.0, atol=1e-14)
-    assert np.allclose(alpha.values[:, 0], -2.0, atol=1e-14)
+    assert np.allclose(alpha[:, 1], 2.0, atol=1e-14)
+    assert np.allclose(alpha[:, 0], -2.0, atol=1e-14)
 
 
 def test_lod_gamma_zero_at_half():
     space = est.make_space(est.LOD, x_cells=8)
     p = est.ate_joint(space, np.full(8, 0.4), np.full((8, 2), 0.5))
     gamma, _ = est.nuisances_of(p, EstimandSpec(est.LOD))
-    assert np.max(np.abs(gamma.values)) < 1e-14
+    assert np.max(np.abs(gamma)) < 1e-14
 
 
 def test_ds_alpha_vanishes_when_references_match():
@@ -27,7 +27,7 @@ def test_ds_alpha_vanishes_when_references_match():
     spec = EstimandSpec(est.DS, DsParams(f, f.copy()))
     p = est.ds_joint(space, np.full(8, 0.3))
     _, alpha = est.nuisances_of(p, spec)
-    assert np.max(np.abs(alpha.values)) == 0.0
+    assert np.max(np.abs(alpha)) == 0.0
 
 
 def test_functional_values_closed_forms():

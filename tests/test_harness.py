@@ -34,6 +34,8 @@ def test_config_validation():
         ExperimentConfig(kind="ate", n_sweep=(10, 100), replications=4)
     with pytest.raises(PreconditionError):
         ExperimentConfig(kind="ate", n_sweep=(10, 100), estimator="magic")
+    with pytest.raises(PreconditionError, match="ATE family"):
+        ExperimentConfig(kind="wad", m_sweep=(2, 4))  # before any preset is built
     with pytest.raises(PreconditionError):
         ExperimentConfig(kind="ate", n_sweep=(10, 100),
                          eps_sweep=((0.1, 0.1),))  # two sweeps
@@ -228,6 +230,39 @@ def test_cli_adversary_report():
     assert "curvature_closed_form" in doc["directions"]["alpha"]
 
 
+def test_population_dr_eps_sweep_bias_is_the_dr_product():
+    """A population DR scan corrupts the outcome regression and the
+    propensity; each record's bias is the exact DR product
+    sum_x p_x (m - m_hat) [(g1 - g1_hat)/m_hat + (g0 - g0_hat)/(1 - m_hat)]."""
+    from debias_lab import estimands as est, estimators as dr
+    from debias_lab.presets import preset
+
+    config = eps_config(estimator="dr", x_cells=64,
+                        eps_sweep=((0.05, 0.05), (0.1, 0.1), (0.2, 0.2), (0.3, 0.3)))
+    result = run_rate_scan(config)
+    pre = preset("ate", x_cells=64)
+    space = pre.anchor.space
+    p_xd = pre.anchor.values.sum(axis=2)
+    p_x = p_xd.sum(axis=1)
+    m = p_xd[:, 1] / p_x
+    g = pre.anchor.values[:, :, 1] / p_xd
+    w_x = space.axes[0].cell_weight
+    x_grid = est.z_space("ate", space).subgrid([0])
+    # the adversarial gamma direction is the Riesz weight itself
+    alpha_norm = np.sqrt(np.sum(pre.alpha ** 2 * p_xd) * w_x)
+    assert len(result.records) == 64
+    for rec in result.records:
+        eps_g, eps_m, seed = rec["eps_gamma"], rec["eps_alpha"], rec["derived_seed"]
+        g_hat = g + eps_g * pre.alpha / alpha_norm
+        dir_m = dr.corruption_directions(x_grid, "adversarial", seed)[1]
+        m_hat = m + eps_m * dir_m / np.sqrt(np.sum(dir_m ** 2 * p_x) * w_x)
+        per_x = (m - m_hat) * ((g[:, 1] - g_hat[:, 1]) / m_hat
+                               + (g[:, 0] - g_hat[:, 0]) / (1.0 - m_hat))
+        bias = float(np.sum(p_x * per_x) * w_x)
+        assert abs(bias) > 1e-4
+        assert abs((rec["point"] - rec["oracle"]) - bias) <= 1e-10
+
+
 @pytest.mark.parametrize("text, message", [
     (None, "cannot read scan config"),
     ('{"kind": "ate",', "not valid JSON"),
@@ -261,13 +296,14 @@ def test_cli_adversary_report():
      ' "replications": 16}', "eps_fixed entries must be numbers, not False"),
     ('{"kind": "ate", "population": true, "eps_sweep": [[0.1, 0.1], [0.2, 0.2]],'
      ' "seed": -3, "x_cells": 8, "replications": 16}', "'seed' must be >= 0, not -3"),
+    ('{"kind": "wad", "m_sweep": [2, 4]}', "the M sweep is defined for the ATE family"),
 ], ids=["missing-file", "invalid-json", "top-level-list", "no-kind",
         "string-sweep", "eps-pair-of-one", "eps-fixed-of-one",
         "string-replications", "float-replications", "string-x-cells",
         "string-population", "negative-n-sweep", "negative-n-fixed",
         "fractional-n-sweep", "bool-n-sweep", "fractional-m-sweep",
         "string-eps-fixed-m-sweep", "string-eps-fixed-eps-sweep", "bool-eps-fixed",
-        "negative-seed"])
+        "negative-seed", "non-ate-m-sweep"])
 def test_cli_scan_malformed_config_exits_two(tmp_path, capsys, text, message):
     from debias_lab import cli
 
@@ -286,6 +322,15 @@ def test_cli_estimate_negative_seed_exits_two(tmp_path, capsys):
     assert cli.main(argv) == 2
     assert "'seed' must be >= 0, not -1" in capsys.readouterr().err
     assert not (tmp_path / "est.csv").exists()
+
+
+def test_cli_hellinger_rejects_non_ate_kind(capsys):
+    from debias_lab import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["hellinger", "--kind", "wad"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'wad'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("blocks", [3, 5, 9])
