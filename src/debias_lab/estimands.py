@@ -73,7 +73,7 @@ KINDS = (ATE, ECC_PLM, DS, WAD, APE, LOD)
 # kind-specific parameter bundles
 # -----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DsParams:
     """Two known reference densities on the X grid (w.r.t. mu_X)."""
 
@@ -85,7 +85,7 @@ class DsParams:
         object.__setattr__(self, "f2", np.asarray(self.f2, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WadParams:
     """Weight density omega and its derivative on the treatment grid.
 
@@ -112,7 +112,7 @@ class WadParams:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ApeParams:
     """Counterfactual transformation as a monotone cell bijection.
 
@@ -148,8 +148,9 @@ class ApeParams:
 # -----------------------------------------------------------------------------
 
 def _require_positive(arr: np.ndarray, message: str, strict: float = 0.0) -> None:
-    bad = np.flatnonzero(~(arr.ravel() > strict))
-    if bad.size:
+    """Raise naming the first atom of ``arr`` not above ``strict`` (NaN too)."""
+    if not (arr > strict).all():
+        bad = np.flatnonzero(~(arr.ravel() > strict))
         raise DegenerateNuisanceError(message, atom=int(bad[0]))
 
 
@@ -542,8 +543,15 @@ def _gamma(p: Density, spec: EstimandSpec) -> np.ndarray:
 
 def nuisances_of(p: Density, spec: EstimandSpec) -> tuple[np.ndarray, np.ndarray]:
     """gamma(.;P) and alpha(.;P), as arrays on the Z grid, evaluated atom-wise
-    from conditionals of p."""
-    return _gamma(p, spec), _kind(spec.kind).alpha(p, spec)
+    from conditionals of p; alpha is read-only, computed once per density."""
+    gamma = _gamma(p, spec)
+
+    def alpha() -> np.ndarray:
+        values = _kind(spec.kind).alpha(p, spec)
+        values.flags.writeable = False
+        return values
+
+    return gamma, p.derived(("alpha", spec.kind, spec.params), alpha)
 
 
 # -----------------------------------------------------------------------------

@@ -10,10 +10,12 @@ LOD with an exact Riesz weight (the curvature term), +1 for the plug-in's
 first-order bias.
 
 Replication r uses derived seed ``seed + r``, so any row of a result file
-can be regenerated in isolation.  Sweep points and their replications run
-in order on one thread, so records are ordered by (sweep point,
-replication), and the CSV emitter formats floats with repr-faithful
-precision, so identical configs produce byte-identical files.
+can be regenerated in isolation.  Population replications that draw nothing
+from their seeds share one evaluation (see ``run_rate_scan``); each keeps
+its own record.  Sweep points and their replications run in order on one
+thread, so records are ordered by (sweep point, replication), and the CSV
+emitter formats floats with repr-faithful precision, so identical configs
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -229,18 +231,31 @@ def _hellinger_once(config: ExperimentConfig, pre: Preset, m_pairs: int,
 
 
 def run_rate_scan(config: ExperimentConfig) -> RateScanResult:
-    """Run the configured sweep and fit the log-log slope of the median error."""
+    """Run the configured sweep and fit the log-log slope of the median error.
+
+    Sampled and M-sweep replications draw from their seeds.  A population
+    one reads its seed only through corruption directions: none at eps
+    (0, 0), seeded bumps under random alignment, and under adversarial
+    alignment the seed-free Riesz weight but for DR's propensity bump (drawn
+    when eps_alpha != 0).  Where the replications draw nothing from their
+    seeds, replication 0 is evaluated once and its (point, oracle) goes into
+    every record.
+    """
     pre = preset(config.kind, config.x_cells, config.d_cells, config.overlap)
     sweep = config.sweep_name
     records, values, medians, means = [], [], [], []
     for value, eps_pair, n in config.sweep_points():
         errors = []
+        seeded = not config.population or (
+            any(eps_pair) if config.alignment == "random"
+            else config.estimator == "dr" and bool(eps_pair[1]))
         for rep in range(config.replications):
             derived = config.seed + rep
             if sweep == "m":
                 point, oracle = _hellinger_once(config, pre, int(value), derived)
-            else:
+            elif seeded or rep == 0:
                 point, oracle = estimate_once(config, pre, eps_pair, n, derived)
+            # else replication 0's (point, oracle) stands for this one
             errors.append(abs(point - oracle))
             records.append({
                 "kind": config.kind,

@@ -130,7 +130,19 @@ def test_degenerate_nuisance_names_atom():
     p = est.ate_joint(space, np.full(4, 0.5), g)
     with pytest.raises(DegenerateNuisanceError) as err:
         est.nuisances_of(p, EstimandSpec(est.LOD))
-    assert err.value.atom is not None
+    assert err.value.atom == 5  # flat index of Z atom (2, 1)
+
+
+@pytest.mark.parametrize("values, strict, atom", [
+    ([[1.0, 2.0], [0.5, 3.0]], 0.5, 2),  # equal to the bound is not above it
+    ([[1.0, np.nan], [0.0, 1.0]], 0.0, 1),  # NaN is not positive, and comes first
+    ([[1.0, 1.0], [1.0, -0.0]], 0.0, 3),
+])
+def test_require_positive_names_first_bad_atom(values, strict, atom):
+    est._require_positive(np.array([[1.0, 2.0]]), "all positive", strict)
+    with pytest.raises(DegenerateNuisanceError) as err:
+        est._require_positive(np.array(values), "bad atom", strict)
+    assert err.value.atom == atom
 
 
 def test_spec_json_round_trip(small_presets):

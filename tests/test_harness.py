@@ -119,6 +119,62 @@ def test_replication_order_invariance():
     assert abs(slope - result.slope) <= 1e-12
 
 
+@pytest.mark.parametrize("alignment", ["adversarial", "random"])
+@pytest.mark.parametrize("estimator", ["dml", "plugin", "dr"])
+def test_population_scan_records_equal_a_loop_of_estimate_once(estimator, alignment):
+    """Replications that share one evaluation keep every record field as a
+    replication-by-replication loop of estimate_once writes it."""
+    from debias_lab.presets import preset
+
+    kind = "ate" if estimator == "dr" else "ds"  # random bumps leave ATE's plug-in exact
+    config = eps_config(kind=kind, estimator=estimator, alignment=alignment,
+                        eps_sweep=((0.05, 0.05), (0.1, 0.1), (0.2, 0.2)))
+    pre = preset(kind, x_cells=32)
+    expected = []
+    for value, eps_pair, n in config.sweep_points():
+        for rep in range(config.replications):
+            point, oracle = harness.estimate_once(config, pre, eps_pair, n,
+                                                  config.seed + rep)
+            expected.append({
+                "kind": kind, "estimator": estimator, "sweep": "eps",
+                "sweep_value": value, "replication": rep,
+                "derived_seed": config.seed + rep, "n": n,
+                "eps_gamma": eps_pair[0], "eps_alpha": eps_pair[1],
+                "alignment": alignment, "population": True,
+                "point": point, "oracle": oracle, "abs_error": abs(point - oracle),
+            })
+    assert run_rate_scan(config).records == expected
+    if (estimator, alignment) == ("dr", "adversarial"):
+        # the propensity bump is drawn from the seed, so points differ
+        assert len({r["point"] for r in expected[:config.replications]}) > 1
+
+
+@pytest.mark.parametrize("estimator, alignment, function, per_point", [
+    ("dml", "adversarial", "population_dml", 1),
+    ("dml", "random", "population_dml", 16),
+    ("plugin", "adversarial", "population_plugin", 1),
+    ("dr", "adversarial", "population_dr_ate", 16),
+])
+def test_population_scan_evaluations_per_sweep_point(monkeypatch, estimator, alignment,
+                                                     function, per_point):
+    """A sweep point whose replications draw nothing from their seeds is
+    evaluated once; one that draws directions, once per replication."""
+    from debias_lab import estimators
+
+    calls = []
+    real = getattr(estimators, function)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(estimators, function, counted)
+    config = eps_config(estimator=estimator, alignment=alignment,
+                        eps_sweep=((0.05, 0.05), (0.1, 0.1), (0.2, 0.2)))
+    run_rate_scan(config)
+    assert len(calls) == per_point * len(config.eps_sweep)
+
+
 def test_csv_round_trip():
     result = run_rate_scan(eps_config(replications=16))
     text = records_to_csv(result.records)

@@ -149,3 +149,8 @@ def test_memoized_anchor_matches_a_cold_copy(drawn, seed):
         assert np.array_equal(est.rho_bar(anchor, spec, gamma_hat),
                               est.rho_bar(cold(), spec, gamma_hat))
         assert est.functional_value(anchor, spec) == est.functional_value(cold(), spec)
+        for warm, fresh in zip(est.nuisances_of(anchor, spec),
+                               est.nuisances_of(cold(), spec)):
+            assert np.array_equal(warm, fresh)
+    alpha = est.nuisances_of(anchor, spec)[1]
+    assert alpha is est.nuisances_of(anchor, spec)[1] and not alpha.flags.writeable
