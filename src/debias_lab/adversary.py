@@ -615,11 +615,11 @@ class AteLocalFamily(SignVectorFamily):
 
     @classmethod
     def balanced(cls, space: GridSpace, m_hat: np.ndarray, g_hat: np.ndarray, eps_m: float,
-                 eps_g: float, m_pairs: int, seed: int = 0) -> "AteLocalFamily":
+                 eps_g: float, m_pairs: int) -> "AteLocalFamily":
         """The family on the partition of the Z1 axis into 2 m_pairs blocks
-        that balances (1, 2 m_hat - 1), searched from ``seed``."""
+        that balances (1, 2 m_hat - 1)."""
         weights = [np.ones(space.shape[0]), 2.0 * np.asarray(m_hat) - 1.0]
-        part = iterated_partition(weights, m_pairs, space.axes[0], seed=seed)
+        part = iterated_partition(weights, m_pairs, space.axes[0])
         return cls(space, m_hat, g_hat, eps_m, eps_g, part)
 
     def _values(self, lams: np.ndarray) -> np.ndarray:

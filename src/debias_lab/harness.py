@@ -10,12 +10,12 @@ LOD with an exact Riesz weight (the curvature term), +1 for the plug-in's
 first-order bias.
 
 Replication r uses derived seed ``seed + r``, so any row of a result file
-can be regenerated in isolation.  Population replications that draw nothing
-from their seeds share one evaluation (see ``run_rate_scan``); each keeps
-its own record.  Sweep points and their replications run in order on one
-thread, so records are ordered by (sweep point, replication), and the CSV
-emitter formats floats with repr-faithful precision, so identical configs
-produce byte-identical files.
+can be regenerated in isolation.  Replications that draw nothing from their
+seeds (every M-sweep one, and some population ones) share one evaluation
+(see ``run_rate_scan``); each keeps its own record.  Sweep points and their
+replications run in order on one thread, so records are ordered by (sweep
+point, replication), and the CSV emitter formats floats with repr-faithful
+precision, so identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -178,7 +178,10 @@ def estimate_once(config: ExperimentConfig, pre: Preset,
 
     eps_gamma corrupts gamma; eps_alpha corrupts the other field the
     estimator reads: alpha for DML, the propensity for DR (the plug-in reads
-    no other).  Directions are drawn only for a nonzero eps.
+    no other).  Directions are drawn only for a nonzero eps.  Under
+    ``adversarial`` alignment DR aligns only its outcome-regression
+    corruption (along the Riesz weight); its propensity bump is a seeded
+    random pattern on the X cells, so each replication has its own bias.
     """
     spec, anchor = pre.spec, pre.anchor
     eps_gamma, eps_alpha = eps_pair
@@ -219,12 +222,12 @@ def estimate_once(config: ExperimentConfig, pre: Preset,
     return estimate(source, g_hat, m_hat, config.overlap), pre.oracle
 
 
-def _hellinger_once(config: ExperimentConfig, pre: Preset, m_pairs: int,
-                    derived_seed: int) -> tuple[float, float]:
+def _hellinger_once(config: ExperimentConfig, pre: Preset,
+                    m_pairs: int) -> tuple[float, float]:
     eps_m, eps_g = config.eps_fixed
     family = adversary.AteLocalFamily.balanced(
         pre.anchor.space, pre.extras["m_hat"], pre.extras["g_hat"],
-        eps_m, eps_g, m_pairs, seed=derived_seed)
+        eps_m, eps_g, m_pairs)
     inst = bounds.TestingInstance(pre.anchor, family, pre.spec,
                                   n=min(config.n_fixed, 2))
     return bounds.product_mixture_hellinger(inst), 0.0
@@ -233,28 +236,35 @@ def _hellinger_once(config: ExperimentConfig, pre: Preset, m_pairs: int,
 def run_rate_scan(config: ExperimentConfig) -> RateScanResult:
     """Run the configured sweep and fit the log-log slope of the median error.
 
-    Sampled and M-sweep replications draw from their seeds.  A population
-    one reads its seed only through corruption directions: none at eps
-    (0, 0), seeded bumps under random alignment, and under adversarial
-    alignment the seed-free Riesz weight but for DR's propensity bump (drawn
-    when eps_alpha != 0).  Where the replications draw nothing from their
-    seeds, replication 0 is evaluated once and its (point, oracle) goes into
-    every record.
+    Sampled replications draw from their seeds; M-sweep ones draw nothing,
+    since a balanced partition is seed-free.  A population one reads its
+    seed only through corruption directions: none at eps (0, 0), seeded
+    bumps under random alignment, and under adversarial alignment the
+    seed-free Riesz weight but for DR's propensity bump (drawn when
+    eps_alpha != 0).  Where the replications draw nothing from their seeds,
+    replication 0 is evaluated once and its (point, oracle) goes into every
+    record.  A random-alignment plug-in eps-sweep on a kind with two Z axes
+    is refused before any preset is built (see the error for why).
     """
-    pre = preset(config.kind, config.x_cells, config.d_cells, config.overlap)
     sweep = config.sweep_name
+    if (sweep == "eps" and config.estimator == "plugin"
+            and config.alignment == "random" and len(est.z_axes(config.kind)) > 1):
+        raise PreconditionError(
+            f"a random-alignment plug-in eps-sweep measures nothing on {config.kind}: "
+            "random bumps are constant along the second Z axis, which its m1 cancels")
+    pre = preset(config.kind, config.x_cells, config.d_cells, config.overlap)
     records, values, medians, means = [], [], [], []
     for value, eps_pair, n in config.sweep_points():
         errors = []
-        seeded = not config.population or (
+        seeded = sweep != "m" and (not config.population or (
             any(eps_pair) if config.alignment == "random"
-            else config.estimator == "dr" and bool(eps_pair[1]))
+            else config.estimator == "dr" and bool(eps_pair[1])))
         for rep in range(config.replications):
             derived = config.seed + rep
-            if sweep == "m":
-                point, oracle = _hellinger_once(config, pre, int(value), derived)
-            elif seeded or rep == 0:
-                point, oracle = estimate_once(config, pre, eps_pair, n, derived)
+            if seeded or rep == 0:
+                point, oracle = (
+                    _hellinger_once(config, pre, int(value)) if sweep == "m"
+                    else estimate_once(config, pre, eps_pair, n, derived))
             # else replication 0's (point, oracle) stands for this one
             errors.append(abs(point - oracle))
             records.append({

@@ -23,13 +23,13 @@ Hobby-Rice theorem (1965) says such cuts halve any q weights, and the
 complement of a balanced set is balanced, so one orientation suffices.
 Each weight's mass below c is piecewise linear in c, so the residual has
 an exact Jacobian (a weight's mass in the cell holding each cut) and the
-search is damped Newton from a start at quantiles of the restricted measure
-and from seeded random starts.  Proportional weight lists take an exact
-prefix split instead, and cuts that land within a whisker of a cell edge
-are snapped onto the edge when that does not hurt the residual.  Both
+search is one damped Newton run from a start at quantiles of the restricted
+measure.  Proportional weight lists take an exact prefix split instead, and
+cuts that land within a whisker of a cell edge are snapped onto the edge
+when that does not hurt the residual.  Both
 matter: several downstream identities (exact L2 perturbation norms, the
 -2*eps_m*eps_g separation) need Delta^2 == 1 almost everywhere, which only
-holds when no cell is split.  If every start misses, the half is a vertex
+holds when no cell is split.  If the start misses, the half is a vertex
 of {0 <= u <= mem, W u = W mem / 2} found by purification from u = mem/2,
 exact to rounding and with at most q split cells, so a bisection never
 gives up.
@@ -51,7 +51,6 @@ _REFINE_TARGET = 1e-10
 _EXACT = 1e-15         # Newton stops here: the residual is at rounding level
 _NEWTON_STEPS = 30
 _MIN_DAMPING = 1.0 / 64
-_RESTARTS = 32
 _SNAP = 1e-3           # cuts this close to a cell edge are tried on the edge
 
 
@@ -239,8 +238,7 @@ def _vertex_half(a: np.ndarray) -> np.ndarray:
 
 
 def bisect(weights: Sequence[np.ndarray], axis: Axis,
-           membership: np.ndarray | None = None,
-           seed: int = 0) -> np.ndarray:
+           membership: np.ndarray | None = None) -> np.ndarray:
     """Membership (in [0,1] per atom) of a set splitting every weight in half.
 
     Weights proportional to one nonnegative weight are split exactly by a
@@ -250,13 +248,13 @@ def bisect(weights: Sequence[np.ndarray], axis: Axis,
     filled linearly.  By the Hobby-Rice theorem such cuts always exist, and
     one orientation suffices since the complement only negates the residual.
     The residual is piecewise linear with an exact Jacobian, so damped
-    Newton runs from a start at quantiles of the restricted measure and
-    from seeded random starts.  Cuts within a whisker of a cell edge are
-    snapped onto it when that does not hurt the residual, so a whole-cell
-    bisection is returned whenever one lies nearby.  If every start misses,
-    the set is a vertex of {0 <= u <= mem, W u = W mem / 2}, found by
-    purification; it has at most q split cells.  Raises NoConvergenceError
-    with the scaled residual if the result is still above RESIDUAL_TOL.
+    Newton runs once, from cuts at quantiles i/(q+1) of the restricted
+    measure.  Cuts within a whisker of a cell edge are snapped onto it when
+    that does not hurt the residual, so a whole-cell bisection is returned
+    whenever one lies nearby.  If the start misses, the set is a vertex of
+    {0 <= u <= mem, W u = W mem / 2}, found by purification; it has at most
+    q split cells.  Raises NoConvergenceError with the scaled residual if
+    the result is still above RESIDUAL_TOL.
     """
     if len(weights) < 1:
         raise PreconditionError("bisect needs at least one weight")
@@ -282,28 +280,20 @@ def bisect(weights: Sequence[np.ndarray], axis: Axis,
     search = _CutSearch(w[:, support] * mem_s * cw / scales[:, None])
     q, k = search.q, search.k
 
+    # the start: cuts at quantiles i/(q+1) of the restricted measure
     cum_mem = np.concatenate([[0.0], np.cumsum(mem_s)])
-
-    def quantile_cuts(fractions: np.ndarray) -> np.ndarray:
-        # cuts at given fractions of the restricted measure
-        target = fractions * cum_mem[-1]
-        cell = np.minimum(np.searchsorted(cum_mem[1:], target), k - 1)
-        return np.clip(cell + (target - cum_mem[cell]) / mem_s[cell], 0.0, k)
-
-    rng = np.random.default_rng(0xB15EC7 + seed)
-    for attempt in range(_RESTARTS + 1):
-        fractions = (np.arange(1, q + 1) / (q + 1.0) if attempt == 0
-                     else np.sort(rng.uniform(0.02, 0.98, size=q)))
-        cuts, res = search.newton(quantile_cuts(fractions))
-        if res <= _REFINE_TARGET:
-            frac = search.fraction(cuts)
-            edge = np.round(cuts)
-            near = np.abs(cuts - edge) < _SNAP
-            if near.any():
-                snapped = search.fraction(np.where(near, edge, cuts))
-                if search.gap(snapped) <= max(search.gap(frac), _REFINE_TARGET):
-                    frac = snapped
-            break
+    target = np.arange(1, q + 1) / (q + 1.0) * cum_mem[-1]
+    cell = np.minimum(np.searchsorted(cum_mem[1:], target), k - 1)
+    cuts, res = search.newton(
+        np.clip(cell + (target - cum_mem[cell]) / mem_s[cell], 0.0, k))
+    if res <= _REFINE_TARGET:
+        frac = search.fraction(cuts)
+        edge = np.round(cuts)
+        near = np.abs(cuts - edge) < _SNAP
+        if near.any():
+            snapped = search.fraction(np.where(near, edge, cuts))
+            if search.gap(snapped) <= max(search.gap(frac), _REFINE_TARGET):
+                frac = snapped
     else:
         frac = _vertex_half(search.a)
     mem_in[support] = mem_s * frac
@@ -313,8 +303,8 @@ def bisect(weights: Sequence[np.ndarray], axis: Axis,
     return mem_in
 
 
-def iterated_partition(weights: Sequence[np.ndarray], m_pairs: int, axis: Axis,
-                       seed: int = 0) -> BumpPartition:
+def iterated_partition(weights: Sequence[np.ndarray], m_pairs: int,
+                       axis: Axis) -> BumpPartition:
     """Recursively bisect into 2M blocks (2M a power of two), paired as siblings.
 
     Siblings can be identical.  On a block with k <= q support cells where
@@ -329,14 +319,12 @@ def iterated_partition(weights: Sequence[np.ndarray], m_pairs: int, axis: Axis,
         raise PreconditionError("2M must be a power of two")
     w = _weight_matrix(weights, axis)
     blocks = [np.ones(axis.size)]
-    level = 0
     while len(blocks) < n_blocks:
         nxt: list[np.ndarray] = []
-        for b, mem in enumerate(blocks):
-            inside = bisect(w, axis, membership=mem, seed=seed + 31 * level + b)
+        for mem in blocks:
+            inside = bisect(w, axis, membership=mem)
             nxt.extend([inside, mem - inside])
         blocks = nxt
-        level += 1
     membership = np.clip(np.stack(blocks), 0.0, None)
     cw = axis.cell_weight
     residuals = np.abs(w @ (membership.T - 1.0 / n_blocks) * cw)

@@ -175,6 +175,56 @@ def test_population_scan_evaluations_per_sweep_point(monkeypatch, estimator, ali
     assert len(calls) == per_point * len(config.eps_sweep)
 
 
+def test_m_sweep_evaluates_each_sweep_point_once(monkeypatch):
+    """A balanced partition is seed-free, so an M-sweep point's replications
+    share one exact-bound evaluation and keep their own records."""
+    from debias_lab import bounds
+
+    calls = []
+    real = bounds.product_mixture_hellinger
+
+    def counted(inst):
+        calls.append(inst)
+        return real(inst)
+
+    monkeypatch.setattr(bounds, "product_mixture_hellinger", counted)
+    config = ExperimentConfig(kind="ate", m_sweep=(2, 4), replications=16, seed=5,
+                              x_cells=12, eps_fixed=(0.1, 0.1), n_fixed=2)
+    records = run_rate_scan(config).records
+    assert len(calls) == len(config.m_sweep)
+    assert [(r["replication"], r["derived_seed"]) for r in records] == [
+        (rep, 5 + rep) for _ in config.m_sweep for rep in range(16)]
+    for point in (records[:16], records[16:]):
+        assert len({r["point"] for r in point}) == 1
+
+
+@pytest.mark.parametrize("kind, code", [("ate", 2), ("lod", 2), ("wad", 2), ("ape", 2),
+                                        ("ds", 0), ("ecc_plm", 0)])
+def test_random_plugin_eps_sweep_needs_one_z_axis(tmp_path, capsys, monkeypatch,
+                                                  kind, code):
+    """Random bumps are constant along the second Z axis, which the m1 of ATE,
+    LOD, WAD and APE cancels: those scans exit 2 before building a preset."""
+    from debias_lab import cli
+
+    built = []
+    real = harness.preset
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "preset", counted)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "kind": kind, "estimator": "plugin", "alignment": "random",
+        "population": True, "eps_sweep": [[0.05, 0.05], [0.1, 0.1]],
+        "replications": 16, "x_cells": 16, "d_cells": 8}))
+    assert cli.main(["scan", "--config", str(path), "--out", str(tmp_path)]) == code
+    assert len(built) == (code == 0)
+    if code:
+        assert "constant along the second Z axis" in capsys.readouterr().err
+
+
 def test_csv_round_trip():
     result = run_rate_scan(eps_config(replications=16))
     text = records_to_csv(result.records)

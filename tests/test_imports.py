@@ -1,6 +1,7 @@
 """Every name a library module, a test file or a demo imports is used in that
-file, no library module reads the environment, and every function the
-benchmark traces by name exists."""
+file, every public library function reads each of its parameters, no library
+module reads the environment, and every function the benchmark traces by
+name exists."""
 
 import ast
 import importlib
@@ -51,6 +52,45 @@ def test_no_unused_imports_in_demos(path):
 def test_unused_import_is_found():
     assert unused_imports("import os\nfrom math import pi, tau\nprint(pi)\n") == [
         "os (line 1)", "tau (line 2)"]
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters that a module-level public function, or a public method of
+    a public class, never reads (``__init__`` counts as public)."""
+    functions = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            functions.append((node.name, node))
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            functions += [(f"{node.name}.{f.name}", f) for f in node.body
+                          if isinstance(f, ast.FunctionDef)]
+    hits = []
+    for name, fn in functions:
+        if fn.name.startswith("_") and fn.name != "__init__":
+            continue
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            a for a in (args.vararg, args.kwarg) if a]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        hits += [f"{name}({p.arg}) (line {fn.lineno})" for p in params
+                 if p.arg not in ("self", "cls") and p.arg not in read]
+    return hits
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_public_functions_read_every_parameter(path):
+    """A parameter nothing reads is a settable value that changes nothing."""
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_unread_parameter_is_found():
+    source = ("def f(a, b, *, seed=0):\n    return a + b\n"
+              "def _private(unused):\n    return 1\n"
+              "class C:\n    def __init__(self, x, y):\n        self.x = x\n"
+              "    def m(self, k):\n        def inner():\n            return k\n"
+              "        return inner\n")
+    assert unread_parameters(source) == ["f(seed) (line 1)", "C.__init__(y) (line 6)"]
 
 
 def environment_reads(source: str) -> list[str]:

@@ -192,7 +192,7 @@ def test_random_weight_lists_partition_exactly(q, cells, m_pairs, seed):
 @pytest.mark.parametrize("cells", [64, 256, 1024])
 @pytest.mark.parametrize("m_pairs", [2, 4, 8, 16])
 def test_polynomial_and_sine_weights_partition(cells, m_pairs):
-    # {1, x, x^2, sin 3x} used to exhaust its restarts at every M >= 2
+    # {1, x, x^2, sin 3x} needs the vertex fallback at some block for every M >= 2
     axis = Axis("continuous", "z1", cells)
     x = axis.coords
     weights = [np.ones(cells), x, x ** 2, np.sin(3 * x)]

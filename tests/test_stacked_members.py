@@ -49,7 +49,7 @@ def ate_family(x_cells: int, m_pairs: int, seed: int, split: bool) -> adv.AteLoc
         part = equal_blocks(space.axes[0], 2 * m_pairs)
     else:
         part = iterated_partition([np.ones(x_cells), 2 * m_hat - 1.0], m_pairs,
-                                  space.axes[0], seed=seed % 1000)
+                                  space.axes[0])
     eps = rng.uniform(0.0, 0.19)
     return adv.AteLocalFamily(space, m_hat, g_hat, eps, rng.uniform(0.0, 0.19), part)
 
