@@ -53,6 +53,7 @@ from .grid import (
     add_scaled,
     check_density_rows,
     check_signed_rows,
+    integrate,
     l2_nuisance_distance,
     marginal,
 )
@@ -73,12 +74,12 @@ _LOD_DELTA1 = 1.0 / 8.0  # the outcome step delta_1 of the LOD construction
 class DirectionPair:
     """An invariant direction and its companion, plus the curvature they buy.
 
-    ``first`` leaves ``invariant_nuisance`` exactly unchanged along the whole
-    feasible segment; ``mixed_reference`` is the closed-form value of the
-    mixed second derivative chi''[first, second] on the grid.
+    ``first`` leaves the nuisance named by :func:`direction_pair`'s
+    ``variant`` exactly unchanged along the whole feasible segment;
+    ``mixed_reference`` is the closed-form value of the mixed second
+    derivative chi''[first, second] on the grid.
     """
 
-    invariant_nuisance: str
     first: SignedDensity
     second: SignedDensity
     mixed_reference: float
@@ -113,9 +114,7 @@ def _ate_directions(anchor: Density, spec: EstimandSpec) -> _Directions:
     g1[:, 1, 1] = phi * p1dot
     g1[:, 1, 0] = -phi * p1dot
 
-    p_x = marginal(anchor, [0]).values
-    w_x = space.axes[0].cell_weight
-    mixed = -float(np.sum(phi * phi * p_x) * w_x)  # = -1 for any anchor
+    mixed = -integrate(marginal(anchor, [0]), phi * phi)  # = -1 for any anchor
     # G1 leaves the (x, d) marginals untouched, so it freezes alpha
     return g0, g1, mixed
 
@@ -250,9 +249,7 @@ def _lod_directions(anchor: Density, spec: EstimandSpec) -> _Directions:
     phi1[:, 1, 1] = _LOD_DELTA1 * b * p[:, 1, 0]
     phi1[:, 1, 0] = -_LOD_DELTA1 * b * p[:, 1, 0]
 
-    p_x = marginal(anchor, [0]).values
-    w_x = space.axes[0].cell_weight
-    mixed_g = -delta0 * _LOD_DELTA1 * float(np.sum(b / g1x * p_x) * w_x)
+    mixed_g = -delta0 * _LOD_DELTA1 * integrate(marginal(anchor, [0]), b / g1x)
     return phi0, phi1, mixed_g
 
 
@@ -260,9 +257,8 @@ def lod_curvature_reference(anchor: Density, spec: EstimandSpec) -> float:
     """Closed form of chi''[H0, H0] for the LOD construction:
     delta_1^2 * E_X[ b(X) (2 g(1,X) - 1) / g(1,X)^2 ]."""
     g1x, b = _lod_region(anchor, spec)
-    p_x = marginal(anchor, [0]).values
-    w_x = anchor.space.axes[0].cell_weight
-    return _LOD_DELTA1 ** 2 * float(np.sum(b * (2.0 * g1x - 1.0) / g1x ** 2 * p_x) * w_x)
+    return _LOD_DELTA1 ** 2 * integrate(marginal(anchor, [0]),
+                                        b * (2.0 * g1x - 1.0) / g1x ** 2)
 
 
 def _plm_shift(g: np.ndarray, q: np.ndarray, theta: float, u: float,
@@ -281,17 +277,15 @@ def _plm_directions(anchor: Density, spec: EstimandSpec) -> _Directions:
     """Linearized (u, v) directions of the PLM family at the origin."""
     space = anchor.space
     g, q = est.nuisances_of(anchor, spec)
-    p_x = est.z_marginal(anchor, spec).values
     theta = plm_slope(anchor)
     phi = _half_space_sign(space)
     s_phi = (np.sqrt(g * (1.0 - g)) * phi)[:, None, None]
     u_dir = _plm_shift(g, q, theta, 1.0, 0.0) * s_phi  # moves g, leaves q fixed
     v_dir = _plm_shift(g, q, theta, 0.0, 1.0) * s_phi  # moves q, leaves g fixed
 
-    w_x = space.axes[0].cell_weight
     # curvature of the exposed target E[Cov(T,Y|X)] = E[TY] - E[Y g(X;P)];
     # the auxiliary functional's mixed derivative is the negative of this
-    mixed = float(np.sum(g * (1.0 - g) * phi * phi * p_x) * w_x)
+    mixed = integrate(est.z_marginal(anchor, spec), g * (1.0 - g) * phi * phi)
     return v_dir, u_dir, mixed
 
 
@@ -331,7 +325,7 @@ def direction_pair(spec: EstimandSpec, anchor: Density,
     first, second, mixed = build(anchor, spec)
     if variant == "alpha":
         first, second = second, first
-    return DirectionPair(variant, SignedDensity(anchor.space, first),
+    return DirectionPair(SignedDensity(anchor.space, first),
                          SignedDensity(anchor.space, second), mixed)
 
 
@@ -447,9 +441,7 @@ def closed_form_chi2_H0(anchor: Density, h0: SignedDensity, spec: EstimandSpec) 
         return 0.0
     _, alpha = est.nuisances_of(anchor, spec)
     gprime = nuisance_directional_derivative(anchor, h0, spec, 1e-4)
-    pz = est.z_marginal(anchor, spec)
-    return -float(np.sum(alpha * ups * gprime ** 2 * pz.values)
-                  * pz.space.atom_weight)
+    return -integrate(est.z_marginal(anchor, spec), alpha * ups * gprime ** 2)
 
 
 # -----------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .errors import (
     SizeLimitError,
 )
 from .estimands import EstimandSpec
-from .grid import Dataset, Density, sample
+from .grid import Dataset, Density, integrate, sample
 from .partition import BumpPartition, all_sign_vectors
 
 ENUM_TUPLE_CAP = 1_000_000
@@ -149,13 +149,13 @@ def theorem21_b(instance: TestingInstance, partition: BumpPartition
     rest = anchor.space.n_atoms // n1
     chisq = (probs - anchor_vals[None, :]) ** 2 / anchor_vals[None, :]
     chisq = chisq.reshape(probs.shape[0], n1, rest)
-    anchor_x = anchor.values.reshape(n1, rest)
+    along_z1 = (n1,) + (1,) * (len(space.shape) - 1)
 
     b = 0.0
     p_max = 0.0
     for j in range(partition.n_pairs):
         chunk = mem[2 * j] + mem[2 * j + 1]
-        p_j = float(np.sum(chunk[:, None] * anchor_x) * w)
+        p_j = integrate(anchor, chunk.reshape(along_z1))
         p_max = max(p_max, p_j)
         mass = float(np.max(np.sum(chisq * chunk[None, :, None], axis=(1, 2))) * w)
         b = max(b, mass / p_j)

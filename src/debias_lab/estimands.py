@@ -58,7 +58,7 @@ from .errors import (
     DimensionMismatchError,
     PreconditionError,
 )
-from .grid import Density, GridSpace, binary, continuous
+from .grid import Density, GridSpace, binary, continuous, integrate, marginal
 
 ATE = "ate"
 ECC_PLM = "ecc_plm"
@@ -116,31 +116,21 @@ class WadParams:
 class ApeParams:
     """Counterfactual transformation as a monotone cell bijection.
 
-    ``perm[i]`` is the image cell of treatment cell i; ``deriv[i]`` holds
-    |tau'| on cell i.  On a uniform grid an exactly measure-consistent
-    monotone bijection has |tau'| == 1 (identity or reversal), which is what
-    the packaged specs use; other derivative tables are honored in the
-    change-of-variables formula for alpha.
+    ``perm[i]`` is the image cell of treatment cell i.  On a uniform grid a
+    monotone cell bijection (the identity or the reversal) is measure
+    consistent, |tau'| == 1, so alpha needs no change-of-variables factor.
     """
 
     perm: np.ndarray
-    deriv: np.ndarray
-    lower: float = 1.0
-    upper: float = 1.0
 
     def __post_init__(self):
         perm = np.asarray(self.perm, dtype=np.int64)
-        deriv = np.asarray(self.deriv, dtype=float)
         object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "deriv", deriv)
         if sorted(perm.tolist()) != list(range(perm.size)):
             raise PreconditionError("tau must be a bijection of cell indices")
         steps = np.diff(perm)
         if perm.size > 1 and not (np.all(steps > 0) or np.all(steps < 0)):
             raise PreconditionError("tau must be strictly monotone")
-        mags = np.abs(deriv)
-        if np.any(mags < self.lower - 1e-12) or np.any(mags > self.upper + 1e-12):
-            raise PreconditionError("|tau'| must respect its declared bounds")
 
 
 # -----------------------------------------------------------------------------
@@ -191,10 +181,10 @@ def _wad_alpha(p: Density, spec: EstimandSpec) -> np.ndarray:
 def _ape_alpha(p: Density, spec: EstimandSpec) -> np.ndarray:
     pz = _z_slice_mass(p, spec)
     _require_positive(pz, "treatment slice has zero mass")
-    perm, deriv = spec.params.perm, spec.params.deriv
+    perm = spec.params.perm
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size)
-    return pz[:, inv] / (deriv[inv][None, :] * pz) - 1.0
+    return pz[:, inv] / pz - 1.0
 
 
 # Per-atom m1 fields: (spec, space, h on the Z grid) -> values broadcastable
@@ -224,7 +214,7 @@ def _wad_m1(spec: EstimandSpec, space: GridSpace, h: np.ndarray) -> np.ndarray:
 
 def _ape_m1(spec: EstimandSpec, space: GridSpace, h: np.ndarray) -> np.ndarray:
     """m1(o, h) = h(x, tau(d)) - h(x, d)."""
-    return (h[:, spec.params.perm] - h)[:, :, None]
+    return (np.take(h, spec.params.perm, axis=1) - h)[:, :, None]
 
 
 def _ty_offset(space: GridSpace) -> np.ndarray:
@@ -470,7 +460,7 @@ def ape_reversal(space: GridSpace) -> ApeParams:
     """tau(d) = 1 - d as a cell permutation; the exact monotone bijection."""
     n_d = space.shape[1]
     perm = np.arange(n_d - 1, -1, -1, dtype=np.int64)
-    return ApeParams(perm, np.ones(n_d), 1.0, 1.0)
+    return ApeParams(perm)
 
 
 # -----------------------------------------------------------------------------
@@ -487,8 +477,6 @@ def _check_space(spec: EstimandSpec, space: GridSpace) -> None:
 
 
 def z_marginal(p: Density, spec: EstimandSpec) -> Density:
-    from .grid import marginal
-
     return marginal(p, z_axes(spec.kind))
 
 
@@ -567,7 +555,7 @@ def m1_atoms(spec: EstimandSpec, space: GridSpace, h: np.ndarray) -> np.ndarray 
 
 def m1_population(p: Density, spec: EstimandSpec, h: np.ndarray) -> float:
     """Exact E_P[m1(O, h)] for a test field h on the Z grid."""
-    return float(np.sum(p.values * m1_atoms(spec, p.space, h)) * p.space.atom_weight)
+    return integrate(p, m1_atoms(spec, p.space, h))
 
 
 def m1_rows(spec: EstimandSpec, space: GridSpace, rows: np.ndarray,
@@ -583,7 +571,7 @@ def ecc_offset_population(p: Density, spec: EstimandSpec) -> float:
     offset = _kind(spec.kind).offset
     if offset is None:
         return 0.0
-    return float(np.sum(p.values * offset(p.space)) * p.space.atom_weight)
+    return integrate(p, offset(p.space))
 
 
 def score_sign_offset(spec: EstimandSpec) -> int:
@@ -660,10 +648,8 @@ def riesz_identity_residual(p: Density, spec: EstimandSpec, h: np.ndarray) -> fl
     """E_P[m1(O,h)] - E_P[h * nu_m] with nu_m = -alpha*nu_rho; expected ~ 0."""
     _, nu_m = nuisances_of(p, spec)  # nu_rho == -1 for every kind
     pz = z_marginal(p, spec)
-    zs = pz.space
-    h_arr = zs.broadcast(h)
-    riesz_side = float(np.sum(h_arr * nu_m * pz.values) * zs.atom_weight)
-    return m1_population(p, spec, h_arr) - riesz_side
+    h_arr = pz.space.broadcast(h)
+    return m1_population(p, spec, h_arr) - integrate(pz, h_arr * nu_m)
 
 
 def mixed_bias_value(p: Density, spec: EstimandSpec) -> float:
@@ -675,6 +661,5 @@ def mixed_bias_value(p: Density, spec: EstimandSpec) -> float:
     if not spec.affine:
         raise PreconditionError("mixed-bias representation needs an affine score")
     _, alpha = nuisances_of(p, spec)
-    pz = z_marginal(p, spec)
     target = regression_target_mean(p, spec)  # rho_0 has E[rho_0|Z] = target
-    return float(np.sum(target * alpha * pz.values) * pz.space.atom_weight)
+    return integrate(z_marginal(p, spec), target * alpha)

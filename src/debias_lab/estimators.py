@@ -36,7 +36,7 @@ from .errors import (
     PreconditionError,
 )
 from .estimands import EstimandSpec, NuisanceField
-from .grid import Dataset, Density, GridSpace
+from .grid import Dataset, Density, GridSpace, integrate
 
 _ATE_SPEC = EstimandSpec(est.ATE)
 
@@ -71,8 +71,7 @@ def corrupt_nuisance(truth: NuisanceField, spec: CorruptionSpec,
                      p_z: Density) -> NuisanceField:
     """truth + eps * direction / ||direction||_{P_Z,2}; exact L2 error eps."""
     direction = truth.space.broadcast(spec.direction)
-    on_z = p_z.space.broadcast(direction)
-    norm = float(np.sqrt(np.sum(on_z * on_z * p_z.values) * p_z.space.atom_weight))
+    norm = float(np.sqrt(integrate(p_z, direction * direction)))
     if norm == 0.0:
         if spec.eps == 0.0:
             return truth
@@ -180,10 +179,8 @@ def population_dml(p: Density, gamma_hat: np.ndarray, alpha_hat: np.ndarray,
                    spec: EstimandSpec) -> float:
     """Exact E_P of the orthogonal score at the supplied nuisance fields."""
     pz = est.z_marginal(p, spec)
-    zs = pz.space
-    alpha_hat = zs.broadcast(alpha_hat)
-    correction = float(np.sum(alpha_hat * est.rho_bar(p, spec, gamma_hat)
-                              * pz.values) * zs.atom_weight)
+    correction = integrate(pz, pz.space.broadcast(alpha_hat)
+                           * est.rho_bar(p, spec, gamma_hat))
     return est.chi_from_linear(p, spec, est.m1_population(p, spec, gamma_hat) + correction)
 
 
@@ -202,12 +199,9 @@ def bias_product_reference(p: Density, spec: EstimandSpec, gamma_hat: np.ndarray
     gamma, alpha = est.nuisances_of(p, spec)
     pz = est.z_marginal(p, spec)
     zs = pz.space
-    gamma_hat = zs.broadcast(gamma_hat)
-    alpha_hat = zs.broadcast(alpha_hat)
     # nu_rho == -1 for every kind, and negating is exact
-    integral = -float(np.sum((gamma_hat - gamma)
-                             * (alpha_hat - alpha) * pz.values)
-                      * zs.atom_weight)
+    integral = -integrate(pz, (zs.broadcast(gamma_hat) - gamma)
+                          * (zs.broadcast(alpha_hat) - alpha))
     return est.score_sign_offset(spec) * integral
 
 

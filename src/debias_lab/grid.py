@@ -6,7 +6,9 @@ interval cut into equal cells with midpoint quadrature (weight 1/cells per
 atom).  The base measure mu is the product, so the atom weight is one scalar
 shared by every atom and every integral is a finite weighted sum.  That makes
 each algebraic identity we need to check a matter of exact floating-point
-arithmetic rather than quadrature accuracy.
+arithmetic rather than quadrature accuracy.  ``integrate`` is the one
+quadrature against a density, sum values * f * atom_weight, and every
+integral against a density outside this module goes through it.
 
 Densities are stored per atom with respect to mu.  A probability density
 integrates to 1, a signed perturbation to 0.  Feasibility of a perturbation h
@@ -261,16 +263,6 @@ class SignedDensity:
         check_signed_rows(self.space, arr)
         object.__setattr__(self, "values", arr)
 
-    def to_json(self) -> dict:
-        return {"space": self.space.to_json(), "values": self.values.ravel().tolist()}
-
-    @staticmethod
-    def from_json(doc: dict) -> "SignedDensity":
-        space = GridSpace.from_json(doc["space"])
-        return SignedDensity(
-            space, np.asarray(doc["values"], dtype=float).reshape(space.shape)
-        )
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -349,13 +341,9 @@ def _csv_cell(text: str, line: int) -> int:
 # -----------------------------------------------------------------------------
 
 def integrate(d: Density | SignedDensity, w: np.ndarray | float = 1.0) -> float:
-    """Integral of w against d's measure: sum values*w*atom_weight."""
-    w_arr = np.asarray(w, dtype=float)
-    if w_arr.ndim and w_arr.shape != d.space.shape:
-        raise DimensionMismatchError(
-            f"weight shape {w_arr.shape} does not match grid shape {d.space.shape}"
-        )
-    return float(np.sum(d.values * w_arr) * d.space.atom_weight)
+    """Integral of w against d's measure: sum values*w*atom_weight, for a
+    scalar w or a field that broadcasts to d's grid."""
+    return float(np.sum(d.values * d.space.broadcast(w)) * d.space.atom_weight)
 
 
 def feasible_radius(p: Density, h: SignedDensity) -> float:
@@ -416,8 +404,9 @@ def conditional(p: Density, fixed: dict[int, int]) -> Density:
 def sample(p: Density, n: int, seed: int) -> Dataset:
     """n i.i.d. atom draws from the categorical law values*atom_weight, as
     one multinomial draw of the per-atom counts (O(atoms) at any n)."""
-    if n < 0:
-        raise PreconditionError(f"sample size n must be >= 0, got {n}")
+    if not 0 <= n <= 2 ** 63 - 1:
+        raise PreconditionError(f"sample size n must be >= 0 and at most the int64 "
+                                f"limit 2**63 - 1, got {n}")
     probs = p.values.ravel() * p.space.atom_weight
     rng = np.random.default_rng(seed)
     return Dataset(p.space, rng.multinomial(int(n), probs / probs.sum()))

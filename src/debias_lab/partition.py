@@ -105,9 +105,14 @@ class BumpPartition:
 # -----------------------------------------------------------------------------
 
 def _weight_matrix(weights: Sequence[np.ndarray], axis: Axis) -> np.ndarray:
-    """The weights as rows of a (q, cells) array."""
-    return np.stack([np.broadcast_to(np.asarray(w, dtype=float), (axis.size,))
-                     for w in weights])
+    """The weights as rows of a (q, cells) array, all finite."""
+    w = np.stack([np.broadcast_to(np.asarray(w, dtype=float), (axis.size,))
+                  for w in weights])
+    if not np.isfinite(w).all():
+        i, cell = np.argwhere(~np.isfinite(w))[0]
+        raise PreconditionError(f"weight {i} is {w[i, cell]} at cell {cell}; "
+                                "partition weights must be finite")
+    return w
 
 
 def _weights_proportional(weights: np.ndarray,

@@ -43,7 +43,6 @@ def test_direction_pair_contract(kind, variant, medium_presets):
 
     assert feasible_radius(pre.anchor, pair.first) > 0
     assert feasible_radius(pre.anchor, pair.second) > 0
-    assert pair.invariant_nuisance == variant
     assert pair.mixed_reference != 0.0
 
 

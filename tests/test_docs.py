@@ -31,6 +31,8 @@ def test_readme_quick_tour_comments_hold():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_zero(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, capture_output=True,
-                            text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    # a numerical warning (overflow, division by zero, invalid value) fails the demo
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                            cwd=ROOT, capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path), timeout=300)
     assert result.returncode == 0, result.stderr

@@ -177,9 +177,6 @@ def test_ape_perm_is_monotone_bijection(small_presets):
     assert sorted(perm.tolist()) == list(range(perm.size))
     steps = np.diff(perm)
     assert np.all(steps > 0) or np.all(steps < 0)
-    deriv = pre.spec.params.deriv
-    assert np.all((pre.spec.params.lower <= np.abs(deriv))
-                  & (np.abs(deriv) <= pre.spec.params.upper))
 
 
 def test_m1_rows_match_population(small_presets):

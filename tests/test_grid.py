@@ -59,6 +59,16 @@ def test_integrate_midpoint_quadrature_exact():
     assert integrate(p, space.coords(0)) == pytest.approx(0.5, abs=0)
 
 
+def test_integrate_z1_field_matches_its_full_grid_copy():
+    space = GridSpace((continuous("z1", 8), binary("z2"), binary("w")))
+    rng = np.random.default_rng(4)
+    raw = rng.uniform(0.5, 1.5, space.shape)
+    p = Density(space, raw / (raw.sum() * space.atom_weight))
+    f = rng.standard_normal((8, 1, 1))
+    assert integrate(p, f) == integrate(p, np.broadcast_to(f, space.shape).copy())
+    assert integrate(p, 2.5) == integrate(p, np.full(space.shape, 2.5))
+
+
 def test_integrate_dimension_mismatch():
     p = uniform_density(two_point_space())
     with pytest.raises(DimensionMismatchError):
@@ -211,6 +221,13 @@ def test_sample_rejects_negative_n():
     p = uniform_density(two_point_space())
     with pytest.raises(PreconditionError, match="n must be >= 0"):
         sample(p, -5, seed=0)
+
+
+def test_sample_rejects_n_beyond_int64():
+    p = uniform_density(two_point_space())
+    with pytest.raises(PreconditionError, match="int64 limit"):
+        sample(p, 2 ** 63, seed=0)
+    assert sample(p, 2 ** 63 - 1, seed=0).counts.sum() == 2 ** 63 - 1
 
 
 def test_hellinger_basic_values():

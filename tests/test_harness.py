@@ -430,6 +430,21 @@ def test_cli_estimate_negative_seed_exits_two(tmp_path, capsys):
     assert not (tmp_path / "est.csv").exists()
 
 
+def test_cli_huge_n_exits_two(tmp_path, capsys):
+    from debias_lab import cli
+
+    path = tmp_path / "config.json"
+    path.write_text('{"kind": "ate", "n_sweep": [1000, 9223372036854775808],'
+                    ' "x_cells": 8, "replications": 16}')
+    assert cli.main(["scan", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "int64 limit" in capsys.readouterr().err
+    argv = ["estimate", "--kind", "ate", "--n", str(2 ** 63), "--x-cells", "8",
+            "--csv", str(tmp_path / "est.csv")]
+    assert cli.main(argv) == 2
+    assert "int64 limit" in capsys.readouterr().err
+    assert not (tmp_path / "est.csv").exists()
+
+
 def test_cli_hellinger_rejects_non_ate_kind(capsys):
     from debias_lab import cli
 

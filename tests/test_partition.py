@@ -67,6 +67,16 @@ def test_partition_telescoping():
         assert abs(blocks - total) <= 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weight_is_a_precondition(bad):
+    w = AXIS.coords.copy()
+    w[7] = bad
+    with pytest.raises(PreconditionError, match="weight 1 is .* at cell 7"):
+        bisect([np.ones(256), w], AXIS)
+    with pytest.raises(PreconditionError, match="weight 1 is .* at cell 7"):
+        iterated_partition([np.ones(256), w], 2, AXIS)
+
+
 def test_partition_rejects_non_power_of_two():
     with pytest.raises(PreconditionError):
         iterated_partition([np.ones(256)], 3, AXIS)

@@ -45,7 +45,7 @@ def random_anchor(kind: str, x_cells: int, d_cells: int, seed: int):
         params = WadParams(omega, rng.standard_normal(d_cells))
     else:
         perm = np.arange(d_cells) if rng.integers(2) else np.arange(d_cells)[::-1]
-        params = ApeParams(perm.copy(), np.ones(d_cells))
+        params = ApeParams(perm.copy())
     return EstimandSpec(kind, params), anchor
 
 
