@@ -73,6 +73,15 @@ KINDS = (ATE, ECC_PLM, DS, WAD, APE, LOD)
 # kind-specific parameter bundles
 # -----------------------------------------------------------------------------
 
+def _frozen(values, dtype=float) -> np.ndarray:
+    """A read-only copy.  Caches key a spec's params by identity (the
+    density-derived alpha, the last score table), so their arrays must not
+    change once built."""
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class DsParams:
     """Two known reference densities on the X grid (w.r.t. mu_X)."""
@@ -81,8 +90,8 @@ class DsParams:
     f2: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "f1", np.asarray(self.f1, dtype=float))
-        object.__setattr__(self, "f2", np.asarray(self.f2, dtype=float))
+        object.__setattr__(self, "f1", _frozen(self.f1))
+        object.__setattr__(self, "f2", _frozen(self.f2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,10 +107,9 @@ class WadParams:
     omega_prime: np.ndarray
 
     def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
+        omega = _frozen(self.omega)
         object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "omega_prime",
-                           np.asarray(self.omega_prime, dtype=float))
+        object.__setattr__(self, "omega_prime", _frozen(self.omega_prime))
         if omega.min() < 0:
             raise PreconditionError("omega must be nonnegative")
         if abs(np.sum(omega) / omega.size - 1.0) > 1e-10:
@@ -124,7 +132,7 @@ class ApeParams:
     perm: np.ndarray
 
     def __post_init__(self):
-        perm = np.asarray(self.perm, dtype=np.int64)
+        perm = _frozen(self.perm, np.int64)
         object.__setattr__(self, "perm", perm)
         if sorted(perm.tolist()) != list(range(perm.size)):
             raise PreconditionError("tau must be a bijection of cell indices")
@@ -270,7 +278,7 @@ def _kind(kind: str) -> Kind:
     """The table record of a kind."""
     try:
         return KIND_TABLE[kind]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise PreconditionError(f"unknown estimand kind {kind!r}") from None
 
 
@@ -281,11 +289,9 @@ class EstimandSpec:
     overlap: float = 0.05
 
     def __post_init__(self):
-        if self.kind not in KIND_TABLE:
-            raise PreconditionError(f"unknown estimand kind {self.kind!r}")
+        params = _kind(self.kind).params
         if not 0.0 < self.overlap < 0.5:
             raise PreconditionError("overlap constant must lie in (0, 1/2)")
-        params = KIND_TABLE[self.kind].params
         if params is not None and not isinstance(self.params, params):
             raise PreconditionError(f"{self.kind} spec needs {params.__name__}")
 
@@ -303,11 +309,32 @@ class EstimandSpec:
 
     @staticmethod
     def from_json(doc: dict) -> "EstimandSpec":
-        kind = doc["kind"]
+        """The spec a JSON object describes; a missing ``kind``, or a
+        ``params`` key the kind does not take or needs and lacks, is refused."""
+        if not isinstance(doc, dict):
+            raise PreconditionError(
+                f"an estimand spec must be a JSON object, not {type(doc).__name__}")
+        if "kind" not in doc:
+            raise PreconditionError("an estimand spec needs a 'kind' key")
+        kind, raw = doc["kind"], doc.get("params") or {}
         params = _kind(kind).params
-        raw = doc.get("params") or {}
-        return EstimandSpec(kind, None if params is None else params(**raw),
-                            doc.get("overlap", 0.05))
+        if not isinstance(raw, dict):
+            raise PreconditionError(f"{kind} params must be a JSON object")
+        names = [] if params is None else [f.name for f in fields(params)]
+        for key in raw:
+            if key not in names:
+                raise PreconditionError(f"{kind} params take no key {key!r}")
+        for key in names:
+            if key not in raw:
+                raise PreconditionError(f"{kind} params need the key {key!r}")
+        overlap = doc.get("overlap", 0.05)
+        if not isinstance(overlap, (int, float)) or isinstance(overlap, bool):
+            raise PreconditionError(f"spec key 'overlap' must be a number, not {overlap!r}")
+        try:
+            built = None if params is None else params(**raw)
+        except (TypeError, ValueError) as exc:  # values numpy cannot read
+            raise PreconditionError(f"malformed {kind} params: {exc}") from None
+        return EstimandSpec(kind, built, overlap)
 
 
 @dataclass(frozen=True)

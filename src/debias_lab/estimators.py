@@ -1,13 +1,15 @@
 """Plug-in and first-order debiased estimators, with population-exact twins.
 
 Every estimator is the mean of one per-atom score psi: a sampled estimate
-weights psi by the dataset's per-atom counts (a sum over the occupied atoms,
-so its cost does not grow with n), and its population twin is the exact
-expectation of the same psi under a supplied density.  The population
-variants isolate the bias algebra (double robustness, the product-of-errors
-factorization, the curvature term of the non-affine kinds) from Monte Carlo
-noise, so those identities can be asserted at 1e-10 rather than eyeballed
-through sampling error.
+is counts . psi / n over the dataset's occupied atoms (so its cost does not
+grow with n), and its population twin is the exact expectation of the same
+psi under a supplied density.  A sampled estimate reads psi from one
+read-only table per (spec, grid, fields), ``score_table``; the last table
+is kept, so the replications of an n-sweep, which score the same fields,
+build it once.  The population variants isolate the bias algebra (double
+robustness, the product-of-errors factorization, the curvature term of the
+non-affine kinds) from Monte Carlo noise, so those identities can be
+asserted at 1e-10 rather than eyeballed through sampling error.
 
 One score serves every kind (gamma_hat, alpha_hat are fields on the Z grid;
 offset and sign come from the kind table in ``estimands``):
@@ -124,19 +126,58 @@ def corruption_directions(z_grid: GridSpace, alignment: str, seed: int = 0,
 # sampled estimators
 # -----------------------------------------------------------------------------
 
+# The last table score_table built, after its key: (spec, space, gamma_hat,
+# alpha_hat), the fields as float64 copies so no caller can edit the key.
+_last_table: tuple | None = None
+
+
+def _same_field(kept: np.ndarray | None, given) -> bool:
+    """Whether ``given`` holds the values of the kept key field."""
+    if kept is None or given is None:
+        return kept is given
+    given = np.asarray(given)
+    return kept.shape == given.shape and bool((kept == given).all())
+
+
+def score_table(spec: EstimandSpec, space: GridSpace, gamma_hat: np.ndarray,
+                alpha_hat: np.ndarray | None = None) -> np.ndarray:
+    """psi at every atom of ``space`` (flat order), read-only: the orthogonal
+    score at (gamma_hat, alpha_hat), or the plug-in score offset + sign * m1
+    when alpha_hat is None.
+
+    The last table is kept, keyed by value (the spec, whose params arrays
+    are read-only, the grid, and copies of the fields), so consecutive calls
+    with equal fields share one table and a field edited in place between
+    calls is a new key.
+    """
+    global _last_table
+    if _last_table is not None:
+        k_spec, k_space, k_gamma, k_alpha, table = _last_table
+        if (k_spec == spec and k_space == space and _same_field(k_gamma, gamma_hat)
+                and _same_field(k_alpha, alpha_hat)):
+            return table
+    gamma_hat = np.array(gamma_hat, dtype=float)
+    rows = np.arange(space.n_atoms)
+    core = est.m1_rows(spec, space, rows, gamma_hat)
+    if alpha_hat is not None:
+        alpha_hat = np.array(alpha_hat, dtype=float)
+        rho = est.rho_rows(spec, space, rows, gamma_hat).reshape(space.shape)
+        core = core + (est.z_to_grid(spec, space, alpha_hat) * rho).ravel()
+    table = est.chi_rows_from_linear(spec, space, rows, core)
+    table.flags.writeable = False
+    _last_table = (spec, space, gamma_hat, alpha_hat, table)
+    return table
+
+
 def _sample_mean(data: Dataset, spec: EstimandSpec, gamma_hat: np.ndarray,
                  alpha_hat: np.ndarray | None = None) -> float:
     """counts . psi / n over the occupied atoms, for the orthogonal score psi
     (the plug-in score offset + sign * m1 when alpha_hat is None)."""
     if data.n == 0:
         raise EmptyDataError("an estimate needs at least one observation")
-    space, atoms = data.space, np.flatnonzero(data.counts)
-    core = est.m1_rows(spec, space, atoms, gamma_hat)
-    if alpha_hat is not None:
-        alpha_at = est.z_to_grid(spec, space, alpha_hat).ravel()[atoms]
-        core = core + alpha_at * est.rho_rows(spec, space, atoms, gamma_hat)
-    psi = est.chi_rows_from_linear(spec, space, atoms, core)
-    return float(data.counts[atoms] @ psi / data.n)
+    table = score_table(spec, data.space, gamma_hat, alpha_hat)
+    atoms = np.flatnonzero(data.counts)
+    return float(data.counts[atoms] @ table[atoms] / data.n)
 
 
 def plugin_estimate(data: Dataset, gamma_hat: np.ndarray,

@@ -15,7 +15,8 @@ integrates to 1, a signed perturbation to 0.  Feasibility of a perturbation h
 at p means p + t*h stays a density for all |t| up to the feasible radius.
 A Density's values are read-only, so what derives from the density alone
 (its marginals, conditional means) is computed once per density and kept
-with it (``Density.derived``); a grid computes its shape and weights once.
+with it (``Density.derived``); a grid computes its shape, weights and
+sub-grids once.
 
 Conventions: values arrays always have shape ``space.shape`` (one dimension
 per axis, row-major flattening for serialization), and per-atom "fields"
@@ -127,8 +128,17 @@ class GridSpace:
             w *= ax.cell_weight
         return w
 
+    @cached_property
+    def _subgrids(self) -> dict[tuple[int, ...], "GridSpace"]:
+        return {}
+
     def subgrid(self, keep: Sequence[int]) -> "GridSpace":
-        return GridSpace(tuple(self.axes[i] for i in keep))
+        """The grid of the axes ``keep``, built once per grid and axis list."""
+        keep = tuple(keep)
+        sub = self._subgrids.get(keep)
+        if sub is None:
+            sub = self._subgrids[keep] = GridSpace(tuple(self.axes[i] for i in keep))
+        return sub
 
     def coords(self, axis: int) -> np.ndarray:
         return self.axes[axis].coords
@@ -342,8 +352,15 @@ def _csv_cell(text: str, line: int) -> int:
 
 def integrate(d: Density | SignedDensity, w: np.ndarray | float = 1.0) -> float:
     """Integral of w against d's measure: sum values*w*atom_weight, for a
-    scalar w or a field that broadcasts to d's grid."""
-    return float(np.sum(d.values * d.space.broadcast(w)) * d.space.atom_weight)
+    scalar w or a field that broadcasts to d's grid (and not beyond it)."""
+    try:
+        product = d.values * w
+    except ValueError:
+        product = None
+    if product is None or product.shape != d.space.shape:
+        raise DimensionMismatchError(
+            f"field shape {np.shape(w)} does not broadcast to grid shape {d.space.shape}")
+    return float(np.sum(product) * d.space.atom_weight)
 
 
 def feasible_radius(p: Density, h: SignedDensity) -> float:

@@ -161,6 +161,42 @@ def test_spec_json_round_trip(small_presets):
             assert np.array_equal(back.params.perm, spec.params.perm)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "ape", "params": {"perm": [1, 0], "deriv": [1.0, 1.0]}}, "no key 'deriv'"),
+    ({"kind": "wad", "params": {"omega": [0.0, 2.0, 0.0]}}, "need the key 'omega_prime'"),
+    ({"params": {}}, "needs a 'kind' key"),
+    ({"kind": "ate", "params": {"x": 1}}, "no key 'x'"),
+    ({"kind": "ds", "params": {"f1": [1.0], "f2": ["a"]}}, "malformed ds params"),
+    ({"kind": "ate", "overlap": "0.1"}, "'overlap' must be a number"),
+])
+def test_spec_from_json_names_a_bad_key(doc, message):
+    """Missing, unknown and unreadable keys are refused with a typed error
+    that names the key, never a bare TypeError or a silent drop."""
+    with pytest.raises(PreconditionError, match=message):
+        EstimandSpec.from_json(doc)
+
+
+def test_spec_from_json_refuses_a_non_object():
+    with pytest.raises(PreconditionError, match="JSON object"):
+        EstimandSpec.from_json(["ate"])
+    with pytest.raises(PreconditionError, match="unknown estimand kind"):
+        EstimandSpec.from_json({"kind": ["ate"]})
+
+
+def test_spec_params_arrays_are_read_only_copies(small_presets):
+    """Caches key a spec's params by identity, so their arrays cannot change:
+    each is a read-only copy of what the caller passed."""
+    f = np.ones(8)
+    params = DsParams(f, f)
+    f[0] = 2.0
+    assert params.f1[0] == 1.0
+    for kind in (est.DS, est.WAD, est.APE):
+        spec = small_presets[kind].spec
+        for name in ("f1", "f2", "omega", "omega_prime", "perm"):
+            if hasattr(spec.params, name):
+                assert not getattr(spec.params, name).flags.writeable
+
+
 def test_wad_weight_contract(small_presets):
     pre = small_presets[est.WAD]
     space = pre.anchor.space

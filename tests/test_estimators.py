@@ -98,6 +98,92 @@ def test_plugin_bias_first_order_in_eps(small_presets):
     assert biases[1] == pytest.approx(2.0 * biases[0], rel=1e-10)
 
 
+def _random_fields(pre, seed):
+    """A (gamma_hat, alpha_hat) pair on the preset's Z grid, in range for every
+    kind (log-odds for lod)."""
+    zs = est.z_space(pre.spec.kind, pre.anchor.space)
+    rng = np.random.default_rng(seed)
+    gamma_hat = rng.uniform(0.2, 0.8, zs.shape)
+    if pre.spec.kind == est.LOD:
+        gamma_hat = np.log(gamma_hat / (1.0 - gamma_hat))
+    return gamma_hat, rng.standard_normal(zs.shape)
+
+
+@pytest.mark.parametrize("kind", est.KINDS)
+def test_score_table_is_the_per_atom_score(kind, small_presets):
+    """psi = offset + sign * (m1 + alpha * rho) at every atom, bit for bit,
+    with the ecc_plm offset t*y and the logistic rho of lod; the plug-in
+    table drops the alpha * rho term.  The table is read-only."""
+    pre = small_presets[kind]
+    spec, space = pre.spec, pre.anchor.space
+    gamma_hat, alpha_hat = _random_fields(pre, seed=11)
+    t = est.KIND_TABLE[kind].target_axis
+    outcome = space.coords(t).reshape([-1 if a == t else 1 for a in range(len(space.shape))])
+    m1 = np.broadcast_to(est.m1_atoms(spec, space, gamma_hat), space.shape)
+    rho = est.score_rho(spec, outcome, est.z_to_grid(spec, space, gamma_hat))
+    alpha = est.z_to_grid(spec, space, alpha_hat)
+    offset = 0.0
+    if kind == est.ECC_PLM:
+        offset = space.coords(1)[None, :, None] * space.coords(2)[None, None, :]
+    sign = est.score_sign_offset(spec)
+    for fields, expected in (((gamma_hat, alpha_hat), offset + sign * (m1 + alpha * rho)),
+                             ((gamma_hat,), offset + sign * m1)):
+        table = dr.score_table(spec, space, *fields)
+        assert table.shape == (space.n_atoms,)
+        assert (table == expected.ravel()).all()
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
+
+def _cold(fn, monkeypatch):
+    """fn() with no kept score table."""
+    monkeypatch.setattr(dr, "_last_table", None)
+    return fn()
+
+
+@pytest.mark.parametrize("kind", est.KINDS)
+def test_score_table_is_never_stale(kind, small_presets, monkeypatch):
+    """Fields edited in place between calls, or two field pairs in turn, give
+    the bits of a computation with no kept table."""
+    pre = small_presets[kind]
+    spec, space = pre.spec, pre.anchor.space
+    data = sample(pre.anchor, 3000, seed=4)
+    gamma_hat, alpha_hat = _random_fields(pre, seed=21)
+    before = dr.dml_estimate(data, gamma_hat, alpha_hat, spec)
+    gamma_hat[0] += 0.01
+    after = dr.dml_estimate(data, gamma_hat, alpha_hat, spec)
+    assert after != before
+    assert after == _cold(lambda: dr.dml_estimate(data, gamma_hat.copy(), alpha_hat, spec),
+                          monkeypatch)
+    alpha_hat[-1] -= 0.5
+    table = dr.score_table(spec, space, gamma_hat, alpha_hat)
+    assert (table == _cold(lambda: dr.score_table(spec, space, gamma_hat, alpha_hat.copy()),
+                           monkeypatch)).all()
+
+    pairs = [_random_fields(pre, seed) for seed in (31, 32)]
+    cold = [_cold(lambda g=g, a=a: dr.dml_estimate(data, g, a, spec), monkeypatch)
+            for g, a in pairs]
+    cold_plugin = [_cold(lambda g=g: dr.plugin_estimate(data, g, spec), monkeypatch)
+                   for g, _ in pairs]
+    for turn in range(4):
+        g, a = pairs[turn % 2]
+        assert dr.dml_estimate(data, g, a, spec) == cold[turn % 2]
+        assert dr.plugin_estimate(data, g, spec) == cold_plugin[turn % 2]
+
+
+def test_score_table_is_shared_by_equal_fields(small_presets):
+    """Equal fields in new arrays (DR rebuilds its alpha on every call) reuse
+    the kept table; so does a field given as a list."""
+    pre = small_presets[est.ATE]
+    spec, space = pre.spec, pre.anchor.space
+    gamma_hat, alpha_hat = _random_fields(pre, seed=41)
+    table = dr.score_table(spec, space, gamma_hat, alpha_hat)
+    assert dr.score_table(spec, space, gamma_hat.copy(), alpha_hat.copy()) is table
+    assert dr.score_table(spec, space, gamma_hat.tolist(), alpha_hat) is table
+    assert dr.score_table(spec, space, gamma_hat) is not table
+
+
 def test_empty_dataset_errors(small_presets):
     pre = small_presets[est.ATE]
     empty = Dataset(pre.anchor.space,

@@ -75,6 +75,16 @@ def test_integrate_dimension_mismatch():
         integrate(p, np.ones(3))
 
 
+def test_integrate_refuses_a_field_that_broadcasts_the_density_up():
+    """A field with more atoms than the grid, such as a stack of two fields,
+    is refused rather than summed over both."""
+    space = GridSpace((continuous("z1", 4), binary("w")))
+    p = uniform_density(space)
+    for field in (np.ones((2, *space.shape)), np.ones((2, 4, 1)), np.ones((1, 4, 2))):
+        with pytest.raises(DimensionMismatchError, match="does not broadcast"):
+            integrate(p, field)
+
+
 def test_add_scaled_linear_arithmetic():
     p = uniform_density(two_point_space())
     h = SignedDensity(two_point_space(), np.array([0.5, -0.5]))

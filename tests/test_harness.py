@@ -175,6 +175,28 @@ def test_population_scan_evaluations_per_sweep_point(monkeypatch, estimator, ali
     assert len(calls) == per_point * len(config.eps_sweep)
 
 
+@pytest.mark.parametrize("estimator, x_cells", [("dml", 40), ("dr", 44), ("plugin", 52)])
+def test_sampled_n_sweep_builds_one_score_table(monkeypatch, estimator, x_cells):
+    """Every replication of an n-sweep scores the same fields, so the scan
+    builds one per-atom score table and samples once per replication.  The
+    grid sizes are used by no other test, so no kept table leaks in."""
+    from debias_lab import estimands
+
+    calls = []
+    real = estimands.m1_rows
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(estimands, "m1_rows", counted)
+    config = ExperimentConfig(kind="ate", estimator=estimator, n_sweep=(1000, 4000, 16000),
+                              replications=16, seed=3, x_cells=x_cells)
+    records = run_rate_scan(config).records
+    assert len(calls) == 1
+    assert len({r["point"] for r in records}) == len(records)
+
+
 def test_m_sweep_evaluates_each_sweep_point_once(monkeypatch):
     """A balanced partition is seed-free, so an M-sweep point's replications
     share one exact-bound evaluation and keep their own records."""
