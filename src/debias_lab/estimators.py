@@ -34,6 +34,7 @@ import numpy as np
 from . import estimands as est
 from .errors import (
     ClippedCorruptionError,
+    DimensionMismatchError,
     EmptyDataError,
     PreconditionError,
 )
@@ -52,10 +53,11 @@ class CorruptionSpec:
     """Target L2(P_Z) error, corruption direction, and alignment tag.
 
     ``direction`` is a field on the Z grid: any array that broadcasts to
-    it, a bump on the Z1 axis as (n_z1, 1, ...).  ``alignment`` records
-    whether gamma- and alpha-corruptions share one bump (adversarial) or use
-    independent ones (random); the tag is bookkeeping for reports, the
-    direction itself carries the geometry.
+    it, a bump on the Z1 axis as (n_z1, 1, ...), which ``corrupt_nuisance``
+    keeps in that shape until it forms the corrupted field.  ``alignment``
+    records whether gamma- and alpha-corruptions share one bump
+    (adversarial) or use independent ones (random); the tag is bookkeeping
+    for reports, the direction itself carries the geometry.
     """
 
     eps: float
@@ -71,8 +73,16 @@ class CorruptionSpec:
 
 def corrupt_nuisance(truth: NuisanceField, spec: CorruptionSpec,
                      p_z: Density) -> NuisanceField:
-    """truth + eps * direction / ||direction||_{P_Z,2}; exact L2 error eps."""
-    direction = truth.space.broadcast(spec.direction)
+    """truth + eps * direction / ||direction||_{P_Z,2}; exact L2 error eps.
+
+    ``p_z`` is the density on the field's grid.  The direction keeps its own
+    shape until the corrupted field is formed; ``integrate`` multiplies
+    before it sums, so every value equals that of the direction broadcast
+    to the grid first, bit for bit.
+    """
+    if p_z.space != truth.space:
+        raise DimensionMismatchError("the field and P_Z live on different grids")
+    direction = np.asarray(spec.direction, dtype=float)
     norm = float(np.sqrt(integrate(p_z, direction * direction)))
     if norm == 0.0:
         if spec.eps == 0.0:
@@ -83,6 +93,7 @@ def corrupt_nuisance(truth: NuisanceField, spec: CorruptionSpec,
     if truth.bounds is not None:
         lo, hi = truth.bounds
         if corrupted.min() < lo - 1e-12 or corrupted.max() > hi + 1e-12:
+            unit = truth.space.broadcast(unit)
             room = np.full_like(unit, np.inf)
             pos = unit > 0
             neg = unit < 0
@@ -95,23 +106,24 @@ def corrupt_nuisance(truth: NuisanceField, spec: CorruptionSpec,
 def corruption_directions(z_grid: GridSpace, alignment: str, seed: int = 0,
                           riesz_weight: np.ndarray | None = None
                           ) -> tuple[np.ndarray, np.ndarray]:
-    """A pair of corruption directions on the Z grid.
+    """A pair of corruption directions on the Z grid, read-only.
 
     Adversarial alignment corrupts gamma and alpha along one common
     direction, so their error product integrates to exactly eps_g * eps_a;
     when the Riesz weight nu_m is supplied the common direction is nu_m
-    itself, which also maximizes the plug-in's first-order bias.  Random
-    alignment draws independent +-1 patterns per Z1 cell.  Both are
-    read-only views of the Z grid's shape.
+    itself (a view of it), which also maximizes the plug-in's first-order
+    bias.  Otherwise each direction is a +-1 pattern per Z1 cell drawn from
+    ``seed``, one pattern for adversarial alignment and two independent
+    ones for random alignment, as a compact array of shape (n_z1, 1, ...)
+    that broadcasts to the Z grid.
     """
     rng = np.random.default_rng(seed)
     n1 = z_grid.shape[0]
 
     def bump_like(r: np.random.Generator) -> np.ndarray:
         signs = 2.0 * r.integers(0, 2, size=n1) - 1.0
-        shape = [1] * len(z_grid.shape)
-        shape[0] = n1
-        return z_grid.broadcast(signs.reshape(shape))
+        signs.flags.writeable = False
+        return signs.reshape((n1,) + (1,) * (len(z_grid.shape) - 1))
 
     if alignment == "adversarial":
         if riesz_weight is not None:

@@ -161,6 +161,10 @@ class GridSpace:
         """A scalar or an array broadcastable to ``shape``, as a read-only
         view of that shape (no per-atom copy)."""
         arr = np.asarray(values, dtype=float)
+        if arr.shape == self.shape:  # a plain view costs far less than broadcast_to
+            view = arr.view()
+            view.flags.writeable = False
+            return view
         try:
             return np.broadcast_to(arr, self.shape)
         except ValueError:

@@ -12,14 +12,18 @@ first-order bias.
 Replication r uses derived seed ``seed + r``, so any row of a result file
 can be regenerated in isolation.  Replications that draw nothing from their
 seeds (every M-sweep one, and some population ones) share one evaluation
-(see ``run_rate_scan``); each keeps its own record.  Sweep points and their
-replications run in order on one thread, so records are ordered by (sweep
-point, replication), and the CSV emitter formats floats with repr-faithful
-precision, so identical configs produce byte-identical files.
+(see ``run_rate_scan``); each keeps its own record.  A replication's
+corruption directions depend on its seed alone, so a scan draws them once
+per replication and corrupts along them at every sweep point.  Sweep
+points and their replications run in order on one thread, so records are
+ordered by (sweep point, replication), and the CSV emitter formats floats
+with repr-faithful precision, so identical configs produce byte-identical
+files.
 """
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import io
 import json
@@ -83,13 +87,20 @@ class ExperimentConfig:
             raise PreconditionError("exactly one sweep must be configured")
         if np.shape(self.eps_fixed) != (2,):
             raise PreconditionError("eps_fixed must be an [eps_gamma, eps_alpha] pair")
-        for entry in self.eps_fixed:
-            if not _is_number(entry):
-                raise PreconditionError(f"eps_fixed entries must be numbers, not {entry!r}")
         try:
             values = [value for value, _, _ in self.sweep_points()]
         except (TypeError, ValueError) as exc:
             raise PreconditionError(f"malformed {self.sweep_name}_sweep: {exc}") from exc
+        eps_entries = [("eps_fixed", entry) for entry in self.eps_fixed]
+        if self.eps_sweep is not None:
+            eps_entries += [("eps_sweep", entry)
+                            for pair in self.eps_sweep for entry in pair]
+        for key, entry in eps_entries:
+            if not _is_number(entry):
+                raise PreconditionError(f"{key} entries must be numbers, not {entry!r}")
+            if not (math.isfinite(entry) and entry >= 0):
+                raise PreconditionError(
+                    f"{key} entries must be finite and >= 0, not {entry!r}")
         if self.sweep_name in ("n", "m"):
             for entry in getattr(self, f"{self.sweep_name}_sweep"):
                 if not (_is_number(entry) and float(entry).is_integer()):
@@ -104,6 +115,9 @@ class ExperimentConfig:
             raise PreconditionError("slope fits need at least 16 replications")
         if self.estimator not in ("plugin", "dr", "dml"):
             raise PreconditionError("estimator must be plugin, dr or dml")
+        if self.alignment not in ("adversarial", "random"):
+            raise PreconditionError(f"config key 'alignment' must be 'adversarial' or "
+                                    f"'random', not {self.alignment!r}")
         if self.estimator == "dr" and self.kind != est.ATE:
             raise PreconditionError("the dr estimator is ATE-specific")
         if self.m_sweep is not None and self.kind != est.ATE:
@@ -178,7 +192,8 @@ def estimate_once(config: ExperimentConfig, pre: Preset,
 
     eps_gamma corrupts gamma; eps_alpha corrupts the other field the
     estimator reads: alpha for DML, the propensity for DR (the plug-in reads
-    no other).  Directions are drawn only for a nonzero eps.  Under
+    no other).  Directions are drawn only for a nonzero eps, and inside
+    ``run_rate_scan`` once per replication (see ``_drawn``).  Under
     ``adversarial`` alignment DR aligns only its outcome-regression
     corruption (along the Riesz weight); its propensity bump is a seeded
     random pattern on the X cells, so each replication has its own bias.
@@ -197,8 +212,8 @@ def estimate_once(config: ExperimentConfig, pre: Preset,
 
     dir_g = dir_a = None
     if eps_gamma or eps_alpha:
-        dir_g, dir_a = dr.corruption_directions(pz.space, config.alignment,
-                                                derived_seed, riesz_weight=pre.alpha)
+        dir_g, dir_a = _drawn(("pair", derived_seed), lambda: dr.corruption_directions(
+            pz.space, config.alignment, derived_seed, riesz_weight=pre.alpha))
     gamma_hat = corrupt(pre.gamma, "gamma", eps_gamma, dir_g, pz)
     source = anchor if config.population else sample(anchor, n, derived_seed)
 
@@ -215,11 +230,29 @@ def estimate_once(config: ExperimentConfig, pre: Preset,
     m_hat = pre.extras["m_hat"]
     if eps_alpha:
         p_x = grid_marginal(anchor, [0])
-        dir_m = dr.corruption_directions(p_x.space, config.alignment, derived_seed)[1]
+        dir_m = _drawn(("propensity", derived_seed), lambda: dr.corruption_directions(
+            p_x.space, config.alignment, derived_seed)[1])
         m_hat = corrupt(m_hat, "propensity", eps_alpha, dir_m, p_x,
                         (config.overlap, 1.0 - config.overlap))
     estimate = dr.population_dr_ate if config.population else dr.dr_ate_estimate
     return estimate(source, g_hat, m_hat, config.overlap), pre.oracle
+
+
+# The directions drawn so far in the running scan, by (field, derived seed);
+# None outside ``run_rate_scan``.  A scan fixes the config and the preset, so
+# a replication's directions depend on its seed alone and are drawn once.
+_SCAN_DRAWS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "scan_draws", default=None)
+
+
+def _drawn(key: tuple[str, int], draw):
+    """``draw()``, kept under ``key`` for the rest of the running scan."""
+    store = _SCAN_DRAWS.get()
+    if store is None:
+        return draw()
+    if key not in store:
+        store[key] = draw()
+    return store[key]
 
 
 def _hellinger_once(config: ExperimentConfig, pre: Preset,
@@ -243,8 +276,10 @@ def run_rate_scan(config: ExperimentConfig) -> RateScanResult:
     seed-free Riesz weight but for DR's propensity bump (drawn when
     eps_alpha != 0).  Where the replications draw nothing from their seeds,
     replication 0 is evaluated once and its (point, oracle) goes into every
-    record.  A random-alignment plug-in eps-sweep on a kind with two Z axes
-    is refused before any preset is built (see the error for why).
+    record.  Each replication's directions are drawn once per scan, on its
+    first evaluation, and every sweep point corrupts along them.  A
+    random-alignment plug-in eps-sweep on a kind with two Z axes is refused
+    before any preset is built (see the error for why).
     """
     sweep = config.sweep_name
     if (sweep == "eps" and config.estimator == "plugin"
@@ -254,38 +289,42 @@ def run_rate_scan(config: ExperimentConfig) -> RateScanResult:
             "random bumps are constant along the second Z axis, which its m1 cancels")
     pre = preset(config.kind, config.x_cells, config.d_cells, config.overlap)
     records, values, medians, means = [], [], [], []
-    for value, eps_pair, n in config.sweep_points():
-        errors = []
-        seeded = sweep != "m" and (not config.population or (
-            any(eps_pair) if config.alignment == "random"
-            else config.estimator == "dr" and bool(eps_pair[1])))
-        for rep in range(config.replications):
-            derived = config.seed + rep
-            if seeded or rep == 0:
-                point, oracle = (
-                    _hellinger_once(config, pre, int(value)) if sweep == "m"
-                    else estimate_once(config, pre, eps_pair, n, derived))
-            # else replication 0's (point, oracle) stands for this one
-            errors.append(abs(point - oracle))
-            records.append({
-                "kind": config.kind,
-                "estimator": config.estimator,
-                "sweep": sweep,
-                "sweep_value": value,
-                "replication": rep,
-                "derived_seed": derived,
-                "n": n,
-                "eps_gamma": eps_pair[0],
-                "eps_alpha": eps_pair[1],
-                "alignment": config.alignment,
-                "population": config.population,
-                "point": point,
-                "oracle": oracle,
-                "abs_error": errors[-1],
-            })
-        values.append(value)
-        medians.append(float(np.median(errors)))
-        means.append(float(np.mean(errors)))
+    draws = _SCAN_DRAWS.set({})
+    try:
+        for value, eps_pair, n in config.sweep_points():
+            errors = []
+            seeded = sweep != "m" and (not config.population or (
+                any(eps_pair) if config.alignment == "random"
+                else config.estimator == "dr" and bool(eps_pair[1])))
+            for rep in range(config.replications):
+                derived = config.seed + rep
+                if seeded or rep == 0:
+                    point, oracle = (
+                        _hellinger_once(config, pre, int(value)) if sweep == "m"
+                        else estimate_once(config, pre, eps_pair, n, derived))
+                # else replication 0's (point, oracle) stands for this one
+                errors.append(abs(point - oracle))
+                records.append({
+                    "kind": config.kind,
+                    "estimator": config.estimator,
+                    "sweep": sweep,
+                    "sweep_value": value,
+                    "replication": rep,
+                    "derived_seed": derived,
+                    "n": n,
+                    "eps_gamma": eps_pair[0],
+                    "eps_alpha": eps_pair[1],
+                    "alignment": config.alignment,
+                    "population": config.population,
+                    "point": point,
+                    "oracle": oracle,
+                    "abs_error": errors[-1],
+                })
+            values.append(value)
+            medians.append(float(np.median(errors)))
+            means.append(float(np.mean(errors)))
+    finally:
+        _SCAN_DRAWS.reset(draws)
     slope, stderr = fit_loglog_slope(values, medians)
     return RateScanResult(records, values, medians, means, slope, stderr)
 

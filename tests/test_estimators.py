@@ -4,6 +4,7 @@ import pytest
 from debias_lab import estimands as est, estimators as dr
 from debias_lab.errors import (
     ClippedCorruptionError,
+    DimensionMismatchError,
     EmptyDataError,
     PreconditionError,
 )
@@ -61,6 +62,80 @@ def test_corruption_directions_alignment():
     assert np.array_equal(g2, ref) and np.array_equal(a2, ref)
     g3, a3 = dr.corruption_directions(zs, "random", seed=3)
     assert not np.array_equal(g3, a3)
+
+
+def _z_grid(pre):
+    zs = est.z_space(pre.spec.kind, pre.anchor.space)
+    return zs, est.z_marginal(pre.anchor, pre.spec)
+
+
+@pytest.mark.parametrize("kind", est.KINDS)
+def test_random_bumps_are_compact_read_only_seed_draws(small_presets, kind):
+    zs, _ = _z_grid(small_presets[kind])
+    n1 = zs.shape[0]
+    compact = (n1,) + (1,) * (len(zs.shape) - 1)
+    for seed in (0, 3):
+        rng = np.random.default_rng(seed)
+        draws = [2.0 * rng.integers(0, 2, size=n1) - 1.0 for _ in range(2)]
+        g, a = dr.corruption_directions(zs, "random", seed)
+        shared, same = dr.corruption_directions(zs, "adversarial", seed)
+        assert same is shared
+        for direction, draw in ((g, draws[0]), (a, draws[1]), (shared, draws[0])):
+            assert direction.shape == compact
+            assert not direction.flags.writeable
+            assert np.array_equal(direction.ravel(), draw)
+
+
+@pytest.mark.parametrize("kind", est.KINDS)
+def test_corrupt_compact_bump_equals_its_full_grid_copy(small_presets, kind):
+    """Bit for bit, against the full-grid copy and the full-grid formula
+    truth + eps * (d / sqrt(sum(p_z * d * d) * atom_weight))."""
+    pre = small_presets[kind]
+    zs, pz = _z_grid(pre)
+    bump = dr.corruption_directions(zs, "random", 5)[0]
+    full = np.array(np.broadcast_to(bump, zs.shape))
+    norm = float(np.sqrt(float(np.sum(pz.values * (full * full)) * zs.atom_weight)))
+    for truth, role in ((pre.gamma, "gamma"), (pre.alpha, "alpha")):
+        field = NuisanceField(zs, truth, role)
+        compact = dr.corrupt_nuisance(field, dr.CorruptionSpec(0.1, bump), pz).values
+        expanded = dr.corrupt_nuisance(field, dr.CorruptionSpec(0.1, full), pz).values
+        assert compact.shape == zs.shape
+        assert np.array_equal(compact, expanded)
+        assert np.array_equal(compact, truth + 0.1 * (full / norm))
+
+
+@pytest.mark.parametrize("kind", est.KINDS)
+def test_corrupt_direction_off_the_grid_raises(small_presets, kind):
+    from debias_lab.grid import uniform_density
+
+    zs, pz = _z_grid(small_presets[kind])
+    field = NuisanceField(zs, small_presets[kind].gamma, "gamma")
+    tail = (1,) * (len(zs.shape) - 1)
+    for shape in ((zs.shape[0] + 1,) + tail, (2,) + zs.shape):
+        with pytest.raises(DimensionMismatchError):
+            dr.corrupt_nuisance(field, dr.CorruptionSpec(0.1, np.ones(shape)), pz)
+    other = uniform_density(est.z_space(kind, est.make_space(kind, 16, 8)))
+    with pytest.raises(DimensionMismatchError):
+        dr.corrupt_nuisance(field, dr.CorruptionSpec(0.1, np.ones(zs.shape[0:1] + tail)),
+                            other)
+
+
+@pytest.mark.parametrize("kind", est.KINDS)
+def test_corrupt_bounded_compact_bump_reports_the_same_achievable(small_presets, kind):
+    pre = small_presets[kind]
+    zs, pz = _z_grid(pre)
+    bump = dr.corruption_directions(zs, "random", 2)[1]
+    full = np.array(np.broadcast_to(bump, zs.shape))
+    lo, hi = pre.gamma.min() - 0.01, pre.gamma.max() + 0.01
+    field = NuisanceField(zs, pre.gamma, "gamma", bounds=(lo, hi))
+    achievable = []
+    for direction in (bump, full):
+        with pytest.raises(ClippedCorruptionError) as err:
+            dr.corrupt_nuisance(field, dr.CorruptionSpec(1.0, direction), pz)
+        achievable.append(err.value.achievable)
+    unit = full / np.sqrt(np.sum(pz.values * (full * full)) * zs.atom_weight)
+    room = np.where(unit > 0, (hi - pre.gamma) / unit, (lo - pre.gamma) / unit)
+    assert achievable == [float(room.min())] * 2
 
 
 # -----------------------------------------------------------------------------

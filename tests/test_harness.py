@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from debias_lab import harness
+from debias_lab import estimands as est, harness
 from debias_lab.errors import NoConvergenceError, PreconditionError
 from debias_lab.harness import (
     ExperimentConfig,
@@ -117,6 +117,52 @@ def test_replication_order_invariance():
                                 if r["sweep_value"] == v])) for v in values]
     slope, _ = fit_loglog_slope(values, medians)
     assert abs(slope - result.slope) <= 1e-12
+
+
+@pytest.mark.parametrize("kind, estimator, alignment, grids", [
+    ("wad", "dml", "random", 1), ("ate", "dr", "adversarial", 2)])
+def test_eps_sweep_draws_directions_once_per_replication(monkeypatch, kind, estimator,
+                                                          alignment, grids):
+    """A replication's corruption directions depend on its seed alone, so a
+    scan draws them once per replication and grid, not at every sweep point;
+    each record equals the estimate at fields built on the full grid."""
+    from debias_lab import estimators as dr
+    from debias_lab.grid import marginal
+    from debias_lab.presets import preset
+
+    real = dr.corruption_directions
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dr, "corruption_directions", counted)
+    config = eps_config(kind=kind, estimator=estimator, alignment=alignment, d_cells=16,
+                        eps_sweep=((0.05, 0.05), (0.1, 0.1), (0.2, 0.2)))
+    result = run_rate_scan(config)
+    assert len(calls) == grids * config.replications
+
+    def corrupted(truth, direction, eps, p):
+        full = np.broadcast_to(direction, p.space.shape)
+        norm = np.sqrt(np.sum(p.values * (full * full)) * p.space.atom_weight)
+        return truth + eps * (full / norm)
+
+    pre = preset(kind, x_cells=32, d_cells=16)
+    pz = est.z_marginal(pre.anchor, pre.spec)
+    p_x = marginal(pre.anchor, [0])
+    for rec in result.records:
+        eps_g, eps_a, seed = rec["eps_gamma"], rec["eps_alpha"], rec["derived_seed"]
+        dir_g, dir_a = real(pz.space, alignment, seed, riesz_weight=pre.alpha)
+        gamma_hat = corrupted(pre.gamma, dir_g, eps_g, pz)
+        if estimator == "dml":
+            alpha_hat = corrupted(pre.alpha, dir_a, eps_a, pz)
+            expected = dr.population_dml(pre.anchor, gamma_hat, alpha_hat, pre.spec)
+        else:
+            dir_m = real(p_x.space, alignment, seed)[1]
+            m_hat = corrupted(pre.extras["m_hat"], dir_m, eps_a, p_x)
+            expected = dr.population_dr_ate(pre.anchor, gamma_hat, m_hat, config.overlap)
+        assert rec["point"] == expected
 
 
 @pytest.mark.parametrize("alignment", ["adversarial", "random"])
@@ -425,21 +471,57 @@ def test_population_dr_eps_sweep_bias_is_the_dr_product():
     ('{"kind": "ate", "population": true, "eps_sweep": [[0.1, 0.1], [0.2, 0.2]],'
      ' "seed": -3, "x_cells": 8, "replications": 16}', "'seed' must be >= 0, not -3"),
     ('{"kind": "wad", "m_sweep": [2, 4]}', "the M sweep is defined for the ATE family"),
+    ('{"kind": "ate", "population": true, "eps_sweep": [[0.1, 0.1], [Infinity, 0.1]],'
+     ' "x_cells": 8, "replications": 16}',
+     "eps_sweep entries must be finite and >= 0, not inf"),
+    ('{"kind": "ate", "population": true, "eps_sweep": [[0.1, NaN], [0.2, 0.1]],'
+     ' "x_cells": 8, "replications": 16}',
+     "eps_sweep entries must be finite and >= 0, not nan"),
+    ('{"kind": "ate", "population": true, "eps_sweep": [[0.1, -0.1], [0.2, 0.1]],'
+     ' "x_cells": 8, "replications": 16}',
+     "eps_sweep entries must be finite and >= 0, not -0.1"),
+    ('{"kind": "ate", "m_sweep": [2, 4], "eps_fixed": [0.1, -0.05], "x_cells": 8,'
+     ' "n_fixed": 2, "replications": 16}',
+     "eps_fixed entries must be finite and >= 0, not -0.05"),
+    ('{"kind": "ate", "m_sweep": [2, 4], "eps_fixed": [Infinity, 0.1], "x_cells": 8,'
+     ' "n_fixed": 2, "replications": 16}',
+     "eps_fixed entries must be finite and >= 0, not inf"),
+    ('{"kind": "ate", "population": true, "eps_sweep": [[0.1, 0.1], [0.2, 0.2]],'
+     ' "alignment": "sideways", "x_cells": 8, "replications": 16}',
+     "config key 'alignment' must be 'adversarial' or 'random', not 'sideways'"),
+    ('{"kind": "ate", "population": true, "eps_sweep": [["0.1", 0.1], [0.2, 0.2]],'
+     ' "x_cells": 8, "replications": 16}',
+     "eps_sweep entries must be numbers, not '0.1'"),
+    ('{"kind": "ate", "population": true, "eps_sweep": [[0.1, 0.1], [true, 0.2]],'
+     ' "x_cells": 8, "replications": 16}', "eps_sweep entries must be numbers, not True"),
 ], ids=["missing-file", "invalid-json", "top-level-list", "no-kind",
         "string-sweep", "eps-pair-of-one", "eps-fixed-of-one",
         "string-replications", "float-replications", "string-x-cells",
         "string-population", "negative-n-sweep", "negative-n-fixed",
         "fractional-n-sweep", "bool-n-sweep", "fractional-m-sweep",
         "string-eps-fixed-m-sweep", "string-eps-fixed-eps-sweep", "bool-eps-fixed",
-        "negative-seed", "non-ate-m-sweep"])
-def test_cli_scan_malformed_config_exits_two(tmp_path, capsys, text, message):
+        "negative-seed", "non-ate-m-sweep", "infinite-eps-sweep", "nan-eps-sweep",
+        "negative-eps-sweep", "negative-eps-fixed", "infinite-eps-fixed",
+        "unknown-alignment", "string-eps-sweep", "bool-eps-sweep"])
+def test_cli_scan_malformed_config_exits_two(tmp_path, capsys, monkeypatch, text,
+                                             message):
     from debias_lab import cli
 
+    built = []
+    real = harness.preset
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "preset", counted)
     path = tmp_path / "config.json"
     if text is not None:
         path.write_text(text)
     assert cli.main(["scan", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+    if message != "n must be >= 0":  # grid.sample refuses a negative n, after the preset
+        assert built == []
 
 
 def test_cli_estimate_negative_seed_exits_two(tmp_path, capsys):
