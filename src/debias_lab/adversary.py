@@ -679,8 +679,8 @@ class PlmFamily(SignVectorFamily):
 
     def __init__(self, anchor: Density, u: float, v: float,
                  partition: BumpPartition):
-        if np.any((partition.membership > 1e-12)
-                  & (partition.membership < 1 - 1e-12)):
+        shares = partition.split_shares
+        if np.any((shares > 1e-12) & (shares < 1 - 1e-12)):
             raise ConstructionPreconditionError(
                 "the PLM family needs a whole-cell partition (Delta^2 == 1)"
             )

@@ -139,7 +139,6 @@ def theorem21_b(instance: TestingInstance, partition: BumpPartition
     anchor = instance.anchor
     space = anchor.space
     w = space.atom_weight
-    mem = partition.membership
     probs = member_probs(instance) / w  # back to densities
     anchor_vals = anchor.values.ravel()
     if anchor_vals.min() <= 0:
@@ -150,11 +149,16 @@ def theorem21_b(instance: TestingInstance, partition: BumpPartition
     chisq = (probs - anchor_vals[None, :]) ** 2 / anchor_vals[None, :]
     chisq = chisq.reshape(probs.shape[0], n1, rest)
     along_z1 = (n1,) + (1,) * (len(space.shape) - 1)
+    # row j: each Z1 cell's share in B_{2j} u B_{2j+1}
+    chunks = np.zeros((partition.n_pairs, n1))
+    whole = np.flatnonzero(partition.labels >= 0)
+    chunks[partition.labels[whole] // 2, whole] = 1.0
+    chunks[:, partition.split_cells] = (partition.split_shares[0::2]
+                                        + partition.split_shares[1::2])
 
     b = 0.0
     p_max = 0.0
-    for j in range(partition.n_pairs):
-        chunk = mem[2 * j] + mem[2 * j + 1]
+    for chunk in chunks:
         p_j = integrate(anchor, chunk.reshape(along_z1))
         p_max = max(p_max, p_j)
         mass = float(np.max(np.sum(chisq * chunk[None, :, None], axis=(1, 2))) * w)

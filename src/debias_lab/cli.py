@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -56,7 +57,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    pre = preset(args.kind, x_cells=args.x_cells, d_cells=args.d_cells)
     config = harness.ExperimentConfig(
         kind=args.kind,
         estimator=args.estimator,
@@ -69,6 +69,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         x_cells=args.x_cells,
         d_cells=args.d_cells,
     )
+    pre = preset(args.kind, x_cells=args.x_cells, d_cells=args.d_cells)
     point, oracle = harness.estimate_once(
         config, pre, (args.eps_gamma, args.eps_alpha), args.n, args.seed
     )
@@ -177,7 +178,9 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="debias-lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -185,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--config", required=True)
     scan.add_argument("--out", default="out")
     scan.add_argument("--format", default="csv", choices=("csv", "json", "svg"))
-    scan.set_defaults(func=_cmd_scan)
 
     estimate = sub.add_parser("estimate", help="one seeded estimate")
     estimate.add_argument("--kind", required=True, choices=est.KINDS)
@@ -201,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--x-cells", type=int, default=256)
     estimate.add_argument("--d-cells", type=int, default=64)
     estimate.add_argument("--csv", default="estimates.csv")
-    estimate.set_defaults(func=_cmd_estimate)
 
     adv = sub.add_parser("adversary", help="audit a hard-instance construction")
     adv.add_argument("--kind", required=True, choices=est.KINDS)
@@ -210,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     adv.add_argument("--m-pairs", type=int, default=4)
     adv.add_argument("--x-cells", type=int, default=64)
     adv.add_argument("--d-cells", type=int, default=64)
-    adv.set_defaults(func=_cmd_adversary)
 
     hel = sub.add_parser("hellinger", help="exact testing-bound quantities")
     hel.add_argument("--kind", default=est.ATE, choices=(est.ATE,))
@@ -219,21 +219,19 @@ def build_parser() -> argparse.ArgumentParser:
     hel.add_argument("--eps-gamma", type=float, default=0.1)
     hel.add_argument("--eps-alpha", type=float, default=0.1)
     hel.add_argument("--x-cells", type=int, default=12)
-    hel.set_defaults(func=_cmd_hellinger)
 
     part = sub.add_parser("partition", help="build a balanced partition")
     part.add_argument("--cells", type=int, default=256)
     part.add_argument("--blocks", type=int, default=8)
     part.add_argument("--weights", nargs="+", default=["uniform", "linear"])
-    part.set_defaults(func=_cmd_partition)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a rebound _cmd_<command> is the one run
+        return globals()[f"_cmd_{args.command}"](args)
     except NoConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

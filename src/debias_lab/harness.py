@@ -107,6 +107,12 @@ class ExperimentConfig:
                     raise PreconditionError(
                         f"{self.sweep_name}_sweep entries must be whole numbers, "
                         f"not {entry!r}")
+        n_entries = [("n_fixed", self.n_fixed)]
+        n_entries += [("n_sweep", n) for n in self.n_sweep or ()]
+        for key, n in n_entries:
+            if not 0 <= n <= 2 ** 63 - 1:
+                raise PreconditionError(f"{key}: sample size n must be >= 0 and at most "
+                                        f"the int64 limit 2**63 - 1, not {n!r}")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise PreconditionError("sweep values must be strictly increasing")
         if self.seed < 0:

@@ -16,6 +16,11 @@ carry fractional memberships: a cell may contribute part of its measure to
 one block and the rest to another.  Bump values on split cells are the
 membership-weighted average of +/-1 and so lie strictly inside (-1, 1).
 
+A partition is stored as one block label per cell, with the few split
+cells' shares beside it, so its size is O(cells) at any M.  The recursion
+is block-local too: each block is kept as its support cells and their
+shares, and each bisection sees only those cells.
+
 A bisection lays the block's support cells end to end and cuts them at q
 positions c_1 <= ... <= c_q (in cell units, a cut cell filled linearly);
 the set is the last interval [c_q, K] and every other gap below it.  The
@@ -37,6 +42,7 @@ gives up.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -56,58 +62,128 @@ _SNAP = 1e-3           # cuts this close to a cell edge are tried on the edge
 
 @dataclass(frozen=True)
 class BumpPartition:
-    """2M blocks with per-atom membership weights and their balance audit.
+    """2M blocks of Z1 cells, as a block label per cell, and their balance audit.
 
-    ``membership`` has shape (2M, n_atoms); column sums are 1.  Blocks are
-    paired as (0,1), (2,3), ...; the recursive construction makes each pair
-    a sibling split of one parent block.  ``residuals[w, j]`` records
-    |int_{B_j} w dmu - (1/2M) int w dmu|.
+    ``labels[c]`` is the block holding all of cell c, or -1 when c is split
+    between blocks.  ``split_shares[j, s]`` is block j's share of the s-th
+    split cell, in increasing cell order (``split_cells``); each column
+    sums to 1.  Both are read-only copies; ``membership``, the dense
+    (2M, cells) matrix, is derived on demand.  Blocks are paired as (0,1), (2,3), ...; the recursive
+    construction makes each pair a sibling split of one parent block.
+    ``residuals[w, j]`` records |int_{B_j} w dmu - (1/2M) int w dmu|.
     """
 
     axis: Axis
-    membership: np.ndarray
+    labels: np.ndarray
+    split_shares: np.ndarray
     residuals: np.ndarray
 
     def __post_init__(self):
-        mem = np.asarray(self.membership, dtype=float)
-        if mem.ndim != 2 or mem.shape[0] % 2:
-            raise PreconditionError("membership must be (2M, atoms) with even 2M")
-        col = mem.sum(axis=0)
-        if np.max(np.abs(col - 1.0)) > 1e-12:
-            raise PreconditionError("block memberships must sum to 1 per atom")
-        object.__setattr__(self, "membership", mem)
+        # read-only copies: split_cells and the bump tables are derived once
+        labels = np.array(self.labels, dtype=np.intp)
+        shares = np.array(self.split_shares, dtype=float)
+        n_split = int(np.count_nonzero(labels < 0))
+        if (labels.shape != (self.axis.size,) or shares.ndim != 2
+                or shares.shape[1] != n_split or shares.shape[0] < 2
+                or shares.shape[0] % 2 or labels.max(initial=-1) >= shares.shape[0]):
+            raise PreconditionError("a partition needs a block label per cell and "
+                                    "(2M, split cells) shares with even 2M")
+        if n_split and (shares.min() < 0.0
+                        or np.max(np.abs(shares.sum(axis=0) - 1.0)) > 1e-12):
+            raise PreconditionError("block memberships must be >= 0 and sum to 1 per atom")
+        labels.flags.writeable = shares.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "split_shares", shares)
 
     @property
     def n_pairs(self) -> int:
-        return self.membership.shape[0] // 2
+        return self.n_blocks // 2
 
     @property
     def n_blocks(self) -> int:
-        return self.membership.shape[0]
+        return self.split_shares.shape[0]
+
+    @functools.cached_property
+    def split_cells(self) -> np.ndarray:
+        """The cells shared between blocks, in increasing order (read-only)."""
+        split = np.flatnonzero(self.labels < 0)
+        split.flags.writeable = False
+        return split
+
+    @functools.cached_property
+    def _split_pair_diffs(self) -> list[tuple[int, np.ndarray]]:
+        """(i, mem_{2i} - mem_{2i+1} on the split cells) for each pair i
+        holding part of a split cell, in pair order."""
+        diff = self.split_shares[0::2] - self.split_shares[1::2]
+        diff.flags.writeable = False
+        return [(i, diff[i]) for i in np.flatnonzero(diff.any(axis=1)).tolist()]
+
+    @property
+    def membership(self) -> np.ndarray:
+        """The dense (2M, cells) block memberships, read-only; columns sum to 1."""
+        mem = np.zeros((self.n_blocks, self.axis.size))
+        block, cell, share = self._entries()
+        mem[block, cell] = share
+        mem.flags.writeable = False
+        return mem
+
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(block, cell, share) for every share > 0: whole cells, then split."""
+        whole = np.flatnonzero(self.labels >= 0)
+        split_block, split_at = np.nonzero(self.split_shares > 0)
+        return (np.concatenate([self.labels[whole], split_block]),
+                np.concatenate([whole, self.split_cells[split_at]]),
+                np.concatenate([np.ones(whole.size),
+                                self.split_shares[split_block, split_at]]))
 
     def block_integral(self, w: np.ndarray, block: int) -> float:
-        return float(np.sum(self.membership[block] * w) * self.axis.cell_weight)
+        w = np.broadcast_to(np.asarray(w, dtype=float), (self.axis.size,))
+        blocks, cell, share = self._entries()
+        inside = blocks == block
+        return float(share[inside] @ w[cell[inside]] * self.axis.cell_weight)
 
     def to_json(self) -> dict:
-        blocks = []
-        for j in range(self.n_blocks):
-            nz = np.flatnonzero(self.membership[j] > 0)
-            blocks.append([[int(a), float(self.membership[j, a])] for a in nz])
+        block, cell, share = self._entries()
+        order = np.lexsort((cell, block))
+        ends = np.searchsorted(block[order], np.arange(self.n_blocks + 1))
+        rows = [list(row) for row in zip(cell[order].tolist(), share[order].tolist())]
         return {
             "cells": self.axis.size,
-            "blocks": blocks,
+            "blocks": [rows[lo:hi] for lo, hi in zip(ends[:-1], ends[1:])],
             "residuals": self.residuals.tolist(),
         }
+
+
+def _from_entries(axis: Axis, n_blocks: int, blocks: np.ndarray, cells: np.ndarray,
+                  shares: np.ndarray, residuals: np.ndarray) -> BumpPartition:
+    """The partition giving block ``blocks[e]`` share ``shares[e]`` > 0 of cell
+    ``cells[e]``.  A cell is whole when one block holds all of it exactly."""
+    held = np.bincount(cells, minlength=axis.size)
+    whole = (held[cells] == 1) & (shares == 1.0)
+    labels = np.full(axis.size, -1, dtype=np.intp)
+    labels[cells[whole]] = blocks[whole]
+    split = np.flatnonzero(labels < 0)
+    split_shares = np.zeros((n_blocks, split.size))
+    rest = ~whole
+    split_shares[blocks[rest], np.searchsorted(split, cells[rest])] = shares[rest]
+    return BumpPartition(axis, labels, split_shares, residuals)
 
 
 # -----------------------------------------------------------------------------
 # bisection
 # -----------------------------------------------------------------------------
 
-def _weight_matrix(weights: Sequence[np.ndarray], axis: Axis) -> np.ndarray:
-    """The weights as rows of a (q, cells) array, all finite."""
-    w = np.stack([np.broadcast_to(np.asarray(w, dtype=float), (axis.size,))
-                  for w in weights])
+def _weight_matrix(weights: Sequence[np.ndarray] | np.ndarray, size: int) -> np.ndarray:
+    """The weights as rows of a (q, size) array, all finite.  A 2-d array is
+    taken as already stacked."""
+    if isinstance(weights, np.ndarray) and weights.ndim == 2:
+        if weights.shape[1] != size:
+            raise PreconditionError(f"weights must be rows over {size} cells, "
+                                    f"not {weights.shape[1]}")
+        w = weights.astype(float, copy=False)
+    else:
+        w = np.stack([np.broadcast_to(np.asarray(w, dtype=float), (size,))
+                      for w in weights])
     if not np.isfinite(w).all():
         i, cell = np.argwhere(~np.isfinite(w))[0]
         raise PreconditionError(f"weight {i} is {w[i, cell]} at cell {cell}; "
@@ -119,18 +195,14 @@ def _weights_proportional(weights: np.ndarray,
                           membership: np.ndarray) -> np.ndarray | None:
     """If every restricted weight is a multiple of one of them, return it."""
     restricted = weights * membership
-    base = None
-    for w in restricted:
-        if np.max(np.abs(w)) > 1e-13:
-            base = w
-            break
-    if base is None:
+    peaks = np.abs(restricted).max(axis=1)
+    live = np.flatnonzero(peaks > 1e-13)
+    if live.size == 0:
         return membership.copy()  # all weights vanish
-    scale = float(np.max(np.abs(base)))
-    for w in restricted:
-        coef = float(np.vdot(base, w) / np.vdot(base, base))
-        if np.max(np.abs(w - coef * base)) > 1e-12 * max(1.0, scale):
-            return None
+    base, scale = restricted[live[0]], float(peaks[live[0]])
+    coefs = restricted @ base / (base @ base)
+    if np.abs(restricted - coefs[:, None] * base).max() > 1e-12 * max(1.0, scale):
+        return None
     if base.min() < -1e-13 * scale:
         base = -base
     if base.min() < -1e-13 * scale:
@@ -157,7 +229,7 @@ def _half_split_residual(mem_in: np.ndarray, membership: np.ndarray,
                          scales: np.ndarray) -> float:
     """max_i |int_in w_i - (1/2) int w_i| / scale_i."""
     gap = weights @ (mem_in - membership / 2.0) * cw
-    return float(np.max(np.abs(gap) / scales))
+    return float((np.abs(gap) / scales).max())
 
 
 class _CutSearch:
@@ -174,8 +246,8 @@ class _CutSearch:
     def __init__(self, a: np.ndarray):
         self.a = a
         self.q, self.k = a.shape
-        self.cum = np.concatenate([np.zeros((self.q, 1)), np.cumsum(a, axis=1)],
-                                  axis=1)
+        self.cum = np.zeros((self.q, self.k + 1))
+        np.cumsum(a, axis=1, out=self.cum[:, 1:])
         self.signs = (-1.0) ** (self.q - np.arange(self.q))
         self.half = self.cum[:, -1] / 2.0
 
@@ -189,13 +261,13 @@ class _CutSearch:
         r, cells = self.residual(cuts)
         merit = r @ r
         for _ in range(_NEWTON_STEPS):
-            if np.max(np.abs(r)) <= _EXACT:
+            if np.abs(r).max() <= _EXACT:
                 break
             jac = self.a[:, cells] * self.signs
             step = np.linalg.lstsq(jac, -r, rcond=None)[0]
             t = 1.0
             while t >= _MIN_DAMPING:
-                trial = np.sort(np.clip(cuts + t * step, 0.0, self.k))
+                trial = np.sort((cuts + t * step).clip(0.0, self.k))
                 r_t, cells_t = self.residual(trial)
                 if r_t @ r_t < merit:
                     break
@@ -203,15 +275,15 @@ class _CutSearch:
             else:
                 break
             cuts, r, cells, merit = trial, r_t, cells_t, r_t @ r_t
-        return cuts, float(np.max(np.abs(r)))
+        return cuts, float(np.abs(r).max())
 
     def fraction(self, cuts: np.ndarray) -> np.ndarray:
         """Share of each support cell inside the set (cut cells filled linearly)."""
-        cover = np.clip(cuts[:, None] - np.arange(self.k), 0.0, 1.0)
+        cover = (cuts[:, None] - np.arange(self.k)).clip(0.0, 1.0)
         return 1.0 + self.signs @ cover
 
     def gap(self, frac: np.ndarray) -> float:
-        return float(np.max(np.abs(self.a @ frac - self.half)))
+        return float(np.abs(self.a @ frac - self.half).max())
 
 
 def _vertex_half(a: np.ndarray) -> np.ndarray:
@@ -225,30 +297,33 @@ def _vertex_half(a: np.ndarray) -> np.ndarray:
     q, k = a.shape
     frac = np.full(k, 0.5)
     active: list[int] = []
-    for cell in range(k):
-        active.append(cell)
-        if len(active) <= q:
-            continue
-        idx = np.array(active)
-        v = np.linalg.svd(a[:, idx])[2][-1]
-        f = frac[idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for cell in range(k):
+            active.append(cell)
+            if len(active) <= q:
+                continue
+            idx = np.array(active)
+            v = np.linalg.svd(a[:, idx])[2][-1]
+            f = frac[idx]
             room = np.where(v > 0, (1.0 - f) / v, np.where(v < 0, -f / v, np.inf))
-        hit = int(np.argmin(room))
-        f = np.clip(f + room[hit] * v, 0.0, 1.0)
-        f[hit] = 1.0 if v[hit] > 0 else 0.0
-        frac[idx] = f
-        active = [c for c in active if 0.0 < frac[c] < 1.0]
+            hit = int(np.argmin(room))
+            f = (f + room[hit] * v).clip(0.0, 1.0)
+            f[hit] = 1.0 if v[hit] > 0 else 0.0
+            frac[idx] = f
+            active = [c for c in active if 0.0 < frac[c] < 1.0]
     return frac
 
 
-def bisect(weights: Sequence[np.ndarray], axis: Axis,
+def bisect(weights: Sequence[np.ndarray] | np.ndarray, axis: Axis,
            membership: np.ndarray | None = None) -> np.ndarray:
-    """Membership (in [0,1] per atom) of a set splitting every weight in half.
+    """Membership (in [0,1] per cell) of a set splitting every weight in half.
 
+    The set lies inside the block ``membership`` (shares per cell, the whole
+    axis when None), and the weights are rows over the same cells as
+    ``membership``: a block-local caller hands over only its block's cells.
     Weights proportional to one nonnegative weight are split exactly by a
-    prefix.  Otherwise the support cells of ``membership`` are laid end to
-    end and the set is cut by q positions c_1 <= ... <= c_q in cell units:
+    prefix.  Otherwise the block's support cells are laid end to end and
+    the set is cut by q positions c_1 <= ... <= c_q in cell units:
     it is [c_q, K] plus every other gap below, and a cell holding a cut is
     filled linearly.  By the Hobby-Rice theorem such cuts always exist, and
     one orientation suffices since the complement only negates the residual.
@@ -265,22 +340,21 @@ def bisect(weights: Sequence[np.ndarray], axis: Axis,
         raise PreconditionError("bisect needs at least one weight")
     if axis.kind != "continuous":
         raise PreconditionError("partitions are built on a continuous Z1 axis")
-    w = _weight_matrix(weights, axis)
-    if membership is None:
-        membership = np.ones(axis.size)
+    membership = (np.ones(axis.size) if membership is None
+                  else np.asarray(membership, dtype=float))
+    w = _weight_matrix(weights, membership.size)
+    support = np.flatnonzero(membership > 0)
+    if support.size == 0:
+        return np.zeros_like(membership)
     cw = axis.cell_weight
     scales = 1.0 + np.abs(w) @ membership * cw
 
     base = _weights_proportional(w, membership)
     if base is not None:
-        mem_in = _prefix_split(base, membership)
-        if _half_split_residual(mem_in, membership, w, cw, scales) <= RESIDUAL_TOL:
-            return mem_in
+        prefix = _prefix_split(base, membership)
+        if _half_split_residual(prefix, membership, w, cw, scales) <= RESIDUAL_TOL:
+            return prefix
 
-    support = np.flatnonzero(membership > 0)
-    mem_in = np.zeros_like(membership)
-    if support.size == 0:
-        return mem_in
     mem_s = membership[support]
     search = _CutSearch(w[:, support] * mem_s * cw / scales[:, None])
     q, k = search.q, search.k
@@ -301,6 +375,7 @@ def bisect(weights: Sequence[np.ndarray], axis: Axis,
                 frac = snapped
     else:
         frac = _vertex_half(search.a)
+    mem_in = np.zeros_like(membership)
     mem_in[support] = mem_s * frac
     res = _half_split_residual(mem_in, membership, w, cw, scales)
     if res > RESIDUAL_TOL:
@@ -312,6 +387,10 @@ def iterated_partition(weights: Sequence[np.ndarray], m_pairs: int,
                        axis: Axis) -> BumpPartition:
     """Recursively bisect into 2M blocks (2M a power of two), paired as siblings.
 
+    Each block is kept as its support cells and their shares, and each
+    bisection is handed that block's cells only, so a level costs O(cells)
+    however many blocks it has; the residuals are block sums.
+
     Siblings can be identical.  On a block with k <= q support cells where
     the q weights have rank k, u = mem/2 is the only half that balances
     them (the vertex fallback starts there and moves cells only once more
@@ -322,18 +401,24 @@ def iterated_partition(weights: Sequence[np.ndarray], m_pairs: int,
     n_blocks = 2 * int(m_pairs)
     if n_blocks < 2 or n_blocks & (n_blocks - 1):
         raise PreconditionError("2M must be a power of two")
-    w = _weight_matrix(weights, axis)
-    blocks = [np.ones(axis.size)]
+    w = _weight_matrix(weights, axis.size)
+    blocks = [(np.arange(axis.size), np.ones(axis.size))]
     while len(blocks) < n_blocks:
-        nxt: list[np.ndarray] = []
-        for mem in blocks:
-            inside = bisect(w, axis, membership=mem)
-            nxt.extend([inside, mem - inside])
+        nxt: list[tuple[np.ndarray, np.ndarray]] = []
+        for cells, mem in blocks:
+            inside = bisect(w[:, cells], axis, membership=mem)
+            for half in (inside, mem - inside):
+                keep = half > 0
+                nxt.append((cells[keep], half[keep]))
         blocks = nxt
-    membership = np.clip(np.stack(blocks), 0.0, None)
+    cells = np.concatenate([c for c, _ in blocks])
+    shares = np.concatenate([m for _, m in blocks])
+    block = np.repeat(np.arange(n_blocks), [c.size for c, _ in blocks])
     cw = axis.cell_weight
-    residuals = np.abs(w @ (membership.T - 1.0 / n_blocks) * cw)
-    part = BumpPartition(axis, membership, residuals)
+    sums = np.stack([np.bincount(block, row[cells] * shares, minlength=n_blocks)
+                     for row in w])
+    residuals = np.abs(sums - w.sum(axis=1)[:, None] / n_blocks) * cw
+    part = _from_entries(axis, n_blocks, block, cells, shares, residuals)
     scales = 1.0 + np.abs(w).sum(axis=1) * cw
     worst = float(np.max(residuals / scales[:, None]))
     if worst > RESIDUAL_TOL:
@@ -361,14 +446,18 @@ def equal_blocks(axis: Axis, n_blocks: int) -> BumpPartition:
     target = total * cw / n_blocks
     residuals = np.array([[abs(float(np.sum(membership[j] * w) * cw) - target)
                            for j in range(n_blocks)]])
-    return BumpPartition(axis, membership, residuals)
+    blocks, cells = np.nonzero(membership > 0)
+    return _from_entries(axis, n_blocks, blocks, cells, membership[blocks, cells],
+                         residuals)
 
 
 def bumps(partition: BumpPartition, lams: np.ndarray) -> np.ndarray:
     """Delta(lambda, .) for each row of the (L, M) sign array ``lams``: (L, atoms).
 
-    Each row adds lam_i (mem_{2i} - mem_{2i+1}) in pair order, so it equals
-    :func:`bump` of that row bit for bit.
+    A whole cell in block j gets lam_{j // 2} (j even) or -lam_{j // 2} (j
+    odd), a gather over the labels.  A split cell adds lam_i (mem_{2i} -
+    mem_{2i+1}) in pair order, skipping the pairs that hold none of the
+    split cells, so every row equals the dense pair-order sum bit for bit.
     """
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 2 or lams.shape[1] != partition.n_pairs:
@@ -377,10 +466,18 @@ def bumps(partition: BumpPartition, lams: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.abs(lams) == 1.0):
         raise PreconditionError("lambda entries must be +-1")
-    mem = partition.membership
-    values = np.zeros((lams.shape[0], mem.shape[1]))
-    for signs, diff in zip(lams.T[:, :, None], mem[0::2] - mem[1::2]):
-        values += signs * diff
+    # +lam_i for block 2i, -lam_i for block 2i+1; split cells (label -1) are
+    # set below.  take, not [:, labels], keeps the rows C-contiguous.
+    per_block = np.empty((lams.shape[0], partition.n_blocks))
+    per_block[:, 0::2] = lams
+    per_block[:, 1::2] = -lams
+    values = per_block.take(partition.labels, axis=1)
+    split = partition.split_cells
+    if split.size:
+        acc = np.zeros((lams.shape[0], split.size))
+        for i, diff in partition._split_pair_diffs:
+            acc += lams[:, i, None] * diff
+        values[:, split] = acc
     return values
 
 

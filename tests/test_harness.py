@@ -520,8 +520,7 @@ def test_cli_scan_malformed_config_exits_two(tmp_path, capsys, monkeypatch, text
         path.write_text(text)
     assert cli.main(["scan", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
-    if message != "n must be >= 0":  # grid.sample refuses a negative n, after the preset
-        assert built == []
+    assert built == []
 
 
 def test_cli_estimate_negative_seed_exits_two(tmp_path, capsys):
@@ -531,6 +530,25 @@ def test_cli_estimate_negative_seed_exits_two(tmp_path, capsys):
             "--csv", str(tmp_path / "est.csv")]
     assert cli.main(argv) == 2
     assert "'seed' must be >= 0, not -1" in capsys.readouterr().err
+    assert not (tmp_path / "est.csv").exists()
+
+
+def test_cli_estimate_validates_before_building_the_preset(tmp_path, capsys, monkeypatch):
+    from debias_lab import cli
+
+    built = []
+    real = cli.preset
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "preset", counted)
+    argv = ["estimate", "--kind", "wad", "--eps-gamma", "inf",
+            "--csv", str(tmp_path / "est.csv")]
+    assert cli.main(argv) == 2
+    assert "eps_sweep entries must be finite and >= 0, not inf" in capsys.readouterr().err
+    assert built == []
     assert not (tmp_path / "est.csv").exists()
 
 

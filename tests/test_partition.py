@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from debias_lab.partition import (
     all_sign_vectors,
     bisect,
     bump,
+    bumps,
     equal_blocks,
     iterated_partition,
     partition_json_dumps,
@@ -222,3 +224,63 @@ def test_affine_weights_keep_whole_cells(cells, m_pairs):
         assert split_cells(part.membership) == 0
         assert scaled_residual(part, weights) <= 1e-10
 
+
+# -----------------------------------------------------------------------------
+# the label representation against the dense one
+# -----------------------------------------------------------------------------
+
+def dense_bumps(membership: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """sum_i lam_i (mem_{2i} - mem_{2i+1}), added in pair order from 0."""
+    values = np.zeros((lams.shape[0], membership.shape[1]))
+    for i in range(membership.shape[0] // 2):
+        values += lams[:, i, None] * (membership[2 * i] - membership[2 * i + 1])
+    return values
+
+
+def dense_json(membership: np.ndarray, part) -> str:
+    blocks = [[[int(a), float(row[a])] for a in np.flatnonzero(row > 0)]
+              for row in membership]
+    return json.dumps({"cells": membership.shape[1], "blocks": blocks,
+                       "residuals": part.residuals.tolist()})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8), st.integers(8, 256), st.sampled_from([1, 2, 4]),
+       st.integers(0, 2 ** 32 - 1))
+def test_labels_match_the_dense_membership(q, cells, m_pairs, seed):
+    axis = Axis("continuous", "z1", cells)
+    weights = list(np.random.default_rng(seed).standard_normal((q, cells)))
+    part = iterated_partition(weights, m_pairs, axis)
+    scatter = np.zeros((part.n_blocks, cells))
+    for cell, label in enumerate(part.labels):
+        if label >= 0:
+            scatter[label, cell] = 1.0
+    for column, cell in enumerate(part.split_cells):
+        scatter[:, cell] = part.split_shares[:, column]
+    assert part.membership.tobytes() == scatter.tobytes()
+    lams = all_sign_vectors(m_pairs)
+    assert bumps(part, lams).tobytes() == dense_bumps(scatter, lams).tobytes()
+    assert partition_json_dumps(part) == dense_json(scatter, part)
+
+
+def test_equal_blocks_split_cells_match_the_dense_formula():
+    part = equal_blocks(AXIS, 6)  # edges at 256 j / 6: all but 128 fall inside a cell
+    assert part.split_cells.tolist() == [42, 85, 170, 213]
+    lams = all_sign_vectors(3)
+    assert bumps(part, lams).tobytes() == dense_bumps(part.membership, lams).tobytes()
+    assert partition_json_dumps(part) == dense_json(part.membership, part)
+
+
+def test_partition_memory_is_linear_in_cells():
+    cells, m_pairs = 4096, 256
+    dense = 2 * m_pairs * cells * 8  # bytes of a (2M, cells) membership: 16.8 MB
+    axis = Axis("continuous", "z1", cells)
+    weights = [np.ones(cells), 2.0 * (0.35 + 0.3 * axis.coords) - 1.0]
+    tracemalloc.start()
+    try:
+        part = iterated_partition(weights, m_pairs, axis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert part.split_cells.size == 0
+    assert peak < dense / 8

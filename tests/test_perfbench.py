@@ -1,8 +1,10 @@
-"""The benchmark's scan workloads, one traced pass each: every op's output
+"""The benchmark's four workloads, one traced pass each: every op's output
 passes its check, and the layer predictions hold, the functions predicted
 to go uncalled have no calls and the ones a workload exists to exercise
-have some.  Only ``workloads`` and ``layertrace`` are imported; ``run.py``
-pins the BLAS environment when it is imported."""
+have some.  The partition checks and the tracer's split-cell count read
+each partition's dense ``membership``.  Only ``workloads`` and
+``layertrace`` are imported; ``run.py`` pins the BLAS environment when it
+is imported."""
 
 import sys
 from pathlib import Path
@@ -15,7 +17,8 @@ import layertrace  # noqa: E402
 import workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["sampled_scan", "population_scan"])
+@pytest.mark.parametrize("name", ["sampled_scan", "population_scan", "partitions",
+                                  "hard_instances"])
 def test_traced_pass_checks_and_layer_predictions(name, tmp_path):
     workload = workloads.BUILDERS[name](101, tmp_path)
     tracer = layertrace.LayerTracer(target=workload.target)
