@@ -554,7 +554,9 @@ class SignVectorFamily:
     at once in ``_values``, which raises the family's typed error when a
     member is infeasible.  ``members`` checks every row of that stack as a
     density; ``member`` wraps its one row in a Density, so the two agree
-    bit for bit.
+    bit for bit.  A family's parameters are fixed at construction: its
+    lambda-free tables are built once, in ``__init__``, and ``_values`` does
+    only the per-lambda arithmetic.
     """
 
     anchor: Density
@@ -604,6 +606,7 @@ class AteLocalFamily(SignVectorFamily):
         self.eps_g = float(eps_g)
         self.partition = partition
         self.anchor = est.ate_joint(space, self.m_hat, self.g_hat)
+        self._p_x = est.x_density(space)
 
     @classmethod
     def balanced(cls, space: GridSpace, m_hat: np.ndarray, g_hat: np.ndarray, eps_m: float,
@@ -624,7 +627,7 @@ class AteLocalFamily(SignVectorFamily):
         g_lam[..., 1] = self.g_hat[:, 1] + self.eps_g * delta * (
             self.m_hat - self.eps_m * delta
         )
-        return est.ate_joint_values(self.space, m_lam, g_lam)
+        return est.ate_joint_product(self.space, self._p_x, m_lam, g_lam)
 
     def nuisance_shift_norms(self, lam: Sequence[int]) -> tuple[float, float]:
         """(||m_lam - m_hat||_{P_X,2}, max_d ||g_lam(d,.) - g_hat(d,.)||)."""
@@ -693,6 +696,7 @@ class PlmFamily(SignVectorFamily):
         self.theta_hat = plm_slope(anchor)
         self.g_hat, self.q_hat = est.nuisances_of(anchor, _PLM)
         self.s = np.sqrt(self.g_hat * (1.0 - self.g_hat))
+        self._shift = _plm_shift(self.g_hat, self.q_hat, self.theta_uv, self.u, self.v)
 
     @property
     def theta_uv(self) -> float:
@@ -700,8 +704,7 @@ class PlmFamily(SignVectorFamily):
 
     def _values(self, lams: np.ndarray) -> np.ndarray:
         delta = bumps(self.partition, lams)
-        shift = _plm_shift(self.g_hat, self.q_hat, self.theta_uv, self.u, self.v)
-        vals = self.anchor.values + shift * (self.s * delta)[..., None, None]
+        vals = self.anchor.values + self._shift * (self.s * delta)[..., None, None]
         if vals.min() < -1e-12:
             raise UncertaintyViolationError("(u, v) too large for this anchor")
         return vals

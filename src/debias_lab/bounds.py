@@ -27,6 +27,7 @@ import numpy as np
 
 from . import estimands as est
 from .errors import (
+    DimensionMismatchError,
     PreconditionError,
     SeparationError,
     SizeLimitError,
@@ -54,6 +55,8 @@ class TestingInstance:
     def __post_init__(self):
         if self.n < 1 or self.n > ENUM_N_CAP:
             raise PreconditionError(f"instance n must lie in [1, {ENUM_N_CAP}]")
+        if self.anchor.space != self.family.anchor.space:
+            raise DimensionMismatchError("the anchor and the family are on different grids")
         if self.enumerated:
             atoms = self.anchor.space.n_atoms
             if atoms > ENUM_ATOM_CAP:
@@ -82,11 +85,17 @@ def member_probs(instance: TestingInstance) -> np.ndarray:
 def _product_tensor(prob_rows: np.ndarray, n: int) -> np.ndarray:
     """Mean over rows of the n-fold outer product, flattened to atoms^n.
 
+    One row (the anchor's law) is a chain of n - 1 outer products,
+    ((P (x) P) (x) P) ..., the same products in the same order as below.
     For n >= 3 the last two factors are one matrix product per leading
     (n - 2)-tuple of atoms, sum_l (w_l P_l) (x) P_l with w_l the tuple's
     probabilities under row l, so no temporary exceeds (rows, atoms).
     """
-    if n <= 2:
+    if len(prob_rows) == 1:
+        out = prob_rows[0]
+        for _ in range(n - 1):
+            out = np.multiply.outer(out, prob_rows[0])
+    elif n <= 2:
         letters = "abcd"[:n]
         spec = ",".join(f"l{c}" for c in letters) + "->" + letters
         out = np.einsum(spec, *([prob_rows] * n), optimize=True)
@@ -138,6 +147,8 @@ def theorem21_b(instance: TestingInstance, partition: BumpPartition
     """
     anchor = instance.anchor
     space = anchor.space
+    if partition.axis.size != space.shape[0]:
+        raise DimensionMismatchError("the partition's cell count is not the anchor's Z1 size")
     w = space.atom_weight
     probs = member_probs(instance) / w  # back to densities
     anchor_vals = anchor.values.ravel()

@@ -380,7 +380,7 @@ def z_space(kind: str, space: GridSpace) -> GridSpace:
     return space.subgrid(z_axes(kind))
 
 
-def _x_density(space: GridSpace, p_x: np.ndarray | None) -> np.ndarray:
+def x_density(space: GridSpace, p_x: np.ndarray | None = None) -> np.ndarray:
     """The X marginal p_x (uniform when None) on the X axis, normalized to
     integrate to one."""
     n_x = space.shape[0]
@@ -407,9 +407,15 @@ def ate_joint_values(space: GridSpace, m: np.ndarray, g: np.ndarray,
     ``m`` of shape (..., n_x) and ``g`` of shape (..., n_x, 2) give values of
     shape (..., *space.shape)."""
     n_x = space.shape[0]
-    m = np.asarray(m, dtype=float) * np.ones(n_x)
-    g = np.asarray(g, dtype=float) * np.ones((n_x, 2))
-    p_x = _x_density(space, p_x)
+    return ate_joint_product(space, x_density(space, p_x),
+                             np.asarray(m, dtype=float) * np.ones(n_x),
+                             np.asarray(g, dtype=float) * np.ones((n_x, 2)))
+
+
+def ate_joint_product(space: GridSpace, p_x: np.ndarray, m: np.ndarray,
+                      g: np.ndarray) -> np.ndarray:
+    """:func:`ate_joint_values` from a normalized X density ``p_x`` and
+    ``m``, ``g`` already broadcast to (..., n_x) and (..., n_x, 2)."""
     vals = np.empty(m.shape[:-1] + space.shape)
     for d in (0, 1):
         pd = m if d == 1 else 1.0 - m
@@ -439,7 +445,7 @@ def plm_joint(space: GridSpace, g: np.ndarray, q: np.ndarray, theta: float) -> D
 def ds_joint(space: GridSpace, q: np.ndarray, p_x: np.ndarray | None = None) -> Density:
     n_x = space.shape[0]
     q = np.asarray(q, dtype=float) * np.ones(n_x)
-    p_x = _x_density(space, p_x)
+    p_x = x_density(space, p_x)
     vals = np.stack([p_x * (1.0 - q), p_x * q], axis=1)
     return Density(space, vals)
 
@@ -457,7 +463,7 @@ def dose_joint(space: GridSpace, f_d: np.ndarray, g: np.ndarray,
     g = np.asarray(g, dtype=float) * np.ones((n_x, n_d))
     w_d = space.axes[1].cell_weight
     f_d = f_d / (f_d.sum(axis=1, keepdims=True) * w_d)
-    p_x = _x_density(space, p_x)
+    p_x = x_density(space, p_x)
     vals = np.empty(space.shape)
     vals[:, :, 1] = p_x[:, None] * f_d * g
     vals[:, :, 0] = p_x[:, None] * f_d * (1.0 - g)
@@ -496,10 +502,9 @@ def ape_reversal(space: GridSpace) -> ApeParams:
 
 def _check_space(spec: EstimandSpec, space: GridSpace) -> None:
     expected_roles = _kind(spec.kind).roles
-    roles = tuple(ax.role for ax in space.axes)
-    if roles != expected_roles:
+    if space.roles != expected_roles:
         raise DimensionMismatchError(
-            f"{spec.kind} expects axis roles {expected_roles}, found {roles}"
+            f"{spec.kind} expects axis roles {expected_roles}, found {space.roles}"
         )
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Hashable, Sequence, TypeVar
 
@@ -116,6 +116,10 @@ class GridSpace:
     @cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(ax.size for ax in self.axes)
+
+    @cached_property
+    def roles(self) -> tuple[str, ...]:
+        return tuple(ax.role for ax in self.axes)
 
     @cached_property
     def n_atoms(self) -> int:
@@ -222,8 +226,27 @@ def check_signed_rows(space: GridSpace, values: np.ndarray) -> None:
             raise PreconditionError(f"signed density mass {m!r} is not 0 within {MASS_TOL}")
 
 
-@dataclass(frozen=True)
-class Density:
+class ArrayValue:
+    """Equality for a frozen dataclass holding arrays, declared with eq=False.
+
+    Two objects of one class are equal when every compared field is: array
+    fields by ``np.array_equal``, the others by ``==``.  The arrays are
+    read-only but not hashable, so neither is the object.
+    """
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name))
+                 for f in fields(self) if f.compare)
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in pairs)
+
+
+@dataclass(frozen=True, eq=False)
+class Density(ArrayValue):
     """Nonnegative per-atom density with total mass 1 (w.r.t. mu).
 
     ``values`` is a read-only copy of the constructor's array, so a value
@@ -265,8 +288,8 @@ class Density:
         return Density(space, np.asarray(doc["values"], dtype=float).reshape(space.shape))
 
 
-@dataclass(frozen=True)
-class SignedDensity:
+@dataclass(frozen=True, eq=False)
+class SignedDensity(ArrayValue):
     """Per-atom signed values with total mass 0: a perturbation direction."""
 
     space: GridSpace
@@ -278,8 +301,8 @@ class SignedDensity:
         object.__setattr__(self, "values", arr)
 
 
-@dataclass(frozen=True)
-class Dataset:
+@dataclass(frozen=True, eq=False)
+class Dataset(ArrayValue):
     """n i.i.d. observations as per-atom counts.
 
     ``counts[a]`` is the number of observations on flat (row-major) atom

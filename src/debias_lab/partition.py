@@ -50,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NoConvergenceError, PreconditionError
-from .grid import Axis
+from .grid import ArrayValue, Axis
 
 RESIDUAL_TOL = 1e-6
 _REFINE_TARGET = 1e-10
@@ -60,8 +60,8 @@ _MIN_DAMPING = 1.0 / 64
 _SNAP = 1e-3           # cuts this close to a cell edge are tried on the edge
 
 
-@dataclass(frozen=True)
-class BumpPartition:
+@dataclass(frozen=True, eq=False)
+class BumpPartition(ArrayValue):
     """2M blocks of Z1 cells, as a block label per cell, and their balance audit.
 
     ``labels[c]`` is the block holding all of cell c, or -1 when c is split

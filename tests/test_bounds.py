@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from debias_lab import adversary as adv, bounds, estimands as est
-from debias_lab.errors import PreconditionError, SeparationError, SizeLimitError
+from debias_lab.errors import (
+    DimensionMismatchError,
+    PreconditionError,
+    SeparationError,
+    SizeLimitError,
+)
 from debias_lab.grid import hellinger_sq
 from debias_lab.partition import iterated_partition
 from debias_lab.presets import preset
@@ -26,6 +32,19 @@ def test_instance_size_caps():
         bounds.TestingInstance(anchor, fam, spec, n=5)
     with pytest.raises(SizeLimitError):
         bounds.TestingInstance(anchor, fam, spec, n=4)  # 48^4 > 1e6
+
+
+def test_instance_refuses_an_anchor_on_another_grid():
+    spec, _, fam, part = small_ate_family(x_cells=12)
+    _, anchor8, _, part8 = small_ate_family(x_cells=8, m_pairs=2)
+    with pytest.raises(DimensionMismatchError):
+        bounds.TestingInstance(anchor8, fam, spec, n=2)
+    with pytest.raises(DimensionMismatchError):
+        bounds.TestingInstance(anchor8, fam, spec, n=2, enumerated=False)
+    inst = bounds.TestingInstance(fam.anchor, fam, spec, n=2)
+    with pytest.raises(DimensionMismatchError):
+        bounds.theorem21_b(inst, part8)
+    bounds.theorem21_b(inst, part)
 
 
 def test_h2_at_n1_matches_mixture_hellinger():
@@ -209,3 +228,28 @@ def test_product_mixture_bounds_match_einsum(n, x_cells, m_pairs):
     assert h2 > 0.0
     assert abs(bounds.product_mixture_hellinger(inst) - h2) <= 1e-14 * h2
     assert abs(bounds.optimal_test_error(inst) - error) <= 1e-14 * error
+
+
+def loop_product_tensor(prob_rows, n):
+    """``_product_tensor`` as it was before the one-row outer-product chain."""
+    if n <= 2:
+        letters = "abcd"[:n]
+        spec = ",".join(f"l{c}" for c in letters) + "->" + letters
+        out = np.einsum(spec, *([prob_rows] * n), optimize=True)
+    else:
+        atoms = prob_rows.shape[1]
+        out = np.empty((atoms,) * n)
+        for lead in np.ndindex(*(atoms,) * (n - 2)):
+            w = prob_rows[:, lead].prod(axis=1)
+            out[lead] = (w[:, None] * prob_rows).T @ prob_rows
+    return out.ravel() / prob_rows.shape[0]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4), st.integers(4, 48), st.integers(0, 2 ** 32 - 1))
+def test_one_row_product_law_matches_the_loop_bit_for_bit(n, atoms, seed):
+    if atoms ** n > 1_000_000:
+        atoms = int(1_000_000 ** (1 / n))
+    row = np.random.default_rng(seed).uniform(0.0, 1.0, (1, atoms))
+    row /= row.sum()
+    assert np.array_equal(bounds._product_tensor(row, n), loop_product_tensor(row, n))

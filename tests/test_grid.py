@@ -325,3 +325,30 @@ def test_ess_sup_distance():
     a = Density(two_point_space(), np.array([0.5, 0.5]))
     b = Density(two_point_space(), np.array([0.3, 0.7]))
     assert ess_sup_distance(a, b) == pytest.approx(0.2)
+
+
+def test_array_value_objects_compare_by_value_and_refuse_hashing():
+    space = GridSpace((continuous("z1", 4), binary("w")))
+    other_space = GridSpace((continuous("z1", 8),))
+    p = uniform_density(space)
+    q = Density(space, np.array(p.values))
+    marginal(p, [0])  # fills p's memo only: the memo is not compared
+    bumped = np.array(p.values)
+    bumped[0] = [0.25, 0.75]
+    assert p == q and not p != q
+    assert p != Density(space, bumped)
+    assert p != uniform_density(other_space)
+    assert p != "density"
+
+    d = SignedDensity(space, np.array([[1.0, -1.0]] * 4))
+    assert d == SignedDensity(space, np.array(d.values))
+    assert d != SignedDensity(space, -d.values)
+    assert d != p  # a signed density never equals a density
+
+    counts = np.arange(8)
+    assert Dataset(space, counts) == Dataset(space, counts.copy())
+    assert Dataset(space, counts) != Dataset(space, counts[::-1].copy())
+
+    for obj in (p, d, Dataset(space, counts)):
+        with pytest.raises(TypeError):
+            hash(obj)

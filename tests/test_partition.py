@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from debias_lab.errors import PreconditionError
 from debias_lab.grid import Axis
 from debias_lab.partition import (
+    BumpPartition,
     all_sign_vectors,
     bisect,
     bump,
@@ -284,3 +285,22 @@ def test_partition_memory_is_linear_in_cells():
         tracemalloc.stop()
     assert part.split_cells.size == 0
     assert peak < dense / 8
+
+
+def test_partitions_compare_by_value_and_refuse_hashing():
+    axis = Axis("continuous", "z1", 16)
+    a = equal_blocks(axis, 4)
+    b = equal_blocks(axis, 4)
+    a.split_cells  # a cached view on one side only is not compared
+    assert a is not b and a == b and not a != b
+    assert a != equal_blocks(axis, 2)
+    assert a != equal_blocks(Axis("continuous", "z1", 16 * 3), 4)
+    split = equal_blocks(Axis("continuous", "z1", 6), 4)  # cells 1 and 4 split
+    assert split.split_cells.tolist() == [1, 4]
+    assert split != BumpPartition(split.axis, split.labels, split.split_shares[::-1],
+                                  split.residuals)
+    assert split != BumpPartition(split.axis, split.labels, split.split_shares,
+                                  split.residuals + 1e-16)
+    assert a != "partition"
+    with pytest.raises(TypeError):
+        hash(a)

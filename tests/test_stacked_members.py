@@ -18,7 +18,7 @@ from debias_lab.errors import (
     UncertaintyViolationError,
 )
 from debias_lab.grid import Density, GridSpace, SignedDensity, continuous, uniform_density
-from debias_lab.partition import all_sign_vectors, equal_blocks, iterated_partition
+from debias_lab.partition import all_sign_vectors, bump, equal_blocks, iterated_partition
 from debias_lab.presets import preset
 
 from test_properties import random_anchor
@@ -87,6 +87,43 @@ def test_plm_stack_matches_members(cells_and_pairs, seed):
     u, v = np.random.default_rng(seed).uniform(-0.05, 0.05, size=2)
     family = adv.PlmFamily(anchor, u, v, part)
     assert_stack_matches_members(family, sign_rows(m_pairs, seed))
+
+
+# -----------------------------------------------------------------------------
+# members against the family formulas evaluated at call time: the tables a
+# family builds once must not drift from them
+# -----------------------------------------------------------------------------
+
+@PROPERTY
+@given(st.integers(5, 13), st.sampled_from([1, 2]), st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+def test_ate_member_is_the_documented_formula(x_cells, m_pairs, seed, split):
+    family = ate_family(x_cells, m_pairs, seed, split)
+    m_hat, g_hat, eps_m, eps_g = family.m_hat, family.g_hat, family.eps_m, family.eps_g
+    for lam in all_sign_vectors(m_pairs):
+        delta = bump(family.partition, lam)
+        m_lam = m_hat + eps_m * delta
+        g_lam = np.stack([g_hat[:, 0] + eps_g * delta * (1.0 - m_hat + eps_m * delta),
+                          g_hat[:, 1] + eps_g * delta * (m_hat - eps_m * delta)], axis=1)
+        expected = est.ate_joint_values(family.space, m_lam, g_lam)
+        assert family.member(lam).values.tobytes() == expected.tobytes()
+
+
+@PROPERTY
+@given(st.sampled_from([(4, 1), (8, 1), (8, 2), (12, 2), (12, 3)]),
+       st.integers(0, 2 ** 32 - 1))
+def test_plm_member_is_the_documented_formula(cells_and_pairs, seed):
+    x_cells, m_pairs = cells_and_pairs
+    spec, anchor = random_anchor(est.ECC_PLM, x_cells, 3, seed)
+    u, v = np.random.default_rng(seed).uniform(-0.05, 0.05, size=2)
+    family = adv.PlmFamily(anchor, u, v, equal_blocks(anchor.space.axes[0], 2 * m_pairs))
+    g, q = est.nuisances_of(anchor, spec)
+    theta = adv.plm_slope(anchor)
+    s = np.sqrt(g * (1.0 - g))
+    for lam in all_sign_vectors(m_pairs):
+        shift = adv._plm_shift(g, q, (theta + u * v) / (1.0 - u ** 2), u, v)
+        expected = anchor.values + shift * (s * bump(family.partition, lam))[:, None, None]
+        assert family.member(lam).values.tobytes() == expected.tobytes()
 
 
 def sequential_mixture(family) -> Density:
