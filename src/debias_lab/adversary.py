@@ -2,13 +2,23 @@
 
 The lower-bound recipe needs, at an anchor density, perturbation directions
 along which one nuisance is *exactly* unchanged while the target functional
-bends at second order.  This module builds those directions for each
-estimand, multiplies them by sign-flip bumps to generate exponentially many
-indistinguishable alternatives, and provides the probes (finite-difference
-second derivatives, closed-form curvature integrals, nuisance-invariance
-checks, uncertainty-set membership) that certify every construction
-numerically.  Finite differences use fixed steps; anchor nuisances and the
-PLM auxiliary functional come from :mod:`estimands`.
+bends at second order.  For ate, wad, ds and lod one slice recipe builds
+them: G0 = a(z) p rescales each Z slice and so freezes gamma, and
+G1 = (2t - 1) c(z) on the binary regressed variable t leaves p_Z, and so
+alpha, unchanged.  With b = c / p_Z and l' the link's derivative (1, or
+1 / (m (1 - m)) with m = E[t | z] for lod), the mixed reference
+
+    chi''[G0, G1] = sign * (int m1(o, l' b) dG0 - int l' a b alpha dP_Z)
+
+is read off the kind's record in ``estimands.KIND_TABLE``; a kind only
+picks its Z-grid profiles (a, c).  ecc_plm, whose m1 reads the outcome,
+keeps its own (u, v) pair.  The module multiplies directions by sign-flip
+bumps to generate exponentially many indistinguishable alternatives, and
+provides the probes (finite-difference second derivatives, closed-form
+curvature integrals, nuisance-invariance checks, uncertainty-set
+membership) that certify every construction numerically.  Finite
+differences use fixed steps; anchor nuisances and the PLM auxiliary
+functional come from :mod:`estimands`.
 
 Families of alternatives come in three shapes:
 
@@ -85,9 +95,37 @@ class DirectionPair:
     mixed_reference: float
 
 
-# What each _<kind>_directions returns: the direction that freezes gamma, the
-# one that freezes alpha, and their mixed second derivative.
+# What a direction builder returns: the direction that freezes gamma, the one
+# that freezes alpha, and their mixed second derivative.
 _Directions = tuple[np.ndarray, np.ndarray, float]
+# What a kind's profile function returns: the fields (a, c) on the Z grid.
+_Profiles = tuple[np.ndarray, np.ndarray]
+
+
+def _slice_directions(anchor: Density, spec: EstimandSpec,
+                      profiles: Callable[..., _Profiles]) -> _Directions:
+    """G0, G1 and chi''[G0, G1] of the slice recipe (module docstring) for
+    the kind's ``profiles`` (a, c); t is the kind's one W axis.  Along
+    P + s G0 + u G1 the mean of t given z is m + u b / (1 + s a) and m1 does
+    not read t, which gives the formula; G0 has zero mass iff int a dP_Z = 0."""
+    record = est.KIND_TABLE[spec.kind]
+    space = anchor.space
+    pz = est.z_marginal(anchor, spec)
+    if pz.values.min() <= 0:
+        raise ConstructionPreconditionError("anchor has an empty Z slice")
+    a, c = profiles(anchor, spec, pz.values)
+    a_atoms = np.expand_dims(a, record.w_axes)
+    g0 = a_atoms * anchor.values
+    g1 = np.stack([0.0 - c, c], axis=record.target_axis)  # 0.0 - c: zeros stay +0.0
+
+    _, alpha = est.nuisances_of(anchor, spec)
+    slope = c / pz.values  # l' b
+    if record.logistic:
+        m = est.regression_target_mean(anchor, spec)
+        slope = slope / (m * (1.0 - m))
+    mixed = record.sign * (integrate(anchor, a_atoms * est.m1_atoms(spec, space, slope))
+                           - integrate(pz, a * slope * alpha))
+    return g0, g1, mixed
 
 
 def _half_space_sign(space: GridSpace) -> np.ndarray:
@@ -98,25 +136,16 @@ def _half_space_sign(space: GridSpace) -> np.ndarray:
     return phi
 
 
-def _ate_directions(anchor: Density, spec: EstimandSpec) -> _Directions:
-    space = anchor.space
-    phi = _half_space_sign(space)
-    p = anchor.values
-    pz = est.z_marginal(anchor, spec).values
-    p0dot, p1dot = pz[:, 0], pz[:, 1]
-    if p0dot.min() <= 0 or p1dot.min() <= 0:
-        raise ConstructionPreconditionError("anchor needs positive treatment slices")
+def _treatment_stencil(scale: float | np.ndarray, pz: np.ndarray) -> np.ndarray:
+    """a = (-scale p1./p0., scale): moves the treated and the control slices
+    of each x against each other, so P_X stays put."""
+    return np.stack([-scale * (pz[:, 1] / pz[:, 0]), scale * np.ones(pz.shape[0])], axis=1)
 
-    g0 = np.zeros(space.shape)
-    g0[:, 1, :] = phi[:, None] * p[:, 1, :]
-    g0[:, 0, :] = -(phi * p1dot / p0dot)[:, None] * p[:, 0, :]
-    g1 = np.zeros(space.shape)
-    g1[:, 1, 1] = phi * p1dot
-    g1[:, 1, 0] = -phi * p1dot
 
-    mixed = -integrate(marginal(anchor, [0]), phi * phi)  # = -1 for any anchor
-    # G1 leaves the (x, d) marginals untouched, so it freezes alpha
-    return g0, g1, mixed
+def _ate_profiles(anchor: Density, spec: EstimandSpec, pz: np.ndarray) -> _Profiles:
+    phi = _half_space_sign(anchor.space)
+    c = np.stack([np.zeros_like(phi), phi * pz[:, 1]], axis=1)
+    return _treatment_stencil(phi, pz), c
 
 
 def _wad_bump_phi(space: GridSpace, spec: EstimandSpec) -> np.ndarray:
@@ -154,33 +183,16 @@ def _wad_bump_phi(space: GridSpace, spec: EstimandSpec) -> np.ndarray:
     return phi / np.max(np.abs(phi))
 
 
-def _wad_directions(anchor: Density, spec: EstimandSpec) -> _Directions:
-    space = anchor.space
-    phi = _wad_bump_phi(space, spec)
-    pz = est.z_marginal(anchor, spec).values
-    if pz.min() <= 0:
-        raise ConstructionPreconditionError("anchor needs positive (x, d) slices")
-    cond = anchor.values / pz[:, :, None]
-
-    g0 = phi[None, :, None] * cond
-    g1 = np.zeros(space.shape)
-    g1[:, :, 1] = phi[None, :] * pz
-    g1[:, :, 0] = -phi[None, :] * pz
-
-    w_x = space.axes[0].cell_weight
-    w_d = space.axes[1].cell_weight
-    p_x = pz.sum(axis=1) * w_d
-    s_omega = -spec.params.omega_prime  # s(d) * omega(d)
-    inner = (s_omega[None, :] * phi[None, :] ** 2 / pz).sum(axis=1) * w_d
-    mixed = -float(np.sum(p_x * inner) * w_x)
-    return g0, g1, mixed
+def _wad_profiles(anchor: Density, spec: EstimandSpec, pz: np.ndarray) -> _Profiles:
+    phi = _wad_bump_phi(anchor.space, spec)[None, :]
+    return phi / pz, phi * pz
 
 
-def _ds_zeta(anchor: Density, spec: EstimandSpec) -> np.ndarray:
-    """zeta = 1_A - c 1_B on the first constant-sign run of f2 - f1."""
+def _ds_zeta(f: np.ndarray, spec: EstimandSpec) -> np.ndarray:
+    """zeta = 1_A - c 1_B on the first constant-sign run of f2 - f1, with c
+    making int zeta dP_X = 0 for the X density f."""
     diff = spec.params.f2 - spec.params.f1
-    n_x = anchor.space.shape[0]
-    f = est.z_marginal(anchor, spec).values
+    n_x = f.size
     for sign in (-1.0, 1.0):
         mask = sign * diff > 1e-12
         run = 0
@@ -199,22 +211,12 @@ def _ds_zeta(anchor: Density, spec: EstimandSpec) -> np.ndarray:
                     zeta[b] = -c
                     return zeta
                 run = 0
-    raise ConstructionPreconditionError(
-        "f2 - f1 has no constant-sign run of length >= 2"
-    )
+    raise ConstructionPreconditionError("f2 - f1 has no constant-sign run of length >= 2")
 
 
-def _ds_directions(anchor: Density, spec: EstimandSpec) -> _Directions:
-    space = anchor.space
-    zeta = _ds_zeta(anchor, spec)
-    f = est.z_marginal(anchor, spec).values
-    g0 = zeta[:, None] * anchor.values
-    g1 = np.stack([zeta, -zeta], axis=1)  # (-1)^y * zeta
-
-    w_x = space.axes[0].cell_weight
-    diff = spec.params.f2 - spec.params.f1
-    mixed = float(np.sum(zeta ** 2 * diff / f ** 2) * w_x)
-    return g0, g1, mixed
+def _ds_profiles(anchor: Density, spec: EstimandSpec, pz: np.ndarray) -> _Profiles:
+    zeta = _ds_zeta(pz, spec)
+    return zeta, -zeta
 
 
 def _lod_region(anchor: Density, spec: EstimandSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -227,30 +229,20 @@ def _lod_region(anchor: Density, spec: EstimandSpec) -> tuple[np.ndarray, np.nda
     return g1x, region.astype(float)
 
 
-def _lod_directions(anchor: Density, spec: EstimandSpec) -> _Directions:
-    space = anchor.space
-    eta = spec.overlap
+def _lod_profiles(anchor: Density, spec: EstimandSpec, pz: np.ndarray) -> _Profiles:
+    """ATE's stencil at delta_0 = eta / (8 (1 - eta)), and a companion that
+    moves Y | (x, 1) by delta_1 r(x) p(x, 1, 0) on the region r of
+    :func:`_lod_region`."""
     p = anchor.values
     if p.min() <= 0:
         raise ConstructionPreconditionError("LOD anchor must be strictly positive")
-    pz = est.z_marginal(anchor, spec).values
-    p0dot, p1dot = pz[:, 0], pz[:, 1]
-    g1x, b = _lod_region(anchor, spec)
-    if not b.any():
+    _, region = _lod_region(anchor, spec)
+    if not region.any():
         raise ConstructionPreconditionError(
-            "LOD construction needs g(1, x) != 1/2 on positive mass"
-        )
-    delta0 = eta / (8.0 * (1.0 - eta))
-
-    phi0 = np.zeros(space.shape)
-    phi0[:, 1, :] = delta0 * p[:, 1, :]
-    phi0[:, 0, :] = -delta0 * (p1dot / p0dot)[:, None] * p[:, 0, :]
-    phi1 = np.zeros(space.shape)
-    phi1[:, 1, 1] = _LOD_DELTA1 * b * p[:, 1, 0]
-    phi1[:, 1, 0] = -_LOD_DELTA1 * b * p[:, 1, 0]
-
-    mixed_g = -delta0 * _LOD_DELTA1 * integrate(marginal(anchor, [0]), b / g1x)
-    return phi0, phi1, mixed_g
+            "LOD construction needs g(1, x) != 1/2 on positive mass")
+    delta0 = spec.overlap / (8.0 * (1.0 - spec.overlap))
+    c = np.stack([np.zeros_like(region), _LOD_DELTA1 * region * p[:, 1, 0]], axis=1)
+    return _treatment_stencil(delta0, pz), c
 
 
 def lod_curvature_reference(anchor: Density, spec: EstimandSpec) -> float:
@@ -300,12 +292,12 @@ def plm_slope(anchor: Density) -> float:
     return float(slopes[0])
 
 
-_DIRECTIONS = {
-    est.ATE: _ate_directions,
-    est.WAD: _wad_directions,
-    est.DS: _ds_directions,
-    est.LOD: _lod_directions,
-    est.ECC_PLM: _plm_directions,
+# the profile function (anchor, spec, p_Z values) -> (a, c) of each slice kind
+_SLICE_PROFILES = {
+    est.ATE: _ate_profiles,
+    est.WAD: _wad_profiles,
+    est.DS: _ds_profiles,
+    est.LOD: _lod_profiles,
 }
 
 
@@ -319,10 +311,13 @@ def direction_pair(spec: EstimandSpec, anchor: Density,
     """
     if variant not in ("gamma", "alpha"):
         raise PreconditionError("variant must be 'gamma' or 'alpha'")
-    build = _DIRECTIONS.get(spec.kind)
-    if build is None:
+    est.check_space(spec, anchor.space)
+    if spec.kind == est.ECC_PLM:
+        first, second, mixed = _plm_directions(anchor, spec)
+    elif spec.kind in _SLICE_PROFILES:
+        first, second, mixed = _slice_directions(anchor, spec, _SLICE_PROFILES[spec.kind])
+    else:
         raise PreconditionError(f"no adversarial construction for kind {spec.kind!r}")
-    first, second, mixed = build(anchor, spec)
     if variant == "alpha":
         first, second = second, first
     return DirectionPair(SignedDensity(anchor.space, first),
@@ -337,6 +332,8 @@ def verify_invariance(anchor: Density, direction: SignedDensity,
                       spec: EstimandSpec, which: str) -> float:
     """Max atom-wise deviation of the named nuisance along anchor + t*dir
     over t in +-{0.01, 0.05}."""
+    if which not in ("gamma", "alpha"):
+        raise PreconditionError("which must be 'gamma' or 'alpha'")
     pick = 0 if which == "gamma" else 1
     base = est.nuisances_of(anchor, spec)[pick]
     worst = 0.0

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -82,10 +82,22 @@ def _frozen(values, dtype=float) -> np.ndarray:
     return arr
 
 
+class _GridParams:
+    """A parameter bundle whose arrays each hold one value per cell of the
+    grid axis ``axis``."""
+
+    axis: ClassVar[int]
+
+    @cached_property
+    def shapes(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        return tuple((f.name, getattr(self, f.name).shape) for f in fields(self))
+
+
 @dataclass(frozen=True, eq=False)
-class DsParams:
+class DsParams(_GridParams):
     """Two known reference densities on the X grid (w.r.t. mu_X)."""
 
+    axis: ClassVar[int] = 0
     f1: np.ndarray
     f2: np.ndarray
 
@@ -95,7 +107,7 @@ class DsParams:
 
 
 @dataclass(frozen=True, eq=False)
-class WadParams:
+class WadParams(_GridParams):
     """Weight density omega and its derivative on the treatment grid.
 
     omega must integrate to 1 under midpoint quadrature and vanish at the
@@ -103,6 +115,7 @@ class WadParams:
     form of the functional carries no boundary terms.
     """
 
+    axis: ClassVar[int] = 1
     omega: np.ndarray
     omega_prime: np.ndarray
 
@@ -121,7 +134,7 @@ class WadParams:
 
 
 @dataclass(frozen=True, eq=False)
-class ApeParams:
+class ApeParams(_GridParams):
     """Counterfactual transformation as a monotone cell bijection.
 
     ``perm[i]`` is the image cell of treatment cell i.  On a uniform grid a
@@ -129,6 +142,7 @@ class ApeParams:
     consistent, |tau'| == 1, so alpha needs no change-of-variables factor.
     """
 
+    axis: ClassVar[int] = 1
     perm: np.ndarray
 
     def __post_init__(self):
@@ -500,12 +514,23 @@ def ape_reversal(space: GridSpace) -> ApeParams:
 # conditional building blocks
 # -----------------------------------------------------------------------------
 
-def _check_space(spec: EstimandSpec, space: GridSpace) -> None:
-    expected_roles = _kind(spec.kind).roles
-    if space.roles != expected_roles:
+def check_space(spec: EstimandSpec, space: GridSpace) -> None:
+    """Refuse a grid whose axis roles or binary/continuous axis kinds are not
+    the spec's kind's, or whose cells do not fit the spec's params."""
+    record = _kind(spec.kind)
+    if space.roles != record.roles or space.continuous != record.continuous:
         raise DimensionMismatchError(
-            f"{spec.kind} expects axis roles {expected_roles}, found {space.roles}"
+            f"{spec.kind} expects axis roles {record.roles} with continuous axes "
+            f"{record.continuous}, found {space.roles} with {space.continuous}"
         )
+    if record.params is not None:
+        cells = (space.shape[spec.params.axis],)
+        for name, shape in spec.params.shapes:
+            if shape != cells:
+                raise DimensionMismatchError(
+                    f"{spec.kind} param {name} has shape {shape}, but grid axis "
+                    f"{spec.params.axis} has {cells[0]} cells"
+                )
 
 
 def z_marginal(p: Density, spec: EstimandSpec) -> Density:
@@ -552,7 +577,7 @@ def regression_target_mean(p: Density, spec: EstimandSpec) -> np.ndarray:
 def _gamma(p: Density, spec: EstimandSpec) -> np.ndarray:
     """gamma(.;P) on the Z grid: the regression target mean, or its log-odds
     for a logistic kind."""
-    _check_space(spec, p.space)
+    check_space(spec, p.space)
     gamma = regression_target_mean(p, spec)
     if _kind(spec.kind).logistic:
         _require_positive(gamma, "outcome regression hits 0")
@@ -581,7 +606,7 @@ def nuisances_of(p: Density, spec: EstimandSpec) -> tuple[np.ndarray, np.ndarray
 def m1_atoms(spec: EstimandSpec, space: GridSpace, h: np.ndarray) -> np.ndarray | float:
     """m1(o, h) at every atom of the observation grid, for a field h on Z, as
     an array (or scalar) that broadcasts to the grid."""
-    _check_space(spec, space)
+    check_space(spec, space)
     return _kind(spec.kind).m1_atoms(spec, space, _on_z(spec, space, h))
 
 
@@ -654,7 +679,7 @@ def rho_rows(spec: EstimandSpec, space: GridSpace, rows: np.ndarray,
              gamma_field: np.ndarray) -> np.ndarray:
     """rho(o, gamma_field(z)) at the atoms ``rows`` (flat indices), gathered
     from rho at every atom of the observation grid."""
-    _check_space(spec, space)
+    check_space(spec, space)
     t = _kind(spec.kind).target_axis
     outcome = np.expand_dims(space.coords(t),
                              tuple(a for a in range(len(space.shape)) if a != t))

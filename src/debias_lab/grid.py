@@ -122,6 +122,10 @@ class GridSpace:
         return tuple(ax.role for ax in self.axes)
 
     @cached_property
+    def continuous(self) -> tuple[bool, ...]:
+        return tuple(ax.kind == "continuous" for ax in self.axes)
+
+    @cached_property
     def n_atoms(self) -> int:
         return int(np.prod(self.shape))
 

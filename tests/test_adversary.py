@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from debias_lab import adversary as adv, estimands as est
 from debias_lab.errors import (
+    DimensionMismatchError,
     InfeasibleRadiusError,
     NondegeneracyError,
     PairingError,
@@ -11,11 +15,12 @@ from debias_lab.errors import (
     UncertaintyViolationError,
 )
 from debias_lab.estimands import EstimandSpec
-from debias_lab.grid import Density, GridSpace, SignedDensity, continuous
+from debias_lab.grid import Density, GridSpace, SignedDensity, continuous, feasible_radius
 from debias_lab.partition import all_sign_vectors, bump, equal_blocks, iterated_partition
 from debias_lab.presets import preset
 
 DIRECTION_KINDS = (est.ATE, est.WAD, est.DS, est.LOD, est.ECC_PLM)
+SLICE_KINDS = (est.ATE, est.WAD, est.DS, est.LOD)  # built by the one slice recipe
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +142,83 @@ def test_lod_positive_sign_on_high_region(medium_presets):
     pre = medium_presets[est.LOD]
     value = adv.lod_curvature_reference(pre.anchor, pre.spec)
     assert value > 0.0
+
+
+# -----------------------------------------------------------------------------
+# the slice recipe off the presets
+# -----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p_x, expected", [(lambda x: 0.5 + x, -0.139731),
+                                           (lambda x: 2.0 - 1.5 * x, -0.0845589)])
+def test_ds_mixed_reference_off_a_uniform_x_marginal(p_x, expected):
+    pre = preset(est.DS, x_cells=64, d_cells=16)
+    x = pre.anchor.space.coords(0)
+    anchor = est.ds_joint(pre.anchor.space, 0.3 + 0.4 * x, p_x(x))  # the preset's q
+    pair = adv.direction_pair(pre.spec, anchor, "gamma")
+    fd = adv.second_derivative_fd(anchor, pair.first, pair.second, pre.spec)
+    assert abs(fd - pair.mixed_reference) <= 1e-4 * abs(pair.mixed_reference)
+    assert pair.mixed_reference == pytest.approx(expected, rel=1e-5)
+
+
+def _random_slice_anchor(kind: str, seed: int):
+    """(spec, anchor) on an 8 x 16 grid from random fields bounded away from 0
+    and 1 and a random non-uniform X marginal; DS and WAD keep the presets'
+    reference densities and weight."""
+    rng = np.random.default_rng(seed)
+    space = est.make_space(kind, 8, 16)
+    p_x = rng.uniform(0.5, 2.0, 8)
+    if kind in (est.ATE, est.LOD):
+        m = rng.uniform(0.2, 0.8, 8)
+        return EstimandSpec(kind), est.ate_joint(space, m, rng.uniform(0.2, 0.8, (8, 2)), p_x)
+    spec = preset(kind, x_cells=8, d_cells=16).spec
+    if kind == est.DS:
+        return spec, est.ds_joint(space, rng.uniform(0.2, 0.8, 8), p_x)
+    f_d = rng.uniform(0.5, 1.5, (8, 16))
+    return spec, est.dose_joint(space, f_d, rng.uniform(0.2, 0.8, (8, 16)), p_x)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(SLICE_KINDS), st.integers(0, 2 ** 32 - 1))
+def test_slice_recipe_on_random_anchors(kind, seed):
+    spec, anchor = _random_slice_anchor(kind, seed)
+    for variant in ("gamma", "alpha"):
+        pair = adv.direction_pair(spec, anchor, variant)
+        # verify_invariance steps up to 0.05 along the direction, and the
+        # invariance holds on the whole ray: shorten a direction whose
+        # feasible radius is smaller (DS's companion is not scaled by p)
+        k = min(1.0, feasible_radius(anchor, pair.first) / 0.1)
+        first = SignedDensity(anchor.space, k * pair.first.values)
+        assert adv.verify_invariance(anchor, first, spec, variant) <= 1e-12
+    fd = adv.second_derivative_fd(anchor, pair.first, pair.second, spec)
+    assert abs(fd - pair.mixed_reference) <= 1e-4 * abs(pair.mixed_reference)
+
+
+@pytest.mark.parametrize("spec_kind, anchor_kind", [
+    (est.ATE, est.WAD), (est.LOD, est.WAD), (est.ATE, est.DS),
+    (est.DS, est.ATE), (est.WAD, est.ATE)])
+def test_direction_pair_refuses_another_kinds_grid(spec_kind, anchor_kind, medium_presets):
+    spec = medium_presets[spec_kind].spec
+    with pytest.raises(DimensionMismatchError):
+        adv.direction_pair(spec, medium_presets[anchor_kind].anchor, "gamma")
+
+
+@pytest.mark.parametrize("kind", SLICE_KINDS)
+def test_direction_pair_refuses_an_empty_z_slice(kind):
+    pre = preset(kind, x_cells=16, d_cells=16)
+    values = pre.anchor.values.copy()
+    values[3] = 0.0  # one X cell without mass
+    anchor = Density(pre.anchor.space, values / (values.sum() * pre.anchor.space.atom_weight))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(PreconditionError):
+            adv.direction_pair(pre.spec, anchor, "gamma")
+
+
+def test_verify_invariance_refuses_an_unknown_nuisance(medium_presets):
+    pre = medium_presets[est.ATE]
+    pair = adv.direction_pair(pre.spec, pre.anchor, "gamma")
+    with pytest.raises(PreconditionError, match="which"):
+        adv.verify_invariance(pre.anchor, pair.first, pre.spec, "beta")
 
 
 # -----------------------------------------------------------------------------

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from debias_lab import estimands as est
-from debias_lab.errors import DegenerateNuisanceError, PreconditionError
+from debias_lab.errors import DegenerateNuisanceError, DimensionMismatchError, PreconditionError
 from debias_lab.estimands import DsParams, EstimandSpec
+from debias_lab.presets import preset
 
 
 def test_ate_alpha_at_half_propensity():
@@ -229,3 +230,32 @@ def test_m1_rows_match_population(small_presets):
                     @ est.m1_rows(pre.spec, pre.anchor.space, atoms, h) / data.n)
         pop = est.m1_population(pre.anchor, pre.spec, h)
         assert abs(emp - pop) < 0.05 * (1.0 + abs(pop))
+
+
+# -----------------------------------------------------------------------------
+# where a spec meets a grid
+# -----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", [est.ATE, est.LOD])
+def test_binary_treatment_kind_refuses_a_continuous_treatment_grid(kind, small_presets):
+    wad = small_presets[est.WAD]
+    with pytest.raises(DimensionMismatchError, match=kind):
+        est.functional_value(wad.anchor, EstimandSpec(kind))
+
+
+def test_continuous_treatment_kind_refuses_a_binary_treatment_grid(small_presets):
+    spec = small_presets[est.WAD].spec
+    with pytest.raises(DimensionMismatchError, match="wad"):
+        est.functional_value(small_presets[est.ATE].anchor, spec)
+
+
+@pytest.mark.parametrize("kind, name", [(est.WAD, "omega"), (est.APE, "perm"), (est.DS, "f1")])
+def test_params_that_do_not_fit_the_grid_are_refused(kind, name):
+    """Params built for 16 cells meet a grid with 8 on their axis."""
+    anchor = preset(kind, x_cells=8, d_cells=8).anchor
+    params = preset(kind, x_cells=16, d_cells=16).spec.params
+    with pytest.raises(DimensionMismatchError) as err:
+        est.functional_value(anchor, EstimandSpec(kind, params))
+    message = str(err.value)
+    for word in (kind, name, "16", "8"):
+        assert word in message

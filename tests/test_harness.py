@@ -396,12 +396,19 @@ def test_cli_hellinger_keys():
     assert doc["optimal_test_error"] >= doc["fano_risk"]
 
 
-def test_cli_adversary_report():
-    out = run_cli("adversary", "--kind", "lod", "--x-cells", "32")
+@pytest.mark.parametrize("kind", est.KINDS)
+def test_cli_adversary_report(kind):
+    out = run_cli("adversary", "--kind", kind, "--x-cells", "32", "--d-cells", "16")
     assert out.returncode == 0
-    doc = json.loads(out.stdout)
-    assert doc["directions"]["alpha"]["invariance_deviation"] <= 1e-10
-    assert "curvature_closed_form" in doc["directions"]["alpha"]
+    pairs = json.loads(out.stdout)["directions"]
+    if kind == est.APE:  # estimation only: no direction pair
+        assert "unavailable" in pairs["gamma"] and "unavailable" in pairs["alpha"]
+        return
+    for pair in pairs.values():
+        assert pair["invariance_deviation"] <= 1e-10
+        assert abs(pair["mixed_fd"] - pair["mixed_reference"]) \
+            <= 1e-4 * abs(pair["mixed_reference"])
+    assert "curvature_closed_form" in pairs["alpha"]
 
 
 def test_population_dr_eps_sweep_bias_is_the_dr_product():
