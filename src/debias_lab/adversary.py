@@ -60,9 +60,11 @@ from .grid import (
     Density,
     GridSpace,
     SignedDensity,
+    _w_sum,
     add_scaled,
     check_density_rows,
     check_signed_rows,
+    feasible_radius,
     integrate,
     l2_nuisance_distance,
     marginal,
@@ -284,8 +286,8 @@ def _plm_directions(anchor: Density, spec: EstimandSpec) -> _Directions:
 def plm_slope(anchor: Density) -> float:
     """Recover the constant treatment slope of a PLM anchor."""
     p = anchor.values
-    y1 = p[:, 1, 1] / p[:, 1, :].sum(axis=1)
-    y0 = p[:, 0, 1] / p[:, 0, :].sum(axis=1)
+    y1 = p[:, 1, 1] / _w_sum(p[:, 1])
+    y0 = p[:, 0, 1] / _w_sum(p[:, 0])
     slopes = y1 - y0
     if np.max(np.abs(slopes - slopes[0])) > 1e-10:
         raise ConstructionPreconditionError("anchor is not a constant-slope PLM law")
@@ -331,13 +333,22 @@ def direction_pair(spec: EstimandSpec, anchor: Density,
 def verify_invariance(anchor: Density, direction: SignedDensity,
                       spec: EstimandSpec, which: str) -> float:
     """Max atom-wise deviation of the named nuisance along anchor + t*dir
-    over t in +-{0.01, 0.05}."""
+    over t in +-{0.01, 0.05}.
+
+    A direction whose feasible radius r is below 0.05 (and above 0) has
+    those steps scaled by r/0.1, so the longest is r/2 and every perturbed
+    law stays a density.
+    """
     if which not in ("gamma", "alpha"):
         raise PreconditionError("which must be 'gamma' or 'alpha'")
     pick = 0 if which == "gamma" else 1
     base = est.nuisances_of(anchor, spec)[pick]
+    steps = (-0.05, -0.01, 0.01, 0.05)
+    radius = feasible_radius(anchor, direction)
+    if 0.0 < radius < steps[-1]:
+        steps = tuple(t * (radius / 0.1) for t in steps)
     worst = 0.0
-    for t in (-0.05, -0.01, 0.01, 0.05):
+    for t in steps:
         perturbed = add_scaled(anchor, t, direction)
         vals = est.nuisances_of(perturbed, spec)[pick]
         worst = max(worst, float(np.max(np.abs(vals - base))))

@@ -58,7 +58,7 @@ from .errors import (
     DimensionMismatchError,
     PreconditionError,
 )
-from .grid import Density, GridSpace, binary, continuous, integrate, marginal
+from .grid import Density, GridSpace, _w_sum, binary, continuous, integrate, marginal
 
 ATE = "ate"
 ECC_PLM = "ecc_plm"
@@ -169,7 +169,7 @@ def _require_positive(arr: np.ndarray, message: str, strict: float = 0.0) -> Non
 def _propensity_alpha(p: Density, spec: EstimandSpec) -> np.ndarray:
     """alpha(x, d) = d/pi(x) - (1-d)/(1-pi(x)) with pi = P(D=1 | x)."""
     pz = _z_slice_mass(p, spec)
-    p_x = pz.sum(axis=1)
+    p_x = _w_sum(pz)
     _require_positive(p_x, "X slice has zero mass")
     pi = pz[:, 1] / p_x
     _require_positive(pi, "propensity hits 0")
@@ -181,7 +181,7 @@ def _ecc_alpha(p: Density, spec: EstimandSpec) -> np.ndarray:
     """alpha(x) = E[Y | x]."""
     p_x = _z_slice_mass(p, spec)
     _require_positive(p_x, "X slice has zero mass")
-    return p.values[:, :, 1].sum(axis=1) / p_x
+    return _w_sum(p.values[:, :, 1]) / p_x
 
 
 def _ds_alpha(p: Density, spec: EstimandSpec) -> np.ndarray:
@@ -551,7 +551,7 @@ def z_to_grid(spec: EstimandSpec, space: GridSpace, values) -> np.ndarray:
 
 def _z_slice_mass(p: Density, spec: EstimandSpec) -> np.ndarray:
     """Integral of p over W for each Z atom (unnormalized Z density)."""
-    return p.values.sum(axis=_kind(spec.kind).w_axes)
+    return _w_sum(p.values, _kind(spec.kind).w_axes)
 
 
 def regression_target_mean(p: Density, spec: EstimandSpec) -> np.ndarray:
@@ -563,10 +563,10 @@ def regression_target_mean(p: Density, spec: EstimandSpec) -> np.ndarray:
         denom = _z_slice_mass(p, spec)
         _require_positive(denom, "conditional slice has zero mass")
         t = record.target_axis
-        hits = p.values.take(1, axis=t)
+        hits = p.values[(slice(None),) * t + (1,)]
         others = tuple(a - (a > t) for a in record.w_axes if a != t)
         if others:
-            hits = hits.sum(axis=others)
+            hits = _w_sum(hits, others)
         mean = hits / denom
         mean.flags.writeable = False
         return mean

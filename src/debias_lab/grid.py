@@ -381,11 +381,42 @@ def _csv_cell(text: str, line: int) -> int:
 # Operations
 # -----------------------------------------------------------------------------
 
+# Every kind's grid ends in a binary W axis, and numpy runs a length-2 inner
+# loop per atom for a sum over that axis or a field broadcast along it.  The
+# two kernels below do that arithmetic on whole slices instead, to the bytes
+# numpy gives, and hand any other shape to numpy.
+
+def _w_sum(values: np.ndarray, axes: tuple[int, ...] = (-1,)) -> np.ndarray:
+    """``values.sum(axis=axes)``, bit for bit; a sum over the trailing axis
+    alone, when it has 2 atoms, is two slice adds.
+
+    numpy adds each pair onto 0.0, so [-0.0, -0.0] sums to +0.0; adding 0.0
+    after the pair gives that value for every pair.
+    """
+    if values.shape[-1:] == (2,) and axes in ((-1,), (values.ndim - 1,)):
+        out = values[..., 0] + values[..., 1]
+        out += 0.0
+        return out
+    return values.sum(axis=axes)
+
+
+def _w_product(values: np.ndarray, field) -> np.ndarray:
+    """``values * field``, bit for bit; a field constant along a trailing
+    axis of 2 atoms (shape ``values.shape[:-1] + (1,)``) is first written
+    into both slices of a C-order buffer, so the product is one contiguous
+    multiply in the order ``np.sum`` reads it."""
+    if values.shape[-1:] == (2,) and getattr(field, "shape", ()) == values.shape[:-1] + (1,):
+        out = np.empty(values.shape)
+        out[..., 0] = out[..., 1] = field[..., 0]
+        return np.multiply(values, out, out=out)
+    return values * field
+
+
 def integrate(d: Density | SignedDensity, w: np.ndarray | float = 1.0) -> float:
     """Integral of w against d's measure: sum values*w*atom_weight, for a
     scalar w or a field that broadcasts to d's grid (and not beyond it)."""
     try:
-        product = d.values * w
+        product = _w_product(d.values, w)
     except ValueError:
         product = None
     if product is None or product.shape != d.space.shape:
@@ -426,7 +457,7 @@ def marginal(p: Density, keep_axes: Sequence[int]) -> Density:
 
     def compute() -> Density:
         drop = tuple(a for a in range(len(p.space.axes)) if a not in keep)
-        values = (p.values.sum(axis=drop) * p.space.subgrid(drop).atom_weight
+        values = (_w_sum(p.values, drop) * p.space.subgrid(drop).atom_weight
                   if drop else p.values)
         return Density(p.space.subgrid(keep), values)
 

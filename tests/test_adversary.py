@@ -15,7 +15,14 @@ from debias_lab.errors import (
     UncertaintyViolationError,
 )
 from debias_lab.estimands import EstimandSpec
-from debias_lab.grid import Density, GridSpace, SignedDensity, continuous, feasible_radius
+from debias_lab.grid import (
+    Density,
+    GridSpace,
+    SignedDensity,
+    add_scaled,
+    continuous,
+    feasible_radius,
+)
 from debias_lab.partition import all_sign_vectors, bump, equal_blocks, iterated_partition
 from debias_lab.presets import preset
 
@@ -183,14 +190,36 @@ def test_slice_recipe_on_random_anchors(kind, seed):
     spec, anchor = _random_slice_anchor(kind, seed)
     for variant in ("gamma", "alpha"):
         pair = adv.direction_pair(spec, anchor, variant)
-        # verify_invariance steps up to 0.05 along the direction, and the
-        # invariance holds on the whole ray: shorten a direction whose
-        # feasible radius is smaller (DS's companion is not scaled by p)
-        k = min(1.0, feasible_radius(anchor, pair.first) / 0.1)
-        first = SignedDensity(anchor.space, k * pair.first.values)
-        assert adv.verify_invariance(anchor, first, spec, variant) <= 1e-12
+        assert adv.verify_invariance(anchor, pair.first, spec, variant) <= 1e-12
     fd = adv.second_derivative_fd(anchor, pair.first, pair.second, spec)
     assert abs(fd - pair.mixed_reference) <= 1e-4 * abs(pair.mixed_reference)
+
+
+def test_verify_invariance_inside_a_small_feasible_radius():
+    """DS's companion is not scaled by p, so at this anchor a step of 0.05
+    leaves the density cone; the steps shrink to fit and the invariance
+    still holds."""
+    spec, anchor = _random_slice_anchor(est.DS, 0)
+    pair = adv.direction_pair(spec, anchor, "alpha")
+    radius = feasible_radius(anchor, pair.first)
+    assert 0.03 < radius < 0.05
+    with pytest.raises(InfeasibleRadiusError):
+        for t in (-0.05, 0.05):
+            add_scaled(anchor, t, pair.first)
+    assert adv.verify_invariance(anchor, pair.first, spec, "alpha") <= 1e-12
+
+
+def test_verify_invariance_keeps_its_steps_where_they_fit(medium_presets):
+    """On a preset every fixed step fits, so the deviation is the largest
+    over anchor + t * direction at t in +-{0.01, 0.05} exactly."""
+    pre = medium_presets[est.DS]
+    pair = adv.direction_pair(pre.spec, pre.anchor, "alpha")
+    assert feasible_radius(pre.anchor, pair.first) >= 0.05
+    base = est.nuisances_of(pre.anchor, pre.spec)[1]
+    expected = max(float(np.max(np.abs(
+        est.nuisances_of(add_scaled(pre.anchor, t, pair.first), pre.spec)[1] - base)))
+        for t in (-0.05, -0.01, 0.01, 0.05))
+    assert adv.verify_invariance(pre.anchor, pair.first, pre.spec, "alpha") == expected
 
 
 @pytest.mark.parametrize("spec_kind, anchor_kind", [

@@ -112,3 +112,41 @@ def test_trace_layers_keep_what_either_side_did():
                                       traced({"a.calls": 3, "b.calls": 1, "c.s": 0.0}))
     assert layers == {"a.calls": {"parent": 3, "change": 3},
                       "b.calls": {"parent": 0, "change": 1}}
+
+
+GOOD_ARGS = ["--parent", "HEAD", "--pr", "1", "--title", "t", "--first-seed", "500"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--claim", "partitions:wall_s", "--workload", "population_scan:10"],
+     "not in the --workload plan"),
+    (["--claim", "population_scan:wall_ms", "--workload", "population_scan:10"],
+     "no end-to-end metric 'wall_ms'"),
+    (["--claim", "population_scan:wall_s", "--workload", "population_scan:0"],
+     "integer >= 1"),
+    (["--claim", "population_scan:wall_s", "--workload", "population_scan:10",
+      "--workload", "hard_instances:-1"], "integer >= 1"),
+    (["--claim", "population_scan:wall_s", "--workload", "population_scan:ten"],
+     "integer >= 1"),
+    (["--claim", "population_scan:wall_s", "--workload", "population_scan:10",
+      "--workload", "sampled_scans:4"], "no workload 'sampled_scans'"),
+])
+def test_bad_input_exits_two_before_any_run(argv, message, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bad input reached git or a perfbench run")
+
+    for name in ("_git", "extract", "copy_worktree", "run_once"):
+        monkeypatch.setattr(bench_pairs, name, refuse)
+    with pytest.raises(SystemExit) as exited:
+        bench_pairs.main(GOOD_ARGS + argv)
+    assert exited.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_good_input_parses_into_a_plan():
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    args = bench_pairs.parse_args(GOOD_ARGS + [
+        "--claim", "population_scan:wall_s", "--workload", "population_scan:10",
+        "--workload", "partitions:4"], benchmark)
+    assert args.plan == [("population_scan", 10), ("partitions", 4)]
+    assert (args.claim_workload, args.claim_metric) == ("population_scan", "wall_s")

@@ -1,7 +1,9 @@
 import json
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from debias_lab.errors import (
     DegenerateSliceError,
@@ -14,6 +16,8 @@ from debias_lab.grid import (
     Density,
     GridSpace,
     SignedDensity,
+    _w_product,
+    _w_sum,
     add_scaled,
     binary,
     conditional,
@@ -352,3 +356,53 @@ def test_array_value_objects_compare_by_value_and_refuse_hashing():
     for obj in (p, d, Dataset(space, counts)):
         with pytest.raises(TypeError):
             hash(obj)
+
+
+# -----------------------------------------------------------------------------
+# the W-axis kernels: the bytes numpy gives
+# -----------------------------------------------------------------------------
+
+# signed zeros, subnormals and ordinary values of both signs
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308]),
+    st.floats(-1e3, 1e3, allow_nan=False))
+LEADING = st.lists(st.integers(2, 5), min_size=0, max_size=3).map(tuple)
+KERNEL = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def grid_arrays(leading, elements=EDGE_FLOATS):
+    return hnp.arrays(np.float64, leading + (2,), elements=elements)
+
+
+@KERNEL
+@given(LEADING.flatmap(grid_arrays))
+@example(np.array([[-0.0, -0.0], [-0.0, 5e-324], [0.0, -0.0]]))  # numpy's sum gives +0.0
+def test_w_sum_is_numpys_trailing_sum(values):
+    assert _w_sum(values).tobytes() == values.sum(axis=-1).tobytes()
+    assert _w_sum(values, (values.ndim - 1,)).tobytes() == values.sum(axis=-1).tobytes()
+    # a strided view of the same values, as the estimand layer passes them
+    view = np.concatenate([values, values], axis=-1)[..., 1:3]
+    assert _w_sum(view).tobytes() == view.sum(axis=-1).tobytes()
+    if values.ndim > 1:  # any other axis set is numpy's own sum
+        assert _w_sum(values, (0,)).tobytes() == values.sum(axis=0).tobytes()
+
+
+@KERNEL
+@given(LEADING.flatmap(lambda leading: st.tuples(
+    grid_arrays(leading, st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-310]),
+                                   st.floats(0.0, 1e3))),
+    hnp.arrays(np.float64, leading + (1,), elements=EDGE_FLOATS),
+    grid_arrays(leading))))
+def test_integrate_is_the_numpy_quadrature_bit_for_bit(drawn):
+    raw, trailing_one, full = drawn
+    space = GridSpace(tuple(continuous("z1", n) for n in raw.shape[:-1]) + (binary("w"),))
+    assume(raw.sum() >= 1.0)  # a subnormal total times the atom weight is 0
+    p = Density(space, raw / (raw.sum() * space.atom_weight))
+    for w in (trailing_one, full):
+        expected = float(np.sum(p.values * w) * space.atom_weight)
+        assert np.float64(integrate(p, w)).tobytes() == np.float64(expected).tobytes()
+        assert _w_product(p.values, w).tobytes() == (p.values * w).tobytes()
+    assert _w_product(full, trailing_one).tobytes() == (full * trailing_one).tobytes()
+    for bad in (np.ones(raw.shape[:-1] + (3,)), np.ones((2,) + raw.shape)):
+        with pytest.raises(DimensionMismatchError):
+            integrate(p, bad)

@@ -175,7 +175,14 @@ def trace_layers(parent: dict, change: dict) -> dict:
             if values["parent"][name] or values["change"].get(name)}
 
 
-def parse_args(argv):
+def parse_args(argv, benchmark: dict):
+    """The command line, checked against BENCHMARK.json (``benchmark``).
+
+    Exits with code 2, before anything is extracted or run, when a planned
+    workload is not in the benchmark or asks for fewer than 1 pair, or when
+    the claim names a workload outside the plan or an end-to-end metric the
+    benchmark does not define.
+    """
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the parent commit")
     parser.add_argument("--pr", type=int, required=True)
@@ -186,15 +193,36 @@ def parse_args(argv):
                         help="WORKLOAD:PAIRS, repeatable")
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--trace-seconds", type=float, default=0.0)
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    metrics = [m["name"] for m in benchmark["end_to_end"]]
+    args.plan = []
+    for entry in args.workload:
+        name, _, count = entry.partition(":")
+        if name not in workloads:
+            parser.error(f"--workload {entry!r}: no workload {name!r} in BENCHMARK.json")
+        try:
+            pairs = int(count)
+        except ValueError:
+            pairs = 0
+        if pairs < 1:
+            parser.error(f"--workload {entry!r}: the pair count must be an integer >= 1")
+        args.plan.append((name, pairs))
+    args.claim_workload, _, args.claim_metric = args.claim.partition(":")
+    if args.claim_workload not in dict(args.plan):
+        parser.error(f"--claim {args.claim!r}: workload {args.claim_workload!r} is not "
+                     "in the --workload plan")
+    if args.claim_metric not in metrics:
+        parser.error(f"--claim {args.claim!r}: BENCHMARK.json has no end-to-end metric "
+                     f"{args.claim_metric!r}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    args = parse_args(argv, benchmark)
     seconds = benchmark["run_seconds"]
-    claim_workload, claim_metric = args.claim.split(":")
-    plan = [(name, int(count)) for name, count in (w.split(":") for w in args.workload)]
+    claim_workload, claim_metric, plan = args.claim_workload, args.claim_metric, args.plan
     parent_sha = _git("rev-parse", args.parent).decode().strip()
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
