@@ -150,21 +150,20 @@ def _ate_profiles(anchor: Density, spec: EstimandSpec, pz: np.ndarray) -> _Profi
     return _treatment_stencil(phi, pz), c
 
 
+def _sign_runs(signs: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each maximal run of equal nonzero entries of
+    ``signs``, in order."""
+    bounds = [0, *(np.flatnonzero(signs[1:] != signs[:-1]) + 1).tolist(), signs.size]
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi and signs[lo] != 0]
+
+
 def _wad_bump_phi(space: GridSpace, spec: EstimandSpec) -> np.ndarray:
-    """Derivative of a cubic bump on a grid-aligned interval of constant
-    omega' sign, made discretely mean-zero over the treatment axis."""
-    op = spec.params.omega_prime
+    """Derivative of a cubic bump on the longest grid-aligned interval of
+    constant omega' sign, made discretely mean-zero over the treatment axis."""
     n_d = space.shape[1]
-    interior = np.arange(1, n_d - 1)
-    signs = np.sign(op[interior])
-    best = (0, 0)
-    run_start = 0
-    for i in range(1, interior.size + 1):
-        if i == interior.size or signs[i] != signs[run_start] or signs[i] == 0:
-            if signs[run_start] != 0 and i - run_start > best[1] - best[0]:
-                best = (run_start, i)
-            run_start = i
-    lo, hi = interior[best[0]], interior[best[1] - 1] + 1
+    runs = _sign_runs(np.sign(spec.params.omega_prime[1:n_d - 1]))
+    start, stop = max(runs, key=lambda run: run[1] - run[0], default=(0, 0))
+    lo, hi = start + 1, stop + 1  # interior index i is treatment cell i + 1
     if hi - lo < 4:
         raise ConstructionPreconditionError(
             "omega' has no usable constant-sign run on the treatment grid"
@@ -172,7 +171,7 @@ def _wad_bump_phi(space: GridSpace, spec: EstimandSpec) -> np.ndarray:
     if (hi - lo) % 2:
         hi -= 1
     d = space.coords(1)
-    a, length = d[lo] - space.axes[1].cell_weight / 2.0, None
+    a = d[lo] - space.axes[1].cell_weight / 2.0
     b_edge = d[hi - 1] + space.axes[1].cell_weight / 2.0
     length = b_edge - a
     v = (d - a) / length
@@ -191,29 +190,21 @@ def _wad_profiles(anchor: Density, spec: EstimandSpec, pz: np.ndarray) -> _Profi
 
 
 def _ds_zeta(f: np.ndarray, spec: EstimandSpec) -> np.ndarray:
-    """zeta = 1_A - c 1_B on the first constant-sign run of f2 - f1, with c
-    making int zeta dP_X = 0 for the X density f."""
+    """zeta = 1_A - c 1_B on the first run of length >= 2 where f2 - f1 <
+    -1e-12 (where it is > 1e-12 when there is none), A and B the run's two
+    halves, with c making int zeta dP_X = 0 for the X density f."""
     diff = spec.params.f2 - spec.params.f1
-    n_x = f.size
-    for sign in (-1.0, 1.0):
-        mask = sign * diff > 1e-12
-        run = 0
-        for i in range(n_x + 1):
-            if i < n_x and mask[i]:
-                run += 1
-            else:
-                if run >= 2:
-                    start = i - run
-                    half = run // 2
-                    a = slice(start, start + half)
-                    b = slice(start + half, start + run)
-                    c = float(f[a].sum() / f[b].sum())
-                    zeta = np.zeros(n_x)
-                    zeta[a] = 1.0
-                    zeta[b] = -c
-                    return zeta
-                run = 0
-    raise ConstructionPreconditionError("f2 - f1 has no constant-sign run of length >= 2")
+    signs = (diff > 1e-12).astype(float) - (diff < -1e-12)
+    runs = [(lo, hi) for lo, hi in _sign_runs(signs) if hi - lo >= 2]
+    if not runs:
+        raise ConstructionPreconditionError(
+            "f2 - f1 has no constant-sign run of length >= 2")
+    start, stop = min(runs, key=lambda run: signs[run[0]])  # the first negative run
+    a, b = slice(start, (start + stop) // 2), slice((start + stop) // 2, stop)
+    zeta = np.zeros(f.size)
+    zeta[a] = 1.0
+    zeta[b] = -float(f[a].sum() / f[b].sum())
+    return zeta
 
 
 def _ds_profiles(anchor: Density, spec: EstimandSpec, pz: np.ndarray) -> _Profiles:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import adversary, bounds, estimands as est, harness
 from .errors import NoConvergenceError, PreconditionError
-from .partition import all_sign_vectors, iterated_partition, partition_json_dumps
+from .partition import all_sign_vectors, iterated_partition
 from .presets import preset
 
 ESTIMATE_CSV_COLUMNS = ("kind", "n", "seed", "eps_gamma", "eps_alpha",
@@ -174,7 +174,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     if args.blocks % 2:
         raise PreconditionError(f"--blocks must be even, not {args.blocks}")
     part = iterated_partition(weights, args.blocks // 2, axis)
-    print(partition_json_dumps(part))
+    print(json.dumps(part.to_json()))
     return 0
 
 

@@ -313,43 +313,6 @@ class EstimandSpec:
     def affine(self) -> bool:
         return not KIND_TABLE[self.kind].logistic
 
-    def to_json(self) -> dict:
-        params: dict = {}
-        if KIND_TABLE[self.kind].params is not None:
-            for f in fields(self.params):
-                value = getattr(self.params, f.name)
-                params[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
-        return {"kind": self.kind, "params": params, "overlap": self.overlap}
-
-    @staticmethod
-    def from_json(doc: dict) -> "EstimandSpec":
-        """The spec a JSON object describes; a missing ``kind``, or a
-        ``params`` key the kind does not take or needs and lacks, is refused."""
-        if not isinstance(doc, dict):
-            raise PreconditionError(
-                f"an estimand spec must be a JSON object, not {type(doc).__name__}")
-        if "kind" not in doc:
-            raise PreconditionError("an estimand spec needs a 'kind' key")
-        kind, raw = doc["kind"], doc.get("params") or {}
-        params = _kind(kind).params
-        if not isinstance(raw, dict):
-            raise PreconditionError(f"{kind} params must be a JSON object")
-        names = [] if params is None else [f.name for f in fields(params)]
-        for key in raw:
-            if key not in names:
-                raise PreconditionError(f"{kind} params take no key {key!r}")
-        for key in names:
-            if key not in raw:
-                raise PreconditionError(f"{kind} params need the key {key!r}")
-        overlap = doc.get("overlap", 0.05)
-        if not isinstance(overlap, (int, float)) or isinstance(overlap, bool):
-            raise PreconditionError(f"spec key 'overlap' must be a number, not {overlap!r}")
-        try:
-            built = None if params is None else params(**raw)
-        except (TypeError, ValueError) as exc:  # values numpy cannot read
-            raise PreconditionError(f"malformed {kind} params: {exc}") from None
-        return EstimandSpec(kind, built, overlap)
-
 
 @dataclass(frozen=True)
 class NuisanceField:

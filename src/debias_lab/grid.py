@@ -19,7 +19,7 @@ with it (``Density.derived``); a grid computes its shape, weights and
 sub-grids once.
 
 Conventions: values arrays always have shape ``space.shape`` (one dimension
-per axis, row-major flattening for serialization), and per-atom "fields"
+per axis; a flat atom index is row-major), and per-atom "fields"
 (nuisances, weights, test functions) are plain ndarrays on the same grid or
 on a sub-grid of it.  A sampled dataset is its vector of per-atom counts in
 that flat order, drawn by one multinomial draw, so sampling and every sample
@@ -28,8 +28,6 @@ mean cost O(atoms) whatever the sample size.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -180,20 +178,6 @@ class GridSpace:
                 f"values shape {arr.shape} does not broadcast to grid shape {self.shape}"
             ) from None
 
-    # -- serialization ----------------------------------------------------------
-    def to_json(self) -> dict:
-        return {
-            "axes": [
-                {"kind": ax.kind, "role": ax.role, "cells": ax.size} for ax in self.axes
-            ]
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "GridSpace":
-        return GridSpace(
-            tuple(Axis(a["kind"], a["role"], a.get("cells", 2)) for a in doc["axes"])
-        )
-
 
 def check_density_rows(space: GridSpace, values: np.ndarray) -> np.ndarray:
     """``values`` with negative dust set to 0, after checking each density in it.
@@ -283,13 +267,6 @@ class Density(ArrayValue):
             value = memo.setdefault(key, compute())
         return value
 
-    def to_json(self) -> dict:
-        return {"space": self.space.to_json(), "values": self.values.ravel().tolist()}
-
-    @staticmethod
-    def from_json(doc: dict) -> "Density":
-        space = GridSpace.from_json(doc["space"])
-        return Density(space, np.asarray(doc["values"], dtype=float).reshape(space.shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,50 +308,6 @@ class Dataset(ArrayValue):
     @property
     def n(self) -> int:
         return int(self.counts.sum())
-
-    def to_csv(self) -> str:
-        """One row per observation, in atom order, with its cell per axis."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["row"] + [f"axis{i}" for i in range(len(self.space.axes))])
-        atoms = np.repeat(np.arange(self.space.n_atoms), self.counts)
-        cells = np.stack(np.unravel_index(atoms, self.space.shape), axis=1)
-        writer.writerows([r] + cell for r, cell in enumerate(cells.tolist()))
-        return buf.getvalue()
-
-    @staticmethod
-    def from_csv(space: GridSpace, text: str) -> "Dataset":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        n_axes = len(header) - 1
-        if n_axes != len(space.axes):
-            raise DimensionMismatchError("CSV column count does not match the grid")
-        cells = []
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DimensionMismatchError(
-                    f"CSV line {line} has {len(row)} fields, expected {len(header)}"
-                )
-            cells.append([_csv_cell(text, line) for text in row[1:]])
-        cells = np.array(cells, dtype=np.int64).reshape(-1, n_axes)
-        outside = np.flatnonzero(((cells < 0) | (cells >= space.shape)).any(axis=1))
-        if outside.size:
-            line = int(outside[0])
-            raise PreconditionError(
-                f"CSV line {line + 2} has cell {cells[line].tolist()} outside "
-                f"the grid of shape {space.shape}"
-            )
-        flat = np.ravel_multi_index(tuple(cells.T), space.shape)
-        return Dataset(space, np.bincount(flat, minlength=space.n_atoms))
-
-
-def _csv_cell(text: str, line: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise PreconditionError(
-            f"CSV line {line} has a non-integer cell {text!r}"
-        ) from None
 
 
 # -----------------------------------------------------------------------------
@@ -470,6 +403,9 @@ def conditional(p: Density, fixed: dict[int, int]) -> Density:
     for a, cell in fixed.items():
         if a < 0 or a >= len(p.space.axes):
             raise PreconditionError("conditioning axis outside the grid")
+        if not 0 <= cell < p.space.shape[a]:
+            raise PreconditionError(f"cell {cell} is outside axis {a}, which has "
+                                    f"{p.space.shape[a]} cells")
         idx[a] = int(cell)
     keep = [a for a in range(len(p.space.axes)) if a not in fixed]
     sub = p.space.subgrid(keep)

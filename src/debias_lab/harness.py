@@ -283,11 +283,18 @@ def run_rate_scan(config: ExperimentConfig) -> RateScanResult:
     eps_alpha != 0).  Where the replications draw nothing from their seeds,
     replication 0 is evaluated once and its (point, oracle) goes into every
     record.  Each replication's directions are drawn once per scan, on its
-    first evaluation, and every sweep point corrupts along them.  A
-    random-alignment plug-in eps-sweep on a kind with two Z axes is refused
-    before any preset is built (see the error for why).
+    first evaluation, and every sweep point corrupts along them.  Two
+    configs are refused before any preset is built: a sweep value <= 0,
+    which has no logarithm (an eps-sweep's value is its eps_gamma), and a
+    random-alignment plug-in eps-sweep on a kind with two Z axes (see the
+    error for why).
     """
     sweep = config.sweep_name
+    points = config.sweep_points()
+    if points[0][0] <= 0:  # the sweep values increase, so the first is the least
+        raise PreconditionError(
+            f"{sweep}_sweep value {points[0][0]:g} is not > 0: a log-log slope "
+            "needs positive sweep values, and an eps_sweep's value is its eps_gamma")
     if (sweep == "eps" and config.estimator == "plugin"
             and config.alignment == "random" and len(est.z_axes(config.kind)) > 1):
         raise PreconditionError(
@@ -297,7 +304,7 @@ def run_rate_scan(config: ExperimentConfig) -> RateScanResult:
     records, values, medians, means = [], [], [], []
     draws = _SCAN_DRAWS.set({})
     try:
-        for value, eps_pair, n in config.sweep_points():
+        for value, eps_pair, n in points:
             errors = []
             seeded = sweep != "m" and (not config.population or (
                 any(eps_pair) if config.alignment == "random"
@@ -339,13 +346,17 @@ def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]
                      ) -> tuple[float, float]:
     """Least-squares slope of log y on log x with its standard error.
 
-    Every y must be positive: a zero median |error| has no logarithm, so it
-    raises rather than bending the fit.
+    Every x and every y must be positive: a zero sweep value or median
+    |error| has no logarithm, so it raises rather than bending the fit.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size < 2:
         raise PreconditionError("a slope fit needs at least two sweep points")
+    if not np.all(xs > 0):
+        raise PreconditionError(
+            f"sweep value {float(xs[np.argmin(xs > 0)])!r} is not > 0; "
+            "a log-log slope needs positive sweep values")
     nonpositive = np.flatnonzero(~(ys > 0))
     if nonpositive.size:
         i = int(nonpositive[0])
@@ -388,21 +399,6 @@ def records_to_csv(records: Sequence[dict]) -> str:
     for rec in records:
         writer.writerow([_format_value(rec[c]) for c in CSV_COLUMNS])
     return buf.getvalue()
-
-
-def records_from_csv(text: str) -> list[dict]:
-    reader = csv.DictReader(io.StringIO(text))
-    out = []
-    for row in reader:
-        rec: dict = dict(row)
-        for key in ("sweep_value", "eps_gamma", "eps_alpha", "point", "oracle",
-                    "abs_error"):
-            rec[key] = float(rec[key])
-        for key in ("replication", "derived_seed", "n"):
-            rec[key] = int(float(rec[key]))
-        rec["population"] = rec["population"] == "true"
-        out.append(rec)
-    return out
 
 
 def scatter_svg(result: RateScanResult) -> str:

@@ -43,7 +43,6 @@ gives up.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -487,12 +486,11 @@ def bump(partition: BumpPartition, lam: Sequence[int]) -> np.ndarray:
 
 
 def all_sign_vectors(m: int) -> np.ndarray:
-    """All 2^m sign vectors in {-1,+1}^m, lexicographic."""
+    """All 2^m sign vectors in {-1,+1}^m, lexicographic, for 1 <= m <= 20."""
+    if m < 1:
+        raise PreconditionError(f"sign vectors need m >= 1 signs, not {m}")
     if m > 20:
         raise PreconditionError("refusing to enumerate more than 2^20 sign vectors")
     grid = np.indices((2,) * m).reshape(m, -1).T
     return (2 * grid - 1).astype(float)
 
-
-def partition_json_dumps(part: BumpPartition) -> str:
-    return json.dumps(part.to_json())

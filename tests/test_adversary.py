@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from debias_lab import adversary as adv, estimands as est
 from debias_lab.errors import (
+    ConstructionPreconditionError,
     DimensionMismatchError,
     InfeasibleRadiusError,
     NondegeneracyError,
@@ -62,6 +64,30 @@ def test_ape_has_no_adversarial_construction(medium_presets):
     pre = medium_presets[est.APE]
     with pytest.raises(PreconditionError):
         adv.direction_pair(pre.spec, pre.anchor, "gamma")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), max_size=24))
+def test_sign_runs_are_the_maximal_nonzero_runs(signs):
+    """The run finder of the WAD bump and the DS zeta, against groupby."""
+    runs, start = [], 0
+    for value, group in itertools.groupby(signs):
+        stop = start + len(list(group))
+        if value != 0:
+            runs.append((start, stop))
+        start = stop
+    assert adv._sign_runs(np.array(signs)) == runs
+
+
+@pytest.mark.parametrize("variant", ["gamma", "alpha"])
+def test_wad_refuses_an_omega_prime_with_no_nonzero_sign(variant):
+    """With omega' = 0 on every cell there is no constant-sign run to bump:
+    refused, where a bump over the whole interior once gave a mixed
+    reference of 0.0."""
+    pre = preset(est.WAD, x_cells=16, d_cells=16)
+    spec = EstimandSpec(est.WAD, est.WadParams(pre.spec.params.omega, np.zeros(16)))
+    with pytest.raises(ConstructionPreconditionError, match="no usable constant-sign run"):
+        adv.direction_pair(spec, pre.anchor, variant)
 
 
 def test_ate_g0_slicewise_mass_cancels(medium_presets):

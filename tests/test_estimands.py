@@ -146,44 +146,6 @@ def test_require_positive_names_first_bad_atom(values, strict, atom):
     assert err.value.atom == atom
 
 
-def test_spec_json_round_trip(small_presets):
-    for kind in est.KINDS:
-        spec = small_presets[kind].spec
-        doc = spec.to_json()
-        assert doc["kind"] == kind  # names are the exact wire strings
-        back = EstimandSpec.from_json(doc)
-        assert back.kind == spec.kind
-        assert back.overlap == spec.overlap
-        if kind == est.DS:
-            assert np.allclose(back.params.f2, spec.params.f2)
-        if kind == est.WAD:
-            assert np.allclose(back.params.omega, spec.params.omega)
-        if kind == est.APE:
-            assert np.array_equal(back.params.perm, spec.params.perm)
-
-
-@pytest.mark.parametrize("doc, message", [
-    ({"kind": "ape", "params": {"perm": [1, 0], "deriv": [1.0, 1.0]}}, "no key 'deriv'"),
-    ({"kind": "wad", "params": {"omega": [0.0, 2.0, 0.0]}}, "need the key 'omega_prime'"),
-    ({"params": {}}, "needs a 'kind' key"),
-    ({"kind": "ate", "params": {"x": 1}}, "no key 'x'"),
-    ({"kind": "ds", "params": {"f1": [1.0], "f2": ["a"]}}, "malformed ds params"),
-    ({"kind": "ate", "overlap": "0.1"}, "'overlap' must be a number"),
-])
-def test_spec_from_json_names_a_bad_key(doc, message):
-    """Missing, unknown and unreadable keys are refused with a typed error
-    that names the key, never a bare TypeError or a silent drop."""
-    with pytest.raises(PreconditionError, match=message):
-        EstimandSpec.from_json(doc)
-
-
-def test_spec_from_json_refuses_a_non_object():
-    with pytest.raises(PreconditionError, match="JSON object"):
-        EstimandSpec.from_json(["ate"])
-    with pytest.raises(PreconditionError, match="unknown estimand kind"):
-        EstimandSpec.from_json({"kind": ["ate"]})
-
-
 def test_spec_params_arrays_are_read_only_copies(small_presets):
     """Caches key a spec's params by identity, so their arrays cannot change:
     each is a read-only copy of what the caller passed."""

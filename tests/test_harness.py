@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -11,7 +13,6 @@ from debias_lab.harness import (
     ExperimentConfig,
     emit,
     fit_loglog_slope,
-    records_from_csv,
     records_to_csv,
     run_rate_scan,
 )
@@ -294,16 +295,20 @@ def test_random_plugin_eps_sweep_needs_one_z_axis(tmp_path, capsys, monkeypatch,
 
 
 def test_csv_round_trip():
+    """scan.csv read back by csv.DictReader gives every record: each float
+    column exactly, the others as their text."""
     result = run_rate_scan(eps_config(replications=16))
-    text = records_to_csv(result.records)
-    back = records_from_csv(text)
-    assert len(back) == len(result.records)
-    for a, b in zip(back, result.records):
+    rows = list(csv.DictReader(io.StringIO(records_to_csv(result.records))))
+    assert len(rows) == len(result.records)
+    for row, rec in zip(rows, result.records):
+        assert tuple(row) == harness.CSV_COLUMNS
         for key in harness.CSV_COLUMNS:
-            if isinstance(b[key], float):
-                assert a[key] == pytest.approx(b[key], abs=0)
+            if isinstance(rec[key], bool):
+                assert row[key] == str(rec[key]).lower()
+            elif isinstance(rec[key], float):
+                assert float(row[key]) == rec[key]
             else:
-                assert str(a[key]) == str(b[key]) or a[key] == b[key]
+                assert row[key] == str(rec[key])
 
 
 def test_emit_formats(tmp_path):
@@ -335,12 +340,19 @@ def test_fit_loglog_slope_exact_line():
 def test_fit_loglog_slope_rejects_zero_median():
     with pytest.raises(PreconditionError, match="sweep value 4.0"):
         fit_loglog_slope([1.0, 2.0, 4.0], [0.5, 0.25, 0.0])
-    # population DML at the exact nuisances has exactly zero error
+    # population DML at the exact nuisances has exactly zero error, but its
+    # sweep value eps_gamma = 0 is refused before the scan runs
     config = ExperimentConfig(kind="ate", estimator="dml", population=True,
                               eps_sweep=((0.0, 0.0), (0.1, 0.1)), replications=16,
                               x_cells=8)
-    with pytest.raises(PreconditionError, match="median"):
+    with pytest.raises(PreconditionError, match="eps_sweep value 0 is not > 0"):
         run_rate_scan(config)
+
+
+@pytest.mark.parametrize("xs", [[0.0, 1.0, 2.0], [-1.0, 1.0, 2.0], [1.0, np.nan, 2.0]])
+def test_fit_loglog_slope_rejects_a_nonpositive_sweep_value(xs):
+    with pytest.raises(PreconditionError, match="positive sweep values"):
+        fit_loglog_slope(xs, [1.0, 0.5, 0.25])
 
 
 # -----------------------------------------------------------------------------
@@ -501,6 +513,14 @@ def test_population_dr_eps_sweep_bias_is_the_dr_product():
      "eps_sweep entries must be numbers, not '0.1'"),
     ('{"kind": "ate", "population": true, "eps_sweep": [[0.1, 0.1], [true, 0.2]],'
      ' "x_cells": 8, "replications": 16}', "eps_sweep entries must be numbers, not True"),
+    ('{"kind": "ate", "eps_sweep": [[0, 0], [0.1, 0.1]], "replications": 16,'
+     ' "n_fixed": 1000, "x_cells": 16, "d_cells": 16}', "eps_sweep value 0 is not > 0"),
+    ('{"kind": "ate", "population": true, "eps_sweep": [[0, 0.1], [0.1, 0.1]],'
+     ' "x_cells": 8, "replications": 16}', "eps_sweep value 0 is not > 0"),
+    ('{"kind": "ate", "n_sweep": [0, 100], "x_cells": 8, "replications": 16}',
+     "n_sweep value 0 is not > 0"),
+    ('{"kind": "ate", "m_sweep": [0, 2], "x_cells": 8, "n_fixed": 2,'
+     ' "replications": 16}', "m_sweep value 0 is not > 0"),
 ], ids=["missing-file", "invalid-json", "top-level-list", "no-kind",
         "string-sweep", "eps-pair-of-one", "eps-fixed-of-one",
         "string-replications", "float-replications", "string-x-cells",
@@ -509,7 +529,8 @@ def test_population_dr_eps_sweep_bias_is_the_dr_product():
         "string-eps-fixed-m-sweep", "string-eps-fixed-eps-sweep", "bool-eps-fixed",
         "negative-seed", "non-ate-m-sweep", "infinite-eps-sweep", "nan-eps-sweep",
         "negative-eps-sweep", "negative-eps-fixed", "infinite-eps-fixed",
-        "unknown-alignment", "string-eps-sweep", "bool-eps-sweep"])
+        "unknown-alignment", "string-eps-sweep", "bool-eps-sweep", "zero-eps-sweep",
+        "zero-population-eps-sweep", "zero-n-sweep", "zero-m-sweep"])
 def test_cli_scan_malformed_config_exits_two(tmp_path, capsys, monkeypatch, text,
                                              message):
     from debias_lab import cli

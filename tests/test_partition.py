@@ -15,7 +15,6 @@ from debias_lab.partition import (
     bumps,
     equal_blocks,
     iterated_partition,
-    partition_json_dumps,
 )
 
 AXIS = Axis("continuous", "z1", 256)
@@ -152,10 +151,22 @@ def test_fractional_partition_memberships_sum_to_one():
 
 def test_partition_json_document():
     part = iterated_partition([np.ones(256)], 2, AXIS)
-    doc = json.loads(partition_json_dumps(part))
+    doc = json.loads(json.dumps(part.to_json()))
     assert doc["cells"] == 256
     assert len(doc["blocks"]) == 4
     assert len(doc["residuals"]) == 1  # one weight
+
+
+def test_all_sign_vectors_lists_every_sign_vector():
+    assert all_sign_vectors(1).tolist() == [[-1.0], [1.0]]
+    assert all_sign_vectors(2).tolist() == [[-1.0, -1.0], [-1.0, 1.0],
+                                            [1.0, -1.0], [1.0, 1.0]]
+
+
+@pytest.mark.parametrize("m", [0, -1, -3])
+def test_all_sign_vectors_refuses_fewer_than_one_sign(m):
+    with pytest.raises(PreconditionError, match=f"m >= 1 signs, not {m}"):
+        all_sign_vectors(m)
 
 
 # -----------------------------------------------------------------------------
@@ -261,7 +272,7 @@ def test_labels_match_the_dense_membership(q, cells, m_pairs, seed):
     assert part.membership.tobytes() == scatter.tobytes()
     lams = all_sign_vectors(m_pairs)
     assert bumps(part, lams).tobytes() == dense_bumps(scatter, lams).tobytes()
-    assert partition_json_dumps(part) == dense_json(scatter, part)
+    assert json.dumps(part.to_json()) == dense_json(scatter, part)
 
 
 def test_equal_blocks_split_cells_match_the_dense_formula():
@@ -269,7 +280,7 @@ def test_equal_blocks_split_cells_match_the_dense_formula():
     assert part.split_cells.tolist() == [42, 85, 170, 213]
     lams = all_sign_vectors(3)
     assert bumps(part, lams).tobytes() == dense_bumps(part.membership, lams).tobytes()
-    assert partition_json_dumps(part) == dense_json(part.membership, part)
+    assert json.dumps(part.to_json()) == dense_json(part.membership, part)
 
 
 def test_partition_memory_is_linear_in_cells():
