@@ -626,7 +626,7 @@ class AteLocalFamily(SignVectorFamily):
         g_lam[..., 1] = self.g_hat[:, 1] + self.eps_g * delta * (
             self.m_hat - self.eps_m * delta
         )
-        return est.ate_joint_product(self.space, self._p_x, m_lam, g_lam)
+        return est.bernoulli_law(est.bernoulli_law(self._p_x, m_lam), g_lam)
 
     def nuisance_shift_norms(self, lam: Sequence[int]) -> tuple[float, float]:
         """(||m_lam - m_hat||_{P_X,2}, max_d ||g_lam(d,.) - g_hat(d,.)||)."""

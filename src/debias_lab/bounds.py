@@ -161,11 +161,8 @@ def theorem21_b(instance: TestingInstance, partition: BumpPartition
     chisq = chisq.reshape(probs.shape[0], n1, rest)
     along_z1 = (n1,) + (1,) * (len(space.shape) - 1)
     # row j: each Z1 cell's share in B_{2j} u B_{2j+1}
-    chunks = np.zeros((partition.n_pairs, n1))
-    whole = np.flatnonzero(partition.labels >= 0)
-    chunks[partition.labels[whole] // 2, whole] = 1.0
-    chunks[:, partition.split_cells] = (partition.split_shares[0::2]
-                                        + partition.split_shares[1::2])
+    membership = partition.membership
+    chunks = membership[0::2] + membership[1::2]
 
     b = 0.0
     p_max = 0.0

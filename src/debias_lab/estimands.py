@@ -368,6 +368,18 @@ def x_density(space: GridSpace, p_x: np.ndarray | None = None) -> np.ndarray:
     return weights / total
 
 
+def bernoulli_law(p_z: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """p_z times the Bernoulli(mean) law of a binary last axis: the (..., 2)
+    array [p_z (1 - mean), p_z mean] for any p_z and mean that broadcast, so
+    a stack in gives a stack out.  The ate/lod, ds, wad and ape anchors and
+    the ATE member stacks are all built from it."""
+    mean = np.asarray(mean, dtype=float)
+    out = np.empty(np.broadcast_shapes(np.shape(p_z), mean.shape) + (2,))
+    np.multiply(p_z, 1.0 - mean, out=out[..., 0])
+    np.multiply(p_z, mean, out=out[..., 1])
+    return out
+
+
 def ate_joint(space: GridSpace, m: np.ndarray, g: np.ndarray,
               p_x: np.ndarray | None = None) -> Density:
     """Joint density p(x,d,y) = p_X(x) m(x)^d (1-m)^{1-d} g(x,d)^y (1-g)^{1-y}.
@@ -375,30 +387,7 @@ def ate_joint(space: GridSpace, m: np.ndarray, g: np.ndarray,
     ``g`` has shape (n_x, 2) indexed by treatment level.  Also the LOD anchor
     factory (same factorization, binary outcome).
     """
-    return Density(space, ate_joint_values(space, m, g, p_x))
-
-
-def ate_joint_values(space: GridSpace, m: np.ndarray, g: np.ndarray,
-                     p_x: np.ndarray | None = None) -> np.ndarray:
-    """The values of :func:`ate_joint`, unchecked, for one (m, g) or a stack:
-    ``m`` of shape (..., n_x) and ``g`` of shape (..., n_x, 2) give values of
-    shape (..., *space.shape)."""
-    n_x = space.shape[0]
-    return ate_joint_product(space, x_density(space, p_x),
-                             np.asarray(m, dtype=float) * np.ones(n_x),
-                             np.asarray(g, dtype=float) * np.ones((n_x, 2)))
-
-
-def ate_joint_product(space: GridSpace, p_x: np.ndarray, m: np.ndarray,
-                      g: np.ndarray) -> np.ndarray:
-    """:func:`ate_joint_values` from a normalized X density ``p_x`` and
-    ``m``, ``g`` already broadcast to (..., n_x) and (..., n_x, 2)."""
-    vals = np.empty(m.shape[:-1] + space.shape)
-    for d in (0, 1):
-        pd = m if d == 1 else 1.0 - m
-        vals[..., d, 0] = p_x * pd * (1.0 - g[..., d])
-        vals[..., d, 1] = p_x * pd * g[..., d]
-    return vals
+    return Density(space, bernoulli_law(bernoulli_law(x_density(space, p_x), m), g))
 
 
 def plm_joint(space: GridSpace, g: np.ndarray, q: np.ndarray, theta: float) -> Density:
@@ -420,11 +409,7 @@ def plm_joint(space: GridSpace, g: np.ndarray, q: np.ndarray, theta: float) -> D
 
 
 def ds_joint(space: GridSpace, q: np.ndarray, p_x: np.ndarray | None = None) -> Density:
-    n_x = space.shape[0]
-    q = np.asarray(q, dtype=float) * np.ones(n_x)
-    p_x = x_density(space, p_x)
-    vals = np.stack([p_x * (1.0 - q), p_x * q], axis=1)
-    return Density(space, vals)
+    return Density(space, bernoulli_law(x_density(space, p_x), q))
 
 
 def dose_joint(space: GridSpace, f_d: np.ndarray, g: np.ndarray,
@@ -437,14 +422,12 @@ def dose_joint(space: GridSpace, f_d: np.ndarray, g: np.ndarray,
     """
     n_x, n_d = space.shape[0], space.shape[1]
     f_d = np.asarray(f_d, dtype=float) * np.ones((n_x, n_d))
+    # bernoulli_law would broadcast g itself, but dropping this copy moved the
+    # heap: a 256x64 APE population DR scan then took 18x the page faults
     g = np.asarray(g, dtype=float) * np.ones((n_x, n_d))
     w_d = space.axes[1].cell_weight
     f_d = f_d / (f_d.sum(axis=1, keepdims=True) * w_d)
-    p_x = x_density(space, p_x)
-    vals = np.empty(space.shape)
-    vals[:, :, 1] = p_x[:, None] * f_d * g
-    vals[:, :, 0] = p_x[:, None] * f_d * (1.0 - g)
-    return Density(space, vals)
+    return Density(space, bernoulli_law(x_density(space, p_x)[:, None] * f_d, g))
 
 
 def wad_weight(space: GridSpace) -> WadParams:

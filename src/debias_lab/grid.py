@@ -29,6 +29,7 @@ mean cost O(atoms) whatever the sample size.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Hashable, Sequence, TypeVar
@@ -397,16 +398,27 @@ def marginal(p: Density, keep_axes: Sequence[int]) -> Density:
     return p.derived(("marginal", keep), compute)
 
 
+def _index(value, what: str) -> int:
+    """``value`` as an int, refusing whatever ``operator.index`` rejects: a
+    float, even a whole one, or a string.  Numpy integers pass."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise PreconditionError(f"{what} must be an integer, got {value!r}") from None
+
+
 def conditional(p: Density, fixed: dict[int, int]) -> Density:
     """Condition on given axis=cell assignments and renormalize the slice."""
     idx: list = [slice(None)] * len(p.space.axes)
     for a, cell in fixed.items():
+        a = _index(a, "a conditioning axis")
+        cell = _index(cell, f"the cell on axis {a}")
         if a < 0 or a >= len(p.space.axes):
             raise PreconditionError("conditioning axis outside the grid")
         if not 0 <= cell < p.space.shape[a]:
             raise PreconditionError(f"cell {cell} is outside axis {a}, which has "
                                     f"{p.space.shape[a]} cells")
-        idx[a] = int(cell)
+        idx[a] = cell
     keep = [a for a in range(len(p.space.axes)) if a not in fixed]
     sub = p.space.subgrid(keep)
     slab = p.values[tuple(idx)]

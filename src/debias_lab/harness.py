@@ -317,22 +317,10 @@ def run_rate_scan(config: ExperimentConfig) -> RateScanResult:
                         else estimate_once(config, pre, eps_pair, n, derived))
                 # else replication 0's (point, oracle) stands for this one
                 errors.append(abs(point - oracle))
-                records.append({
-                    "kind": config.kind,
-                    "estimator": config.estimator,
-                    "sweep": sweep,
-                    "sweep_value": value,
-                    "replication": rep,
-                    "derived_seed": derived,
-                    "n": n,
-                    "eps_gamma": eps_pair[0],
-                    "eps_alpha": eps_pair[1],
-                    "alignment": config.alignment,
-                    "population": config.population,
-                    "point": point,
-                    "oracle": oracle,
-                    "abs_error": errors[-1],
-                })
+                records.append(dict(zip(CSV_COLUMNS, (
+                    config.kind, config.estimator, sweep, value, rep, derived, n,
+                    eps_pair[0], eps_pair[1], config.alignment, config.population,
+                    point, oracle, errors[-1]))))
             values.append(value)
             medians.append(float(np.median(errors)))
             means.append(float(np.mean(errors)))

@@ -49,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NoConvergenceError, PreconditionError
-from .grid import ArrayValue, Axis
+from .grid import ArrayValue, Axis, _index
 
 RESIDUAL_TOL = 1e-6
 _REFINE_TARGET = 1e-10
@@ -487,6 +487,7 @@ def bump(partition: BumpPartition, lam: Sequence[int]) -> np.ndarray:
 
 def all_sign_vectors(m: int) -> np.ndarray:
     """All 2^m sign vectors in {-1,+1}^m, lexicographic, for 1 <= m <= 20."""
+    m = _index(m, "the sign count m")
     if m < 1:
         raise PreconditionError(f"sign vectors need m >= 1 signs, not {m}")
     if m > 20:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from debias_lab import estimands as est
 from debias_lab.errors import DegenerateNuisanceError, DimensionMismatchError, PreconditionError
@@ -221,3 +222,54 @@ def test_params_that_do_not_fit_the_grid_are_refused(kind, name):
     message = str(err.value)
     for word in (kind, name, "16", "8"):
         assert word in message
+
+
+# -----------------------------------------------------------------------------
+# the binary-outcome laws against their written-out factorizations
+# -----------------------------------------------------------------------------
+
+def bernoulli(mean: float, y: int) -> float:
+    return mean ** y * (1.0 - mean) ** (1 - y)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 9), st.integers(2, 6), st.integers(0, 2 ** 32 - 1))
+def test_joints_are_their_written_out_factorizations(x_cells, d_cells, seed):
+    """ate_joint, ds_joint and dose_joint at a random p_X equal
+    p_X(x) [m^d (1-m)^{1-d} | f(d|x)] g^y (1-g)^{1-y}, cell by cell, to the
+    byte."""
+    rng = np.random.default_rng(seed)
+    raw_x = rng.uniform(0.5, 1.5, x_cells)
+    m, q = rng.uniform(0.05, 0.95, (2, x_cells))
+    g = rng.uniform(0.05, 0.95, (x_cells, 2))
+    f_raw, g_d = rng.uniform(0.05, 0.95, (2, x_cells, d_cells))
+
+    space = est.make_space(est.ATE, x_cells=x_cells)
+    p_x = raw_x / (raw_x.sum() * space.axes[0].cell_weight)
+    expected = np.empty(space.shape)
+    for x, d, y in np.ndindex(space.shape):
+        expected[x, d, y] = p_x[x] * bernoulli(m[x], d) * bernoulli(g[x, d], y)
+    assert est.ate_joint(space, m, g, raw_x).values.tobytes() == expected.tobytes()
+
+    space = est.make_space(est.DS, x_cells=x_cells)
+    expected = np.empty(space.shape)
+    for x, y in np.ndindex(space.shape):
+        expected[x, y] = p_x[x] * bernoulli(q[x], y)
+    assert est.ds_joint(space, q, raw_x).values.tobytes() == expected.tobytes()
+
+    space = est.make_space(est.WAD, x_cells=x_cells, d_cells=d_cells)
+    f = f_raw / (f_raw.sum(axis=1, keepdims=True) * space.axes[1].cell_weight)
+    expected = np.empty(space.shape)
+    for x, d, y in np.ndindex(space.shape):
+        expected[x, d, y] = p_x[x] * f[x, d] * bernoulli(g_d[x, d], y)
+    assert est.dose_joint(space, f_raw, g_d, raw_x).values.tobytes() == expected.tobytes()
+
+
+def test_bernoulli_law_maps_a_stack_row_by_row():
+    rng = np.random.default_rng(3)
+    p_z, mean = rng.uniform(0.1, 0.9, (2, 4, 5))
+    stack = est.bernoulli_law(p_z, mean)
+    assert stack.shape == (4, 5, 2)
+    rows = np.stack([est.bernoulli_law(p_z[i], mean[i]) for i in range(4)])
+    assert stack.tobytes() == rows.tobytes()
+    assert est.bernoulli_law(0.5, 0.25).tolist() == [0.375, 0.125]

@@ -1,3 +1,5 @@
+import re
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -214,6 +216,29 @@ def test_conditional_refuses_a_cell_outside_the_axis(cell):
     p = uniform_density(GridSpace((continuous("z1", 4), binary("w"))))
     with pytest.raises(PreconditionError, match=f"cell {cell} is outside axis 0"):
         conditional(p, {0: cell})
+
+
+@pytest.mark.parametrize("fixed, named", [
+    ({0: 1.5}, "the cell on axis 0 must be an integer, got 1.5"),
+    ({0: 1.0}, "the cell on axis 0 must be an integer, got 1.0"),
+    ({0: "1"}, "the cell on axis 0 must be an integer, got '1'"),
+    ({0.5: 1}, "a conditioning axis must be an integer, got 0.5"),
+    ({np.float64(0.0): 1}, "a conditioning axis must be an integer, got np.float64(0.0)"),
+])
+def test_conditional_refuses_a_non_integer_axis_or_cell(fixed, named):
+    """A fractional cell is not truncated to the cell below, and a float
+    axis is a typed refusal naming it, not a bare TypeError."""
+    p = uniform_density(GridSpace((continuous("z1", 4), binary("w"))))
+    with pytest.raises(PreconditionError, match=re.escape(named)):
+        conditional(p, fixed)
+
+
+def test_conditional_accepts_numpy_integers():
+    space = GridSpace((continuous("z1", 4), binary("w")))
+    vals = np.array([[1.0, 3.0], [0.5, 1.5], [2.0, 2.0], [1.0, 1.0]])
+    p = Density(space, vals / (vals.sum() * space.atom_weight))
+    expected = conditional(p, {0: 1}).values
+    assert conditional(p, {np.int64(0): np.int32(1)}).values.tobytes() == expected.tobytes()
 
 
 def test_sample_point_mass():

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -167,6 +168,17 @@ def test_all_sign_vectors_lists_every_sign_vector():
 def test_all_sign_vectors_refuses_fewer_than_one_sign(m):
     with pytest.raises(PreconditionError, match=f"m >= 1 signs, not {m}"):
         all_sign_vectors(m)
+
+
+@pytest.mark.parametrize("m", [2.5, 2.0, np.float64(2.0), "2", None])
+def test_all_sign_vectors_refuses_a_non_integer_count(m):
+    with pytest.raises(PreconditionError,
+                       match=re.escape(f"sign count m must be an integer, got {m!r}")):
+        all_sign_vectors(m)
+
+
+def test_all_sign_vectors_accepts_numpy_integers():
+    assert all_sign_vectors(np.int64(2)).tobytes() == all_sign_vectors(2).tobytes()
 
 
 # -----------------------------------------------------------------------------

@@ -100,12 +100,16 @@ def test_plm_stack_matches_members(cells_and_pairs, seed):
 def test_ate_member_is_the_documented_formula(x_cells, m_pairs, seed, split):
     family = ate_family(x_cells, m_pairs, seed, split)
     m_hat, g_hat, eps_m, eps_g = family.m_hat, family.g_hat, family.eps_m, family.eps_g
+    p_x = 1.0 / (x_cells * family.space.axes[0].cell_weight)  # the uniform X density
     for lam in all_sign_vectors(m_pairs):
         delta = bump(family.partition, lam)
         m_lam = m_hat + eps_m * delta
         g_lam = np.stack([g_hat[:, 0] + eps_g * delta * (1.0 - m_hat + eps_m * delta),
                           g_hat[:, 1] + eps_g * delta * (m_hat - eps_m * delta)], axis=1)
-        expected = est.ate_joint_values(family.space, m_lam, g_lam)
+        expected = np.empty(family.space.shape)
+        for x, d, y in np.ndindex(expected.shape):
+            expected[x, d, y] = (p_x * m_lam[x] ** d * (1.0 - m_lam[x]) ** (1 - d)
+                                 * g_lam[x, d] ** y * (1.0 - g_lam[x, d]) ** (1 - y))
         assert family.member(lam).values.tobytes() == expected.tobytes()
 
 
