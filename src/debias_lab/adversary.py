@@ -48,6 +48,7 @@ import numpy as np
 from . import estimands as est
 from .errors import (
     ConstructionPreconditionError,
+    DimensionMismatchError,
     InfeasibleRadiusError,
     NondegeneracyError,
     PairingError,
@@ -574,6 +575,13 @@ class SignVectorFamily:
         return Density(self.anchor.space, self._values(np.reshape(lam, (1, -1)))[0])
 
 
+def _check_partition(partition: BumpPartition, space: GridSpace) -> None:
+    """Refuse a partition over another number of cells than the Z1 axis."""
+    if partition.axis.size != space.shape[0]:
+        raise DimensionMismatchError(f"the partition has {partition.axis.size} cells, "
+                                     f"the Z1 axis {space.shape[0]}")
+
+
 class AteLocalFamily(SignVectorFamily):
     """The joint ATE alternatives indexed by sign vectors.
 
@@ -591,10 +599,10 @@ class AteLocalFamily(SignVectorFamily):
 
     def __init__(self, space: GridSpace, m_hat: np.ndarray, g_hat: np.ndarray,
                  eps_m: float, eps_g: float, partition: BumpPartition):
-        n_x = space.shape[0]
+        _check_partition(partition, space)
         self.space = space
-        self.m_hat = np.asarray(m_hat, dtype=float) * np.ones(n_x)
-        self.g_hat = np.asarray(g_hat, dtype=float) * np.ones((n_x, 2))
+        self.m_hat = np.array(space.subgrid((0,)).broadcast(m_hat))
+        self.g_hat = np.array(space.subgrid((0, 1)).broadcast(g_hat))
         c = float(min(self.m_hat.min(), 1.0 - self.m_hat.max(),
                       self.g_hat.min(), 1.0 - self.g_hat.max()))
         if eps_m < 0 or eps_g < 0 or eps_m > c or eps_g > c:
@@ -688,6 +696,7 @@ class PlmFamily(SignVectorFamily):
             )
         if abs(u) >= 1.0:
             raise UncertaintyViolationError("|u| must be < 1")
+        _check_partition(partition, anchor.space)
         self.anchor = anchor
         self.u = float(u)
         self.v = float(v)

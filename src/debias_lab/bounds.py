@@ -33,7 +33,7 @@ from .errors import (
     SizeLimitError,
 )
 from .estimands import EstimandSpec
-from .grid import Dataset, Density, integrate, sample
+from .grid import Dataset, Density, _index, integrate, sample
 from .partition import BumpPartition, all_sign_vectors
 
 ENUM_TUPLE_CAP = 1_000_000
@@ -53,6 +53,7 @@ class TestingInstance:
     enumerated: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _index(self.n, "the instance size n"))
         if self.n < 1 or self.n > ENUM_N_CAP:
             raise PreconditionError(f"instance n must lie in [1, {ENUM_N_CAP}]")
         if self.anchor.space != self.family.anchor.space:
@@ -142,13 +143,16 @@ def theorem21_b(instance: TestingInstance, partition: BumpPartition
     """The chunk statistic b and the bound n^2 (max_j p_j) b^2 at C = 1.
 
     Chunks are X_j = (B_{2j-1} u B_{2j}) x (other axes); b is the worst
-    normalized chi-square mass of any alternative on any chunk.  The theory
-    constant C is unspecified; :func:`fit_hellinger_constant` fits it.
+    normalized chi-square mass of any alternative on any chunk, so
+    ``partition`` must be the family's.  The theory constant C is
+    unspecified; :func:`fit_hellinger_constant` fits it.
     """
     anchor = instance.anchor
     space = anchor.space
     if partition.axis.size != space.shape[0]:
         raise DimensionMismatchError("the partition's cell count is not the anchor's Z1 size")
+    if partition != instance.family.partition:
+        raise PreconditionError("the chunks must be the blocks of the family's partition")
     w = space.atom_weight
     probs = member_probs(instance) / w  # back to densities
     anchor_vals = anchor.values.ravel()

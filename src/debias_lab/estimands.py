@@ -361,7 +361,8 @@ def x_density(space: GridSpace, p_x: np.ndarray | None = None) -> np.ndarray:
     """The X marginal p_x (uniform when None) on the X axis, normalized to
     integrate to one."""
     n_x = space.shape[0]
-    weights = np.ones(n_x) if p_x is None else np.asarray(p_x, dtype=float) * np.ones(n_x)
+    weights = (np.ones(n_x) if p_x is None
+               else space.subgrid((0,)).broadcast(p_x) * np.ones(n_x))
     total = float(np.sum(weights) * space.axes[0].cell_weight)
     if total <= 0:
         raise PreconditionError("cannot normalize a nonpositive weight vector")
@@ -385,16 +386,18 @@ def ate_joint(space: GridSpace, m: np.ndarray, g: np.ndarray,
     """Joint density p(x,d,y) = p_X(x) m(x)^d (1-m)^{1-d} g(x,d)^y (1-g)^{1-y}.
 
     ``g`` has shape (n_x, 2) indexed by treatment level.  Also the LOD anchor
-    factory (same factorization, binary outcome).
+    factory (same factorization, binary outcome).  A field that does not
+    broadcast to the X grid (m) or the X x D grid (g) raises
+    DimensionMismatchError.
     """
+    m, g = space.subgrid((0,)).broadcast(m), space.subgrid((0, 1)).broadcast(g)
     return Density(space, bernoulli_law(bernoulli_law(x_density(space, p_x), m), g))
 
 
 def plm_joint(space: GridSpace, g: np.ndarray, q: np.ndarray, theta: float) -> Density:
     """Partially linear anchor: E[Y|T,X] = f(X) + theta*T with f = q - theta*g."""
-    n_x = space.shape[0]
-    g = np.asarray(g, dtype=float) * np.ones(n_x)
-    q = np.asarray(q, dtype=float) * np.ones(n_x)
+    x = space.subgrid((0,))
+    g, q = x.broadcast(g), x.broadcast(q)
     f = q - theta * g
     vals = np.empty(space.shape)
     vals[:, 1, 1] = g * (f + theta)
@@ -409,6 +412,7 @@ def plm_joint(space: GridSpace, g: np.ndarray, q: np.ndarray, theta: float) -> D
 
 
 def ds_joint(space: GridSpace, q: np.ndarray, p_x: np.ndarray | None = None) -> Density:
+    q = space.subgrid((0,)).broadcast(q)
     return Density(space, bernoulli_law(x_density(space, p_x), q))
 
 
@@ -420,11 +424,11 @@ def dose_joint(space: GridSpace, f_d: np.ndarray, g: np.ndarray,
     it is renormalized per x so that the treatment slice integrates to one
     exactly under midpoint quadrature.
     """
-    n_x, n_d = space.shape[0], space.shape[1]
-    f_d = np.asarray(f_d, dtype=float) * np.ones((n_x, n_d))
+    xd = space.subgrid((0, 1))
+    f_d = xd.broadcast(f_d) * np.ones(xd.shape)
     # bernoulli_law would broadcast g itself, but dropping this copy moved the
     # heap: a 256x64 APE population DR scan then took 18x the page faults
-    g = np.asarray(g, dtype=float) * np.ones((n_x, n_d))
+    g = xd.broadcast(g) * np.ones(xd.shape)
     w_d = space.axes[1].cell_weight
     f_d = f_d / (f_d.sum(axis=1, keepdims=True) * w_d)
     return Density(space, bernoulli_law(x_density(space, p_x)[:, None] * f_d, g))
@@ -561,11 +565,9 @@ def m1_population(p: Density, spec: EstimandSpec, h: np.ndarray) -> float:
     return integrate(p, m1_atoms(spec, p.space, h))
 
 
-def m1_rows(spec: EstimandSpec, space: GridSpace, rows: np.ndarray,
-            h: np.ndarray) -> np.ndarray:
-    """m1(o, h) at the atoms ``rows`` (flat indices into the observation grid)."""
-    atoms = np.broadcast_to(m1_atoms(spec, space, h), space.shape)
-    return atoms.ravel()[np.asarray(rows, dtype=np.int64)]
+def m1_rows(spec: EstimandSpec, space: GridSpace, h: np.ndarray) -> np.ndarray:
+    """m1(o, h) at every atom of the observation grid, in flat order."""
+    return np.broadcast_to(m1_atoms(spec, space, h), space.shape).ravel()
 
 
 def ecc_offset_population(p: Density, spec: EstimandSpec) -> float:
@@ -586,15 +588,6 @@ def chi_from_linear(p: Density, spec: EstimandSpec, linear: float) -> float:
     """E_P[offset] + sign * linear, for the linear piece E_P[m1] of chi (or of
     a debiased estimate of it)."""
     return ecc_offset_population(p, spec) + score_sign_offset(spec) * linear
-
-
-def chi_rows_from_linear(spec: EstimandSpec, space: GridSpace, rows: np.ndarray,
-                         linear: np.ndarray) -> np.ndarray:
-    """offset(o) + sign * linear at the atoms ``rows`` (flat indices)."""
-    offset = _kind(spec.kind).offset
-    at_rows = 0.0 if offset is None else \
-        np.broadcast_to(offset(space), space.shape).ravel()[rows]
-    return at_rows + score_sign_offset(spec) * linear
 
 
 def functional_value(p: Density, spec: EstimandSpec) -> float:
@@ -621,16 +614,13 @@ def score_rho(spec: EstimandSpec, outcome: float | np.ndarray,
     return outcome - gamma_val
 
 
-def rho_rows(spec: EstimandSpec, space: GridSpace, rows: np.ndarray,
-             gamma_field: np.ndarray) -> np.ndarray:
-    """rho(o, gamma_field(z)) at the atoms ``rows`` (flat indices), gathered
-    from rho at every atom of the observation grid."""
+def rho_rows(spec: EstimandSpec, space: GridSpace, gamma_field: np.ndarray) -> np.ndarray:
+    """rho(o, gamma_field(z)) at every atom of the grid, in flat order."""
     check_space(spec, space)
     t = _kind(spec.kind).target_axis
     outcome = np.expand_dims(space.coords(t),
                              tuple(a for a in range(len(space.shape)) if a != t))
-    atoms = score_rho(spec, outcome, z_to_grid(spec, space, gamma_field))
-    return atoms.ravel()[np.asarray(rows, dtype=np.int64)]
+    return score_rho(spec, outcome, z_to_grid(spec, space, gamma_field)).ravel()
 
 
 def rho_bar(p: Density, spec: EstimandSpec, gamma_field: np.ndarray) -> np.ndarray:

@@ -39,7 +39,7 @@ from .errors import (
     PreconditionError,
 )
 from .estimands import EstimandSpec, NuisanceField
-from .grid import Dataset, Density, GridSpace, integrate
+from .grid import Dataset, Density, GridSpace, _index, integrate
 
 _ATE_SPEC = EstimandSpec(est.ATE)
 
@@ -117,6 +117,9 @@ def corruption_directions(z_grid: GridSpace, alignment: str, seed: int = 0,
     ones for random alignment, as a compact array of shape (n_z1, 1, ...)
     that broadcasts to the Z grid.
     """
+    if alignment not in ("adversarial", "random"):
+        raise PreconditionError(f"alignment must be 'adversarial' or 'random', "
+                                f"not {alignment!r}")
     rng = np.random.default_rng(seed)
     n1 = z_grid.shape[0]
 
@@ -169,13 +172,15 @@ def score_table(spec: EstimandSpec, space: GridSpace, gamma_hat: np.ndarray,
                 and _same_field(k_alpha, alpha_hat)):
             return table
     gamma_hat = np.array(gamma_hat, dtype=float)
-    rows = np.arange(space.n_atoms)
-    core = est.m1_rows(spec, space, rows, gamma_hat)
+    core = est.m1_rows(spec, space, gamma_hat)
     if alpha_hat is not None:
         alpha_hat = np.array(alpha_hat, dtype=float)
-        rho = est.rho_rows(spec, space, rows, gamma_hat).reshape(space.shape)
+        rho = est.rho_rows(spec, space, gamma_hat).reshape(space.shape)
         core = core + (est.z_to_grid(spec, space, alpha_hat) * rho).ravel()
-    table = est.chi_rows_from_linear(spec, space, rows, core)
+    record = est.KIND_TABLE[spec.kind]
+    offset = 0.0 if record.offset is None else \
+        np.broadcast_to(record.offset(space), space.shape).ravel()
+    table = offset + record.sign * core
     table.flags.writeable = False
     _last_table = (spec, space, gamma_hat, alpha_hat, table)
     return table
@@ -272,6 +277,7 @@ def binned_learner(data: Dataset, target_axis: int, bins: int) -> np.ndarray:
     """
     space = data.space
     n1 = space.shape[0]
+    bins = _index(bins, "the bin count")
     if bins < 1 or n1 % bins:
         raise PreconditionError("bins must divide the Z1 cell count")
     if data.n == 0:

@@ -51,6 +51,15 @@ Role = str  # "z1" | "z2" | "w"
 _ROLES = ("z1", "z2", "w")
 
 
+def _index(value, what: str) -> int:
+    """``value`` as an int, refusing whatever ``operator.index`` rejects: a
+    float, even a whole one, or a string.  Numpy integers pass."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise PreconditionError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Axis:
     """One coordinate of the observation space.
@@ -65,6 +74,7 @@ class Axis:
     cells: int = 2
 
     def __post_init__(self):
+        object.__setattr__(self, "cells", _index(self.cells, "an axis cell count"))
         if self.kind not in ("binary", "continuous"):
             raise PreconditionError(f"unknown axis kind {self.kind!r}")
         if self.role not in _ROLES:
@@ -398,15 +408,6 @@ def marginal(p: Density, keep_axes: Sequence[int]) -> Density:
     return p.derived(("marginal", keep), compute)
 
 
-def _index(value, what: str) -> int:
-    """``value`` as an int, refusing whatever ``operator.index`` rejects: a
-    float, even a whole one, or a string.  Numpy integers pass."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise PreconditionError(f"{what} must be an integer, got {value!r}") from None
-
-
 def conditional(p: Density, fixed: dict[int, int]) -> Density:
     """Condition on given axis=cell assignments and renormalize the slice."""
     idx: list = [slice(None)] * len(p.space.axes)
@@ -431,12 +432,13 @@ def conditional(p: Density, fixed: dict[int, int]) -> Density:
 def sample(p: Density, n: int, seed: int) -> Dataset:
     """n i.i.d. atom draws from the categorical law values*atom_weight, as
     one multinomial draw of the per-atom counts (O(atoms) at any n)."""
+    n = _index(n, "the sample size n")
     if not 0 <= n <= 2 ** 63 - 1:
         raise PreconditionError(f"sample size n must be >= 0 and at most the int64 "
                                 f"limit 2**63 - 1, got {n}")
     probs = p.values.ravel() * p.space.atom_weight
     rng = np.random.default_rng(seed)
-    return Dataset(p.space, rng.multinomial(int(n), probs / probs.sum()))
+    return Dataset(p.space, rng.multinomial(n, probs / probs.sum()))
 
 
 def hellinger_sq(p: Density, q: Density) -> float:

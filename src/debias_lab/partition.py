@@ -397,7 +397,7 @@ def iterated_partition(weights: Sequence[np.ndarray], m_pairs: int,
     is 0 on that pair for every lambda.  On the 4-cell ATE preset at M = 2
     every family member then equals the anchor.
     """
-    n_blocks = 2 * int(m_pairs)
+    n_blocks = 2 * _index(m_pairs, "the pair count m_pairs")
     if n_blocks < 2 or n_blocks & (n_blocks - 1):
         raise PreconditionError("2M must be a power of two")
     w = _weight_matrix(weights, axis.size)
@@ -431,6 +431,7 @@ def equal_blocks(axis: Axis, n_blocks: int) -> BumpPartition:
     Unlike :func:`iterated_partition` this places no power-of-two
     restriction on the block count; boundary cells are split fractionally.
     """
+    n_blocks = _index(n_blocks, "the block count")
     if n_blocks < 2 or n_blocks % 2:
         raise PreconditionError("equal_blocks needs an even block count >= 2")
     w = np.ones(axis.size)

@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -269,6 +270,12 @@ def test_direction_pair_refuses_an_empty_z_slice(kind):
             adv.direction_pair(pre.spec, anchor, "gamma")
 
 
+def test_direction_pair_refuses_an_unknown_variant(medium_presets):
+    pre = medium_presets[est.ATE]
+    with pytest.raises(PreconditionError, match="variant must be 'gamma' or 'alpha'"):
+        adv.direction_pair(pre.spec, pre.anchor, "beta")
+
+
 def test_verify_invariance_refuses_an_unknown_nuisance(medium_presets):
     pre = medium_presets[est.ATE]
     pair = adv.direction_pair(pre.spec, pre.anchor, "gamma")
@@ -335,6 +342,40 @@ def test_family_rejects_eps_above_overlap(ate_family):
     with pytest.raises(UncertaintyViolationError):
         adv.AteLocalFamily(ate_family.space, ate_family.m_hat,
                            ate_family.g_hat, 0.6, 0.1, ate_family.partition)
+
+
+@pytest.mark.parametrize("m_hat, g_hat, given, grid", [
+    (np.full(255, 0.5), np.full((256, 2), 0.5), (255,), (256,)),
+    (np.full(256, 0.5), np.full((257, 2), 0.5), (257, 2), (256, 2)),
+    (np.full(256, 0.5), np.full(256, 0.5), (256,), (256, 2)),
+])
+def test_ate_family_refuses_anchor_fields_off_the_grid(ate_family, m_hat, g_hat, given,
+                                                        grid):
+    """A typed refusal naming both shapes, not numpy's bare ValueError."""
+    with pytest.raises(DimensionMismatchError,
+                       match=re.escape(f"shape {given} does not broadcast to grid shape {grid}")):
+        adv.AteLocalFamily(ate_family.space, m_hat, g_hat, 0.1, 0.1, ate_family.partition)
+
+
+def test_families_refuse_a_partition_of_another_z1_axis(ate_family):
+    """Both used to fail only at the first member, with numpy's ValueError."""
+    part = equal_blocks(continuous("z1", 128), 4)
+    with pytest.raises(DimensionMismatchError,
+                       match="the partition has 128 cells, the Z1 axis 256"):
+        adv.AteLocalFamily(ate_family.space, ate_family.m_hat, ate_family.g_hat,
+                           0.1, 0.1, part)
+    plm = preset(est.ECC_PLM, x_cells=64)
+    with pytest.raises(DimensionMismatchError,
+                       match="the partition has 128 cells, the Z1 axis 64"):
+        adv.PlmFamily(plm.anchor, 0.1, 0.1, part)
+
+
+@pytest.mark.parametrize("u", [1.0, -1.0, 1.5])
+def test_plm_family_refuses_u_outside_the_open_unit_interval(u):
+    pre = preset(est.ECC_PLM, x_cells=64)
+    part = iterated_partition([np.ones(64)], 2, pre.anchor.space.axes[0])
+    with pytest.raises(UncertaintyViolationError, match=re.escape("|u| must be < 1")):
+        adv.PlmFamily(pre.anchor, u, 0.0, part)
 
 
 def test_mixture_equals_anchor(ate_family):

@@ -1,3 +1,6 @@
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +13,7 @@ from debias_lab.errors import (
     SizeLimitError,
 )
 from debias_lab.grid import hellinger_sq
-from debias_lab.partition import iterated_partition
+from debias_lab.partition import equal_blocks, iterated_partition
 from debias_lab.presets import preset
 
 
@@ -45,6 +48,59 @@ def test_instance_refuses_an_anchor_on_another_grid():
     with pytest.raises(DimensionMismatchError):
         bounds.theorem21_b(inst, part8)
     bounds.theorem21_b(inst, part)
+
+
+def test_theorem21_b_refuses_a_partition_other_than_the_familys():
+    """A 4-block partition of the same 8 cells as a 2-block family gave a
+    statistic that belongs to no family."""
+    spec, _, fam, part = small_ate_family(x_cells=8, m_pairs=1)
+    inst = bounds.TestingInstance(fam.anchor, fam, spec, n=2)
+    with pytest.raises(PreconditionError, match="blocks of the family's partition"):
+        bounds.theorem21_b(inst, equal_blocks(part.axis, 4))
+    assert bounds.theorem21_b(inst, part) == bounds.theorem21_b(inst, fam.partition)
+
+
+def test_theorem21_b_refuses_an_anchor_with_a_zero_atom():
+    g_hat = np.stack([np.zeros(8), np.full(8, 0.5)], axis=1)
+    spec, _, fam, part = small_ate_family(x_cells=8, m_pairs=1, eps_m=0.0, eps_g=0.0,
+                                          g_hat=g_hat)
+    inst = bounds.TestingInstance(fam.anchor, fam, spec, n=1)
+    with pytest.raises(PreconditionError, match="strictly positive anchor"):
+        bounds.theorem21_b(inst, part)
+
+
+@pytest.mark.parametrize("n", [2.0, 1.5, np.float64(2.0), "2"])
+def test_instance_refuses_a_non_integer_n(n):
+    """n = 2.0 passed the range check and ended in a bare TypeError."""
+    spec, anchor, fam, _ = small_ate_family()
+    with pytest.raises(PreconditionError,
+                       match=re.escape(f"instance size n must be an integer, got {n!r}")):
+        bounds.TestingInstance(anchor, fam, spec, n=n)
+
+
+def test_instance_accepts_a_numpy_integer_n():
+    spec, anchor, fam, _ = small_ate_family()
+    inst = bounds.TestingInstance(anchor, fam, spec, n=np.int64(2))
+    assert type(inst.n) is int
+    assert (bounds.product_mixture_hellinger(inst)
+            == bounds.product_mixture_hellinger(bounds.TestingInstance(anchor, fam, spec, n=2)))
+
+
+def test_instance_caps_its_atoms_and_its_sign_vectors():
+    spec, anchor, fam, _ = small_ate_family(x_cells=20, m_pairs=2)
+    with pytest.raises(SizeLimitError, match=re.escape("cap |O| at 64 atoms")):
+        bounds.TestingInstance(anchor, fam, spec, n=1)
+    spec, anchor, fam, _ = small_ate_family()
+    many = SimpleNamespace(anchor=fam.anchor, m_pairs=13)  # 2^13 > 4096
+    with pytest.raises(SizeLimitError, match=re.escape("2^M exceeds")):
+        bounds.TestingInstance(anchor, many, spec, n=1)
+
+
+def test_exact_bounds_refuse_an_instance_that_is_not_enumerated():
+    spec, anchor, fam, _ = small_ate_family()
+    inst = bounds.TestingInstance(anchor, fam, spec, n=2, enumerated=False)
+    with pytest.raises(PreconditionError, match="need an enumerated instance"):
+        bounds.product_mixture_hellinger(inst)
 
 
 def test_h2_at_n1_matches_mixture_hellinger():

@@ -1,9 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from debias_lab import estimands as est
-from debias_lab.errors import DegenerateNuisanceError, DimensionMismatchError, PreconditionError
+from debias_lab.errors import (
+    ConstructionPreconditionError,
+    DegenerateNuisanceError,
+    DimensionMismatchError,
+    PreconditionError,
+)
 from debias_lab.estimands import DsParams, EstimandSpec
 from debias_lab.presets import preset
 
@@ -190,7 +197,7 @@ def test_m1_rows_match_population(small_presets):
         data = sample(pre.anchor, 200_000, seed=9)
         atoms = np.flatnonzero(data.counts)
         emp = float(data.counts[atoms]
-                    @ est.m1_rows(pre.spec, pre.anchor.space, atoms, h) / data.n)
+                    @ est.m1_rows(pre.spec, pre.anchor.space, h)[atoms] / data.n)
         pop = est.m1_population(pre.anchor, pre.spec, h)
         assert abs(emp - pop) < 0.05 * (1.0 + abs(pop))
 
@@ -222,6 +229,56 @@ def test_params_that_do_not_fit_the_grid_are_refused(kind, name):
     message = str(err.value)
     for word in (kind, name, "16", "8"):
         assert word in message
+
+
+ATE8, DS8 = est.make_space(est.ATE, 8), est.make_space(est.DS, 8)
+DOSE8, PLM8 = est.make_space(est.WAD, 8, 4), est.make_space(est.ECC_PLM, 8)
+M8, G8 = np.full(8, 0.5), np.full((8, 2), 0.5)
+
+
+@pytest.mark.parametrize("build, given, grid", [
+    (lambda: est.ate_joint(ATE8, np.full(9, 0.5), G8), (9,), (8,)),
+    (lambda: est.ate_joint(ATE8, M8, np.full((8, 3), 0.5)), (8, 3), (8, 2)),
+    (lambda: est.ate_joint(ATE8, M8, G8, p_x=np.ones(7)), (7,), (8,)),
+    (lambda: est.ds_joint(DS8, np.full(7, 0.5)), (7,), (8,)),
+    (lambda: est.dose_joint(DOSE8, np.ones((8, 5)), np.full((8, 4), 0.5)), (8, 5), (8, 4)),
+    (lambda: est.dose_joint(DOSE8, np.ones(4), np.full((9, 4), 0.5)), (9, 4), (8, 4)),
+    (lambda: est.plm_joint(PLM8, np.full(9, 0.4), 0.5, 0.1), (9,), (8,)),
+    (lambda: est.plm_joint(PLM8, 0.4, np.full(7, 0.5), 0.1), (7,), (8,)),
+])
+def test_joint_builders_refuse_a_field_off_their_grid(build, given, grid):
+    """A typed refusal naming both shapes, not numpy's bare ValueError."""
+    with pytest.raises(DimensionMismatchError,
+                       match=re.escape(f"shape {given} does not broadcast to grid shape {grid}")):
+        build()
+
+
+@pytest.mark.parametrize("build, error, named", [
+    (lambda: est.WadParams([0.0, -1.0, 5.0, 0.0], np.zeros(4)), PreconditionError,
+     "omega must be nonnegative"),
+    (lambda: est.WadParams([0.0, 1.0, 1.0, 0.0], np.zeros(4)), PreconditionError,
+     "omega must integrate to 1"),
+    (lambda: est.WadParams(np.ones(4), np.zeros(4)), PreconditionError,
+     "omega must vanish at the boundary"),
+    (lambda: est.ApeParams([0, 0, 1]), PreconditionError, "tau must be a bijection"),
+    (lambda: est.ApeParams([1, 0, 2]), PreconditionError, "tau must be strictly monotone"),
+    (lambda: EstimandSpec("bogus"), PreconditionError, "unknown estimand kind 'bogus'"),
+    (lambda: EstimandSpec(est.ATE, overlap=0.5), PreconditionError, "overlap constant"),
+    (lambda: EstimandSpec(est.ATE, overlap=0.0), PreconditionError, "overlap constant"),
+    (lambda: EstimandSpec(est.WAD, DsParams(np.ones(4), np.ones(4))), PreconditionError,
+     "wad spec needs WadParams"),
+    (lambda: est.NuisanceField(ATE8.subgrid((0,)), np.full(8, 0.99), "propensity",
+                               bounds=(0.05, 0.95)),
+     PreconditionError, re.escape("propensity field leaves its bounds [0.05, 0.95]")),
+    (lambda: est.x_density(ATE8, np.zeros(8)), PreconditionError,
+     "nonpositive weight vector"),
+    (lambda: est.x_density(ATE8, -1.0), PreconditionError, "nonpositive weight vector"),
+    (lambda: est.plm_joint(PLM8, 0.5, 0.9, 0.5), ConstructionPreconditionError,
+     "cell probability below zero"),
+])
+def test_bad_params_and_fields_are_refused(build, error, named):
+    with pytest.raises(error, match=named):
+        build()
 
 
 # -----------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,34 @@ def test_corruption_directions_alignment():
     assert np.array_equal(g2, ref) and np.array_equal(a2, ref)
     g3, a3 = dr.corruption_directions(zs, "random", seed=3)
     assert not np.array_equal(g3, a3)
+
+
+@pytest.mark.parametrize("make, named", [
+    (lambda zs: dr.corruption_directions(zs, "bogus"),
+     "alignment must be 'adversarial' or 'random', not 'bogus'"),
+    (lambda zs: dr.CorruptionSpec(0.1, np.ones(16), "bogus"),
+     "alignment must be 'adversarial' or 'random'"),
+    (lambda zs: dr.CorruptionSpec(-0.1, np.ones(16)), "corruption eps must be nonnegative"),
+])
+def test_corruption_refuses_a_bad_alignment_or_a_negative_eps(make, named):
+    """corruption_directions(zs, "bogus") drew two independent random bumps."""
+    from debias_lab.grid import GridSpace, continuous
+
+    with pytest.raises(PreconditionError, match=named):
+        make(GridSpace((continuous("z1", 16),)))
+
+
+def test_corrupt_along_a_zero_direction():
+    """A zero direction has no unit vector: at eps 0 the field comes back as
+    it is, and any eps > 0 is refused."""
+    from debias_lab.grid import GridSpace, continuous, uniform_density
+
+    zs = GridSpace((continuous("z1", 8),))
+    pz = uniform_density(zs)
+    field = NuisanceField(zs, np.full(8, 0.5), "gamma")
+    assert dr.corrupt_nuisance(field, dr.CorruptionSpec(0.0, np.zeros(8)), pz) is field
+    with pytest.raises(PreconditionError, match="cannot corrupt along a zero direction"):
+        dr.corrupt_nuisance(field, dr.CorruptionSpec(0.1, np.zeros(8)), pz)
 
 
 def _z_grid(pre):
@@ -301,10 +331,9 @@ def test_sampled_dml_at_n_1e12():
     space, n = pre.anchor.space, 10 ** 12
     data = sample(pre.anchor, n, seed=0)
     assert data.n == n and data.counts.shape == (space.n_atoms,)
-    atoms = np.arange(space.n_atoms)
     alpha_at = est.z_to_grid(pre.spec, space, pre.alpha).ravel()
-    psi = (est.m1_rows(pre.spec, space, atoms, pre.gamma)
-           + alpha_at * est.rho_rows(pre.spec, space, atoms, pre.gamma))
+    psi = (est.m1_rows(pre.spec, space, pre.gamma)
+           + alpha_at * est.rho_rows(pre.spec, space, pre.gamma))
     prob = pre.anchor.values.ravel() * space.atom_weight
     assert abs(prob @ psi - pre.oracle) <= 1e-12
     stderr = np.sqrt(prob @ (psi - pre.oracle) ** 2 / n)
@@ -453,3 +482,18 @@ def test_binned_learner_bins_must_divide():
     data = sample(pre.anchor, 100, seed=0)
     with pytest.raises(PreconditionError):
         dr.binned_learner(data, target_axis=2, bins=5)
+
+
+@pytest.mark.parametrize("bins", [2.0, 2.5, np.float64(4.0), "4"])
+def test_binned_learner_refuses_a_non_integer_bin_count(bins):
+    """bins = 2.0 passed the divisibility check and ended in a bare TypeError."""
+    data = sample(preset(est.ATE, x_cells=32).anchor, 100, seed=0)
+    with pytest.raises(PreconditionError,
+                       match=re.escape(f"bin count must be an integer, got {bins!r}")):
+        dr.binned_learner(data, target_axis=2, bins=bins)
+
+
+def test_binned_learner_accepts_a_numpy_integer_bin_count():
+    data = sample(preset(est.ATE, x_cells=32).anchor, 1000, seed=0)
+    assert (dr.binned_learner(data, 2, np.int64(4)).tobytes()
+            == dr.binned_learner(data, 2, 4).tobytes())

@@ -11,7 +11,9 @@ from debias_lab.errors import (
     InfeasibleRadiusError,
     PreconditionError,
 )
+from debias_lab.estimands import make_space
 from debias_lab.grid import (
+    Axis,
     Dataset,
     Density,
     GridSpace,
@@ -274,6 +276,30 @@ def test_sample_rejects_n_beyond_int64():
     with pytest.raises(PreconditionError, match="int64 limit"):
         sample(p, 2 ** 63, seed=0)
     assert sample(p, 2 ** 63 - 1, seed=0).counts.sum() == 2 ** 63 - 1
+
+
+@pytest.mark.parametrize("make, named", [
+    (lambda: Axis("continuous", "z1", 8.5), "axis cell count must be an integer, got 8.5"),
+    (lambda: Axis("binary", "w", 2.0), "axis cell count must be an integer, got 2.0"),
+    (lambda: continuous("z1", "8"), "axis cell count must be an integer, got '8'"),
+    (lambda: make_space("ate", x_cells=8.0), "axis cell count must be an integer, got 8.0"),
+    (lambda: sample(uniform_density(two_point_space()), 10.5, 0),
+     "sample size n must be an integer, got 10.5"),
+    (lambda: sample(uniform_density(two_point_space()), np.float64(10.0), 0),
+     "sample size n must be an integer, got np.float64(10.0)"),
+])
+def test_counts_refuse_non_integers(make, named):
+    """A fractional count is not truncated (8.5 cells made 9 midpoints, and
+    n = 10.5 drew 10), and a whole float is refused like any other."""
+    with pytest.raises(PreconditionError, match=re.escape(named)):
+        make()
+
+
+def test_counts_accept_numpy_integers():
+    axis = continuous("z1", np.int64(8))
+    assert type(axis.cells) is int and axis == continuous("z1", 8)
+    p = uniform_density(GridSpace((axis, binary("w"))))
+    assert sample(p, np.int32(50), 3).counts.tobytes() == sample(p, 50, 3).counts.tobytes()
 
 
 def test_hellinger_basic_values():

@@ -329,6 +329,22 @@ def test_emit_rejects_empty():
         records_to_csv([])
 
 
+@pytest.mark.parametrize("fmt, named", [
+    ("svg", "emit needs at least one record"),
+    ("png", "unknown emit format 'png'"),
+])
+def test_emit_refuses_no_records_or_an_unknown_format(tmp_path, fmt, named):
+    empty = harness.RateScanResult([], [], [], [], 0.0, 0.0)
+    with pytest.raises(PreconditionError, match=named):
+        emit(empty, fmt, tmp_path)
+    assert not (tmp_path / f"scan.{fmt}").exists()
+
+
+def test_fit_loglog_slope_refuses_a_single_point():
+    with pytest.raises(PreconditionError, match="at least two sweep points"):
+        fit_loglog_slope([1.0], [0.5])
+
+
 def test_fit_loglog_slope_exact_line():
     xs = [1.0, 2.0, 4.0, 8.0]
     ys = [3.0 * x ** -0.5 for x in xs]

@@ -181,6 +181,71 @@ def test_all_sign_vectors_accepts_numpy_integers():
     assert all_sign_vectors(np.int64(2)).tobytes() == all_sign_vectors(2).tobytes()
 
 
+@pytest.mark.parametrize("make, named", [
+    (lambda: iterated_partition([np.ones(256)], 2.5, AXIS),
+     "pair count m_pairs must be an integer, got 2.5"),
+    (lambda: iterated_partition([np.ones(256)], 1.9, AXIS),
+     "pair count m_pairs must be an integer, got 1.9"),
+    (lambda: iterated_partition([np.ones(256)], "2", AXIS),
+     "pair count m_pairs must be an integer, got '2'"),
+    (lambda: equal_blocks(AXIS, 2.0), "block count must be an integer, got 2.0"),
+    (lambda: equal_blocks(AXIS, np.float64(4.0)),
+     "block count must be an integer, got np.float64(4.0)"),
+])
+def test_block_counts_refuse_non_integers(make, named):
+    """m_pairs = 2.5 built 2 pairs, 1.9 built 1 and "2" built 2; a float
+    block count ended in a bare TypeError."""
+    with pytest.raises(PreconditionError, match=re.escape(named)):
+        make()
+
+
+def test_block_counts_accept_numpy_integers():
+    assert (iterated_partition([np.ones(256)], np.int64(2), AXIS)
+            == iterated_partition([np.ones(256)], 2, AXIS))
+    assert equal_blocks(AXIS, np.int32(4)) == equal_blocks(AXIS, 4)
+
+
+@pytest.mark.parametrize("weights, axis, named", [
+    ([], AXIS, "bisect needs at least one weight"),
+    ([np.ones(2)], Axis("binary", "z1"), "partitions are built on a continuous Z1 axis"),
+])
+def test_bisect_refuses_no_weight_or_a_binary_axis(weights, axis, named):
+    with pytest.raises(PreconditionError, match=named):
+        bisect(weights, axis)
+
+
+def test_bisect_on_an_empty_block_holds_no_cell():
+    inside = bisect([np.ones(256)], AXIS, membership=np.zeros(256))
+    assert inside.shape == (256,) and not inside.any()
+
+
+def test_bisect_halves_a_block_on_which_every_weight_vanishes():
+    """Nothing to balance: the set is the first half of the block's measure."""
+    block = np.zeros(256)
+    block[:64] = 1.0
+    w = np.ones(256)
+    w[:64] = 0.0
+    inside = bisect([w, 2.0 * w], AXIS, membership=block)
+    assert inside.tolist() == [1.0] * 32 + [0.0] * 224
+
+
+CELLS4 = Axis("continuous", "z1", 4)
+
+
+@pytest.mark.parametrize("labels, shares, named", [
+    ([0, 0, 1], np.zeros((2, 0)), "a block label per cell"),
+    ([0, 0, 1, 1], np.zeros((3, 0)), "with even 2M"),
+    ([0, 0, 1, 1], np.zeros(0), "with even 2M"),
+    ([0, 0, 1, 2], np.zeros((2, 0)), "a block label per cell"),
+    ([0, -1, 1, 1], np.zeros((2, 0)), "a block label per cell"),
+    ([0, -1, 1, 1], [[1.5], [-0.5]], "block memberships must be >= 0 and sum to 1"),
+    ([0, -1, 1, 1], [[0.5], [0.4]], "block memberships must be >= 0 and sum to 1"),
+])
+def test_partition_refuses_malformed_labels_or_shares(labels, shares, named):
+    with pytest.raises(PreconditionError, match=named):
+        BumpPartition(CELLS4, labels, shares, np.zeros((1, 2)))
+
+
 # -----------------------------------------------------------------------------
 # exactness and split cells
 # -----------------------------------------------------------------------------

@@ -96,8 +96,8 @@ def test_atom_weighted_rows_match_population(drawn, seed):
     weight = anchor.values.ravel() * space.atom_weight
     idx = np.unravel_index(rows, space.shape)
     z_at = tuple(idx[a] for a in est.z_axes(spec.kind))
-    m1 = est.m1_rows(spec, space, rows, gamma_hat)
-    core = m1 + alpha_hat[z_at] * est.rho_rows(spec, space, rows, gamma_hat)
+    m1 = est.m1_rows(spec, space, gamma_hat)
+    core = m1 + alpha_hat[z_at] * est.rho_rows(spec, space, gamma_hat)
     if spec.kind == est.ECC_PLM:
         ty = (idx[1] * idx[2]).astype(float)
         m1, core = ty - m1, ty - core
