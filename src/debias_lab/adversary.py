@@ -367,17 +367,15 @@ def _bumped_rows(direction: SignedDensity, deltas: np.ndarray) -> np.ndarray:
     abs_values = np.abs(values)
     masses = values.reshape(rows, -1).sum(axis=1) * space.atom_weight
     abs_masses = abs_values.reshape(rows, -1).sum(axis=1) * space.atom_weight
-    ratio = np.zeros(rows)
-    for i, (mass, abs_mass) in enumerate(zip(masses.tolist(), abs_masses.tolist())):
-        if abs(mass) > 2e-6 * scale:
-            raise PairingError(
-                f"bump does not annihilate the direction: int Delta dG = {mass:.3e}"
-            )
-        if mass != 0.0 and abs_mass > 0.0:
-            ratio[i] = mass / abs_mass
+    unpaired = np.flatnonzero(np.abs(masses) > 2e-6 * scale)
+    if unpaired.size:
+        raise PairingError("bump does not annihilate the direction: "
+                           f"int Delta dG = {masses[unpaired[0]]:.3e}")
     # partition residual dust can exceed the SignedDensity mass contract;
     # remove it proportionally to |values| (relative change <= 2e-6 per atom)
-    if ratio.any():
+    if masses.any():
+        ratio = np.divide(masses, abs_masses, out=np.zeros(rows),
+                          where=(masses != 0) & (abs_masses > 0))
         values = values - ratio.reshape(along_z1) * abs_values
     check_signed_rows(space, values)
     return values
@@ -548,19 +546,23 @@ def uncertainty_membership(p: Density, anchor: Density, spec: EstimandSpec,
 
 
 class SignVectorFamily:
-    """Alternatives indexed by sign vectors lambda in {-1, +1}^M.
+    """Alternatives around ``anchor`` indexed by sign vectors lambda in
+    {-1, +1}^M, one sign per block pair of ``partition``, which must have
+    one cell per Z1 cell of the anchor.
 
-    A family evaluates its formula for a whole (L, M) stack of sign vectors
-    at once in ``_values``, which raises the family's typed error when a
-    member is infeasible.  ``members`` checks every row of that stack as a
-    density; ``member`` wraps its one row in a Density, so the two agree
-    bit for bit.  A family's parameters are fixed at construction: its
-    lambda-free tables are built once, in ``__init__``, and ``_values`` does
-    only the per-lambda arithmetic.
+    ``members`` and ``member`` compute the (L, n_z1) bump stack Delta of
+    their sign vectors once and pass it to the family's ``_values``, which
+    raises the family's typed error when a member is infeasible.
+    ``members`` checks every row as a density; ``member`` wraps its one
+    row, so the two agree bit for bit.  Lambda-free tables are built once.
     """
 
-    anchor: Density
-    partition: BumpPartition
+    def __init__(self, anchor: Density, partition: BumpPartition):
+        if partition.axis.size != anchor.space.shape[0]:
+            raise DimensionMismatchError(f"the partition has {partition.axis.size} cells, "
+                                         f"the Z1 axis {anchor.space.shape[0]}")
+        self.anchor = anchor
+        self.partition = partition
 
     @property
     def m_pairs(self) -> int:
@@ -569,17 +571,12 @@ class SignVectorFamily:
     def members(self, lams: np.ndarray) -> np.ndarray:
         """The member densities for the rows of the (L, M) sign array ``lams``,
         as an (L, *shape) array."""
-        return check_density_rows(self.anchor.space, self._values(lams))
+        return check_density_rows(self.anchor.space,
+                                  self._values(bumps(self.partition, lams)))
 
     def member(self, lam: Sequence[int]) -> Density:
-        return Density(self.anchor.space, self._values(np.reshape(lam, (1, -1)))[0])
-
-
-def _check_partition(partition: BumpPartition, space: GridSpace) -> None:
-    """Refuse a partition over another number of cells than the Z1 axis."""
-    if partition.axis.size != space.shape[0]:
-        raise DimensionMismatchError(f"the partition has {partition.axis.size} cells, "
-                                     f"the Z1 axis {space.shape[0]}")
+        delta = bumps(self.partition, np.reshape(lam, (1, -1)))
+        return Density(self.anchor.space, self._values(delta)[0])
 
 
 class AteLocalFamily(SignVectorFamily):
@@ -599,7 +596,6 @@ class AteLocalFamily(SignVectorFamily):
 
     def __init__(self, space: GridSpace, m_hat: np.ndarray, g_hat: np.ndarray,
                  eps_m: float, eps_g: float, partition: BumpPartition):
-        _check_partition(partition, space)
         self.space = space
         self.m_hat = np.array(space.subgrid((0,)).broadcast(m_hat))
         self.g_hat = np.array(space.subgrid((0, 1)).broadcast(g_hat))
@@ -611,8 +607,7 @@ class AteLocalFamily(SignVectorFamily):
             )
         self.eps_m = float(eps_m)
         self.eps_g = float(eps_g)
-        self.partition = partition
-        self.anchor = est.ate_joint(space, self.m_hat, self.g_hat)
+        super().__init__(est.ate_joint(space, self.m_hat, self.g_hat), partition)
         self._p_x = est.x_density(space)
 
     @classmethod
@@ -624,8 +619,7 @@ class AteLocalFamily(SignVectorFamily):
         part = iterated_partition(weights, m_pairs, space.axes[0])
         return cls(space, m_hat, g_hat, eps_m, eps_g, part)
 
-    def _values(self, lams: np.ndarray) -> np.ndarray:
-        delta = bumps(self.partition, lams)
+    def _values(self, delta: np.ndarray) -> np.ndarray:
         m_lam = self.m_hat + self.eps_m * delta
         g_lam = np.empty(delta.shape + (2,))
         g_lam[..., 0] = self.g_hat[:, 0] + self.eps_g * delta * (
@@ -660,15 +654,13 @@ class DirectionFamily(SignVectorFamily):
 
     def __init__(self, anchor: Density, spec: EstimandSpec, pair: DirectionPair,
                  t_first: float, s_second: float, partition: BumpPartition):
-        self.anchor = anchor
+        super().__init__(anchor, partition)
         self.spec = spec
         self.pair = pair
         self.t_first = float(t_first)
         self.s_second = float(s_second)
-        self.partition = partition
 
-    def _values(self, lams: np.ndarray) -> np.ndarray:
-        delta = bumps(self.partition, lams)
+    def _values(self, delta: np.ndarray) -> np.ndarray:
         first = _bumped_rows(self.pair.first, delta)
         second = _bumped_rows(self.pair.second, delta)
         vals = self.anchor.values + self.t_first * first + self.s_second * second
@@ -696,11 +688,9 @@ class PlmFamily(SignVectorFamily):
             )
         if abs(u) >= 1.0:
             raise UncertaintyViolationError("|u| must be < 1")
-        _check_partition(partition, anchor.space)
-        self.anchor = anchor
+        super().__init__(anchor, partition)
         self.u = float(u)
         self.v = float(v)
-        self.partition = partition
         self.theta_hat = plm_slope(anchor)
         self.g_hat, self.q_hat = est.nuisances_of(anchor, _PLM)
         self.s = np.sqrt(self.g_hat * (1.0 - self.g_hat))
@@ -710,8 +700,7 @@ class PlmFamily(SignVectorFamily):
     def theta_uv(self) -> float:
         return (self.theta_hat + self.u * self.v) / (1.0 - self.u ** 2)
 
-    def _values(self, lams: np.ndarray) -> np.ndarray:
-        delta = bumps(self.partition, lams)
+    def _values(self, delta: np.ndarray) -> np.ndarray:
         vals = self.anchor.values + self._shift * (self.s * delta)[..., None, None]
         if vals.min() < -1e-12:
             raise UncertaintyViolationError("(u, v) too large for this anchor")

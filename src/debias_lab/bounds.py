@@ -44,7 +44,8 @@ ENUM_ATOM_CAP = 64
 
 @dataclass(frozen=True)
 class TestingInstance:
-    """An anchor, a family of alternatives, and a product sample size n <= 4."""
+    """An anchor, a family of alternatives around that same anchor, and a
+    product sample size n <= 4."""
 
     anchor: Density
     family: object
@@ -58,6 +59,8 @@ class TestingInstance:
             raise PreconditionError(f"instance n must lie in [1, {ENUM_N_CAP}]")
         if self.anchor.space != self.family.anchor.space:
             raise DimensionMismatchError("the anchor and the family are on different grids")
+        if not np.array_equal(self.anchor.values, self.family.anchor.values):
+            raise PreconditionError("the anchor is not the family's anchor")
         if self.enumerated:
             atoms = self.anchor.space.n_atoms
             if atoms > ENUM_ATOM_CAP:

@@ -97,7 +97,7 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
     if args.kind == est.ATE:
         family = adversary.AteLocalFamily.balanced(
             anchor.space, pre.extras["m_hat"], pre.extras["g_hat"],
-            args.eps_gamma, args.eps_alpha, args.m_pairs)
+            eps_m=args.eps_alpha, eps_g=args.eps_gamma, m_pairs=args.m_pairs)
         seps, marg_dev, member_dists = [], 0.0, []
         mix = adversary.mixture_density(family)
         marg_dev = float(np.max(np.abs(mix.values - anchor.values)))
@@ -143,7 +143,7 @@ def _cmd_hellinger(args: argparse.Namespace) -> int:
     pre = preset(args.kind, x_cells=args.x_cells)
     family = adversary.AteLocalFamily.balanced(
         pre.anchor.space, pre.extras["m_hat"], pre.extras["g_hat"],
-        args.eps_gamma, args.eps_alpha, args.m_pairs)
+        eps_m=args.eps_alpha, eps_g=args.eps_gamma, m_pairs=args.m_pairs)
     inst = bounds.TestingInstance(pre.anchor, family, pre.spec, n=args.n)
     h2 = bounds.product_mixture_hellinger(inst)
     b, bound = bounds.theorem21_b(inst, family.partition)

@@ -47,15 +47,19 @@ CSV_COLUMNS = (
 )
 
 
-# The Python types a scalar config key accepts from JSON, by its field's
-# annotation; matched exactly, so a bool is not an int, while an int is
-# accepted as a float.
-_SCALAR_TYPES = {"str": (str,), "bool": (bool,), "int": (int,), "float": (int, float)}
-
-
 def _is_number(value) -> bool:
     """Whether ``value`` is a real number and not a bool (a JSON number)."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# Whether a value fits a scalar config key, by its field's annotation: a bool
+# is not an int, an int is a float, and numpy integers are ints.
+_SCALAR_TYPES = {
+    "str": lambda value: isinstance(value, str),
+    "bool": lambda value: isinstance(value, bool),
+    "int": lambda value: isinstance(value, numbers.Integral) and not isinstance(value, bool),
+    "float": _is_number,
+}
 
 
 def _nested(value, seq):
@@ -83,6 +87,11 @@ class ExperimentConfig:
     overlap: float = 0.05
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in _SCALAR_TYPES and not _SCALAR_TYPES[f.type](value):
+                raise PreconditionError(
+                    f"config key {f.name!r} must be a JSON {f.type}, not {value!r}")
         if [self.n_sweep, self.eps_sweep, self.m_sweep].count(None) != 2:
             raise PreconditionError("exactly one sweep must be configured")
         if np.shape(self.eps_fixed) != (2,):
@@ -161,12 +170,6 @@ class ExperimentConfig:
                 f"a scan config must be a JSON object, not {type(doc).__name__}")
         if "kind" not in doc:
             raise PreconditionError("a scan config needs a 'kind' key")
-        for f in fields(ExperimentConfig):
-            accepted = _SCALAR_TYPES.get(f.type)
-            if accepted and f.name in doc and type(doc[f.name]) not in accepted:
-                raise PreconditionError(
-                    f"config key {f.name!r} must be a JSON {f.type}, "
-                    f"not {doc[f.name]!r}")
         return ExperimentConfig(**{f.name: _nested(doc[f.name], tuple)
                                    for f in fields(ExperimentConfig) if f.name in doc})
 
@@ -263,10 +266,10 @@ def _drawn(key: tuple[str, int], draw):
 
 def _hellinger_once(config: ExperimentConfig, pre: Preset,
                     m_pairs: int) -> tuple[float, float]:
-    eps_m, eps_g = config.eps_fixed
+    eps_gamma, eps_alpha = config.eps_fixed
     family = adversary.AteLocalFamily.balanced(
         pre.anchor.space, pre.extras["m_hat"], pre.extras["g_hat"],
-        eps_m, eps_g, m_pairs)
+        eps_m=eps_alpha, eps_g=eps_gamma, m_pairs=m_pairs)
     inst = bounds.TestingInstance(pre.anchor, family, pre.spec,
                                   n=min(config.n_fixed, 2))
     return bounds.product_mixture_hellinger(inst), 0.0

@@ -48,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NoConvergenceError, PreconditionError
+from .errors import DimensionMismatchError, NoConvergenceError, PreconditionError
 from .grid import ArrayValue, Axis, _index
 
 RESIDUAL_TOL = 1e-6
@@ -174,15 +174,20 @@ def _from_entries(axis: Axis, n_blocks: int, blocks: np.ndarray, cells: np.ndarr
 
 def _weight_matrix(weights: Sequence[np.ndarray] | np.ndarray, size: int) -> np.ndarray:
     """The weights as rows of a (q, size) array, all finite.  A 2-d array is
-    taken as already stacked."""
+    taken as already stacked; in a list, a scalar or length-1 weight is
+    broadcast over the cells."""
     if isinstance(weights, np.ndarray) and weights.ndim == 2:
         if weights.shape[1] != size:
             raise PreconditionError(f"weights must be rows over {size} cells, "
                                     f"not {weights.shape[1]}")
         w = weights.astype(float, copy=False)
     else:
-        w = np.stack([np.broadcast_to(np.asarray(w, dtype=float), (size,))
-                      for w in weights])
+        rows = [np.asarray(w, dtype=float) for w in weights]
+        for i, row in enumerate(rows):
+            if row.shape not in ((), (1,), (size,)):
+                raise DimensionMismatchError(f"weight {i} has shape {row.shape}, "
+                                             f"the axis {size} cells")
+        w = np.stack([np.broadcast_to(row, (size,)) for row in rows])
     if not np.isfinite(w).all():
         i, cell = np.argwhere(~np.isfinite(w))[0]
         raise PreconditionError(f"weight {i} is {w[i, cell]} at cell {cell}; "

@@ -25,6 +25,7 @@ from debias_lab.grid import (
     add_scaled,
     continuous,
     feasible_radius,
+    uniform_density,
 )
 from debias_lab.partition import all_sign_vectors, bump, equal_blocks, iterated_partition
 from debias_lab.presets import preset
@@ -368,6 +369,45 @@ def test_families_refuse_a_partition_of_another_z1_axis(ate_family):
     with pytest.raises(DimensionMismatchError,
                        match="the partition has 128 cells, the Z1 axis 64"):
         adv.PlmFamily(plm.anchor, 0.1, 0.1, part)
+
+
+@pytest.mark.parametrize("family", ["ate", "direction", "plm"])
+def test_each_family_refuses_an_off_size_partition_at_construction(family):
+    """The direction family used to build, and fail only at its first member
+    with the bump's plain PreconditionError."""
+    part = equal_blocks(continuous("z1", 8), 4)
+    with pytest.raises(DimensionMismatchError,
+                       match="the partition has 8 cells, the Z1 axis 16"):
+        if family == "ate":
+            pre = preset(est.ATE, x_cells=16)
+            adv.AteLocalFamily(pre.anchor.space, pre.extras["m_hat"], pre.extras["g_hat"],
+                               0.1, 0.1, part)
+        elif family == "direction":
+            pre = preset(est.ATE, x_cells=16, d_cells=4)
+            pair = adv.direction_pair(pre.spec, pre.anchor, "gamma")
+            adv.DirectionFamily(pre.anchor, pre.spec, pair, 0.1, 0.1, part)
+        else:
+            adv.PlmFamily(preset(est.ECC_PLM, x_cells=16).anchor, 0.1, 0.1, part)
+
+
+def test_first_unpaired_row_of_a_stack_names_its_mass():
+    """Rows 1 and 2 both fail to annihilate the direction; the error gives
+    row 1's mass."""
+    space = GridSpace((continuous("z1", 8), continuous("w", 2)))
+    values = np.zeros((8, 2))
+    values[[0, 1, 6, 7]] = [1.0, -0.5]
+    values[[2, 3, 4, 5]] = [-1.0, 0.5]
+    direction = SignedDensity(space, values)
+    part = equal_blocks(space.axes[0], 4)
+    family = adv.DirectionFamily(uniform_density(space), EstimandSpec(est.ATE),
+                                 adv.DirectionPair(direction, direction, 0.0),
+                                 0.01, 0.01, part)
+    lams = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]])
+    masses = [float(np.sum(values * bump(part, lam)[:, None]) * space.atom_weight)
+              for lam in lams]
+    assert masses[0] == 0.0 and masses[1] == -masses[2] != 0.0
+    with pytest.raises(PairingError, match=re.escape(f"int Delta dG = {masses[1]:.3e}")):
+        family.members(lams)
 
 
 @pytest.mark.parametrize("u", [1.0, -1.0, 1.5])

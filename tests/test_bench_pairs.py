@@ -130,6 +130,8 @@ GOOD_ARGS = ["--parent", "HEAD", "--pr", "1", "--title", "t", "--first-seed", "5
      "integer >= 1"),
     (["--claim", "population_scan:wall_s", "--workload", "population_scan:10",
       "--workload", "sampled_scans:4"], "no workload 'sampled_scans'"),
+    (["--minimum-gain", "0.05", "--workload", "population_scan:10"],
+     "--minimum-gain needs a --claim"),
 ])
 def test_bad_input_exits_two_before_any_run(argv, message, monkeypatch, capsys):
     def refuse(*args, **kwargs):
@@ -150,3 +152,44 @@ def test_good_input_parses_into_a_plan():
         "--workload", "partitions:4"], benchmark)
     assert args.plan == [("population_scan", 10), ("partitions", 4)]
     assert (args.claim_workload, args.claim_metric) == ("population_scan", "wall_s")
+
+
+def test_good_input_without_a_claim_parses_into_a_plan():
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    args = bench_pairs.parse_args(GOOD_ARGS + ["--workload", "partitions:4"], benchmark)
+    assert args.plan == [("partitions", 4)]
+    assert args.claim is None and args.minimum_gain is None
+    summary = bench_pairs.summarize(fake_pairs(*CLEAR_GAIN), END_TO_END)
+    assert bench_pairs.claim_record(args, {"partitions": summary}, END_TO_END) is None
+
+
+def test_a_claim_defaults_to_no_minimum_gain():
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    args = bench_pairs.parse_args(GOOD_ARGS + ["--claim", "partitions:wall_s",
+                                               "--workload", "partitions:10"], benchmark)
+    summary = bench_pairs.summarize(fake_pairs(*CLEAR_GAIN), END_TO_END)
+    claim = bench_pairs.claim_record(args, {"partitions": summary}, END_TO_END)
+    assert (claim["workload"], claim["metric"], claim["direction"]) == (
+        "partitions", "wall_s", "lower")
+    assert claim["minimum_gain"] == 0.0 and claim["met"]
+
+
+def test_a_run_without_a_claim_writes_a_null_claim(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    walls = iter(w for pair in zip(*CLEAR_GAIN) for w in pair)
+
+    def run_once(tree, workload, seed, seconds, trace=0):
+        run = fake_run(next(walls))
+        run["metadata"].update(nproc=2, python="3", numpy="2", scipy="1")
+        return run
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: b"0123abc\n")
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "copy_worktree", lambda dest: "digest")
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(GOOD_ARGS + ["--workload", "partitions:10"]) == 0
+    doc = json.loads((tmp_path / "BENCH_1.json").read_text())
+    assert doc["claim"] is None
+    assert doc["workloads"]["partitions"]["metrics"]["wall_s"]["pairs"] == 10
+    assert capsys.readouterr().err.rstrip().endswith("; no gain is claimed")

@@ -60,6 +60,17 @@ def test_theorem21_b_refuses_a_partition_other_than_the_familys():
     assert bounds.theorem21_b(inst, part) == bounds.theorem21_b(inst, fam.partition)
 
 
+def test_instance_refuses_an_anchor_other_than_the_familys():
+    """Another anchor on the family's grid gave an H^2 and a Bayes error
+    between it and a mixture built around the family's anchor."""
+    spec, anchor, fam, _ = small_ate_family(x_cells=8, m_pairs=1)
+    other = est.ate_joint(anchor.space, np.full(8, 0.4), np.full((8, 2), 0.5))
+    with pytest.raises(PreconditionError, match="the anchor is not the family's anchor"):
+        bounds.TestingInstance(other, fam, spec, n=2)
+    assert anchor is not fam.anchor  # an equal anchor built apart passes
+    bounds.TestingInstance(anchor, fam, spec, n=2)
+
+
 def test_theorem21_b_refuses_an_anchor_with_a_zero_atom():
     g_hat = np.stack([np.zeros(8), np.full(8, 0.5)], axis=1)
     spec, _, fam, part = small_ate_family(x_cells=8, m_pairs=1, eps_m=0.0, eps_g=0.0,

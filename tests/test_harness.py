@@ -1,13 +1,14 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from debias_lab import estimands as est, harness
+from debias_lab import adversary, bounds, estimands as est, harness
 from debias_lab.errors import NoConvergenceError, PreconditionError
 from debias_lab.harness import (
     ExperimentConfig,
@@ -40,6 +41,29 @@ def test_config_validation():
     with pytest.raises(PreconditionError):
         ExperimentConfig(kind="ate", n_sweep=(10, 100),
                          eps_sweep=((0.1, 0.1),))  # two sweeps
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("n_fixed", 1e3, "config key 'n_fixed' must be a JSON int, not 1000.0"),
+    ("x_cells", 8.0, "config key 'x_cells' must be a JSON int, not 8.0"),
+    ("replications", 16.5, "config key 'replications' must be a JSON int, not 16.5"),
+    ("population", "no", "config key 'population' must be a JSON bool, not 'no'"),
+    ("seed", True, "config key 'seed' must be a JSON int, not True"),
+    ("overlap", "0.05", "config key 'overlap' must be a JSON float, not '0.05'"),
+], ids=["float-n-fixed", "float-x-cells", "fractional-replications", "string-population",
+        "bool-seed", "string-overlap"])
+def test_config_built_in_python_refuses_scalars_of_the_wrong_type(key, value, named):
+    """n_fixed = 1e3 failed in grid.sample after the preset was built, and
+    x_cells = 8.0 inside the preset's Axis."""
+    with pytest.raises(PreconditionError, match=re.escape(named)):
+        ExperimentConfig(kind="ate", eps_sweep=((0.1, 0.1), (0.2, 0.2)), **{key: value})
+
+
+def test_config_accepts_numpy_scalars():
+    config = ExperimentConfig(kind="ate", eps_sweep=((0.1, 0.1), (0.2, 0.2)),
+                              n_fixed=np.int64(1000), x_cells=np.int32(8),
+                              replications=np.uint16(16), overlap=np.float64(0.05))
+    assert config.n_fixed == 1000 and config.x_cells == 8
 
 
 def test_config_rejects_population_n_sweep():
@@ -422,6 +446,41 @@ def test_cli_hellinger_keys():
     for key in ("h2", "b", "bound", "fano_risk", "optimal_test_error"):
         assert key in doc
     assert doc["optimal_test_error"] >= doc["fano_risk"]
+
+
+def ate_family_h2(x_cells, eps_gamma, eps_alpha, m_pairs, n):
+    """H^2 of the ATE family whose outcome regression moves by eps_gamma and
+    whose propensity moves by eps_alpha."""
+    pre = harness.preset(est.ATE, x_cells=x_cells)
+    family = adversary.AteLocalFamily.balanced(
+        pre.anchor.space, pre.extras["m_hat"], pre.extras["g_hat"],
+        eps_m=eps_alpha, eps_g=eps_gamma, m_pairs=m_pairs)
+    return bounds.product_mixture_hellinger(
+        bounds.TestingInstance(pre.anchor, family, pre.spec, n=n))
+
+
+def test_cli_adversary_eps_gamma_bounds_the_outcome_regression():
+    """The radii were swapped: gamma_max read 0.104 for --eps-gamma 0.02."""
+    out = run_cli("adversary", "--kind", "ate", "--eps-gamma", "0.02", "--eps-alpha", "0.2",
+                  "--m-pairs", "2", "--x-cells", "16", "--d-cells", "4")
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["membership_distances"]["gamma_max"] <= 0.02
+
+
+def test_cli_hellinger_and_m_sweep_move_gamma_by_eps_gamma():
+    """Both built the family with eps_m = eps_gamma and eps_g = eps_alpha."""
+    h2 = ate_family_h2(12, 0.02, 0.2, 2, 2)
+    assert h2 != ate_family_h2(12, 0.2, 0.02, 2, 2)
+    out = run_cli("hellinger", "--eps-gamma", "0.02", "--eps-alpha", "0.2", "--M", "2",
+                  "--x-cells", "12")
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["h2"] == h2
+    config = ExperimentConfig(kind="ate", m_sweep=(2, 4), replications=16, x_cells=12,
+                              eps_fixed=(0.02, 0.2), n_fixed=2)
+    records = run_rate_scan(config).records
+    assert records[0]["eps_gamma"] == 0.02
+    assert records[0]["point"] == h2
+    assert records[16]["point"] == ate_family_h2(12, 0.02, 0.2, 4, 2)
 
 
 @pytest.mark.parametrize("kind", est.KINDS)

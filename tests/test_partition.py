@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from debias_lab.errors import PreconditionError
+from debias_lab.errors import DimensionMismatchError, PreconditionError
 from debias_lab.grid import Axis
 from debias_lab.partition import (
     BumpPartition,
@@ -78,6 +78,21 @@ def test_non_finite_weight_is_a_precondition(bad):
         bisect([np.ones(256), w], AXIS)
     with pytest.raises(PreconditionError, match="weight 1 is .* at cell 7"):
         iterated_partition([np.ones(256), w], 2, AXIS)
+
+
+@pytest.mark.parametrize("weight", [np.ones(255), np.ones(257), np.ones((1, 256))])
+def test_weight_of_another_length_is_a_dimension_mismatch(weight):
+    """A list weight of the wrong length ended in numpy's bare ValueError."""
+    named = f"weight 1 has shape {weight.shape}, the axis 256 cells"
+    with pytest.raises(DimensionMismatchError, match=re.escape(named)):
+        iterated_partition([np.ones(256), weight], 2, AXIS)
+    with pytest.raises(DimensionMismatchError, match=re.escape(named)):
+        bisect([np.ones(256), weight], AXIS)
+
+
+def test_scalar_or_length_one_weights_broadcast():
+    whole = iterated_partition([np.ones(256), np.full(256, 2.0)], 2, AXIS)
+    assert iterated_partition([1.0, np.array([2.0])], 2, AXIS) == whole
 
 
 def test_partition_rejects_non_power_of_two():

@@ -1,7 +1,7 @@
 """Alternating parent/change perfbench runs, written up as BENCH_<pr>.json.
 
     python3 tools/bench_pairs.py --parent SHA --pr N --title TEXT \\
-        --claim WORKLOAD:METRIC [--minimum-gain G] \\
+        [--claim WORKLOAD:METRIC [--minimum-gain G]] \\
         --workload WORKLOAD:PAIRS [--workload ...] --first-seed S \\
         [--trace-seconds 5]
 
@@ -20,7 +20,8 @@ neither side), and ``worse_by``, the relative change of the medians in the
 metric's worse direction, to be read against the bound in BENCHMARK.json.
 With ``--trace-seconds`` each workload also gets one ``--trace 1`` run per
 side at seed 1, whose per-layer values are recorded when either side's is
-non-zero.
+non-zero.  Without ``--claim`` the file records ``"claim": null``: the
+change claims no gain, and only the bounds are read.
 """
 
 from __future__ import annotations
@@ -166,6 +167,25 @@ def claim_met(workload: dict, metric: str, minimum_gain: float) -> bool:
             and -entry["worse_by"] >= minimum_gain)
 
 
+def claim_record(args, workloads: dict, end_to_end: list[dict]) -> dict | None:
+    """The BENCH file's claim: None when no gain is claimed, else the claimed
+    workload and metric, the rule and whether the summaries meet it."""
+    if args.claim is None:
+        return None
+    return {
+        "workload": args.claim_workload, "metric": args.claim_metric,
+        "direction": next(m["better"] for m in end_to_end if m["name"] == args.claim_metric),
+        "minimum_gain": args.minimum_gain,
+        "rule": (f"at least {MIN_PAIRS} alternating pairs, every run correct, the "
+                 "change fails no more ops than the parent in any pair, the change "
+                 f"wins >= {WIN_SHARE:.0%} of the pairs, the medians differ by more "
+                 "than the parent's quartile spread, and the median improves by "
+                 f">= {args.minimum_gain:.0%}"),
+        "met": claim_met(workloads[args.claim_workload], args.claim_metric,
+                         args.minimum_gain),
+    }
+
+
 def trace_layers(parent: dict, change: dict) -> dict:
     """Per-layer values of one traced run per side, where either is non-zero."""
     values = {side: {name: m["value"] for name, m in run["result"]["metrics"].items()}
@@ -179,16 +199,16 @@ def parse_args(argv, benchmark: dict):
     """The command line, checked against BENCHMARK.json (``benchmark``).
 
     Exits with code 2, before anything is extracted or run, when a planned
-    workload is not in the benchmark or asks for fewer than 1 pair, or when
+    workload is not in the benchmark or asks for fewer than 1 pair, when
     the claim names a workload outside the plan or an end-to-end metric the
-    benchmark does not define.
+    benchmark does not define, or when a minimum gain comes without a claim.
     """
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the parent commit")
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--title", required=True)
-    parser.add_argument("--claim", required=True, help="WORKLOAD:METRIC")
-    parser.add_argument("--minimum-gain", type=float, default=0.0)
+    parser.add_argument("--claim", help="WORKLOAD:METRIC; omit it to claim no gain")
+    parser.add_argument("--minimum-gain", type=float)
     parser.add_argument("--workload", action="append", required=True,
                         help="WORKLOAD:PAIRS, repeatable")
     parser.add_argument("--first-seed", type=int, required=True)
@@ -208,6 +228,12 @@ def parse_args(argv, benchmark: dict):
         if pairs < 1:
             parser.error(f"--workload {entry!r}: the pair count must be an integer >= 1")
         args.plan.append((name, pairs))
+    if args.claim is None:
+        if args.minimum_gain is not None:
+            parser.error("--minimum-gain needs a --claim")
+        return args
+    if args.minimum_gain is None:
+        args.minimum_gain = 0.0
     args.claim_workload, _, args.claim_metric = args.claim.partition(":")
     if args.claim_workload not in dict(args.plan):
         parser.error(f"--claim {args.claim!r}: workload {args.claim_workload!r} is not "
@@ -222,7 +248,6 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     args = parse_args(argv, benchmark)
     seconds = benchmark["run_seconds"]
-    claim_workload, claim_metric, plan = args.claim_workload, args.claim_metric, args.plan
     parent_sha = _git("rev-parse", args.parent).decode().strip()
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
@@ -236,7 +261,7 @@ def main(argv=None) -> int:
         trace = {"command": (f"python3 perfbench/run.py --workload W --seed 1 --seconds "
                              f"{args.trace_seconds:g} --trace 1, one run per side; each "
                              "value is the median over traced passes"), "correct": {}}
-        for name, count in plan:
+        for name, count in args.plan:
             pairs = []
             for i in range(count):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -260,18 +285,7 @@ def main(argv=None) -> int:
     doc = {
         "pr": args.pr,
         "title": args.title,
-        "claim": {
-            "workload": claim_workload, "metric": claim_metric,
-            "direction": next(m["better"] for m in benchmark["end_to_end"]
-                              if m["name"] == claim_metric),
-            "minimum_gain": args.minimum_gain,
-            "rule": (f"at least {MIN_PAIRS} alternating pairs, every run correct, the "
-                     "change fails no more ops than the parent in any pair, the change "
-                     f"wins >= {WIN_SHARE:.0%} of the pairs, the medians differ by more "
-                     "than the parent's quartile spread, and the median improves by "
-                     f">= {args.minimum_gain:.0%}"),
-            "met": claim_met(workloads[claim_workload], claim_metric, args.minimum_gain),
-        },
+        "claim": claim_record(args, workloads, benchmark["end_to_end"]),
         "command": (f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
                     "--trace 0, run from a copy of each side in turn"),
         "method": ("one seed per pair (the same seed on both sides), the side that runs "
@@ -289,7 +303,9 @@ def main(argv=None) -> int:
         doc["trace"] = trace
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
-    print(f"wrote {out}; claim met: {doc['claim']['met']}", file=sys.stderr)
+    verdict = ("no gain is claimed" if doc["claim"] is None
+               else f"claim met: {doc['claim']['met']}")
+    print(f"wrote {out}; {verdict}", file=sys.stderr)
     return 0
 
 
