@@ -655,6 +655,11 @@ class DirectionFamily(SignVectorFamily):
     def __init__(self, anchor: Density, spec: EstimandSpec, pair: DirectionPair,
                  t_first: float, s_second: float, partition: BumpPartition):
         super().__init__(anchor, partition)
+        for direction in (pair.first, pair.second):
+            if direction.space != anchor.space:
+                raise DimensionMismatchError(
+                    f"the direction pair has grid shape {direction.space.shape}, "
+                    f"the anchor {anchor.space.shape}")
         self.spec = spec
         self.pair = pair
         self.t_first = float(t_first)

@@ -160,8 +160,9 @@ class ApeParams(_GridParams):
 # -----------------------------------------------------------------------------
 
 def _require_positive(arr: np.ndarray, message: str, strict: float = 0.0) -> None:
-    """Raise naming the first atom of ``arr`` not above ``strict`` (NaN too)."""
-    if not (arr > strict).all():
+    """Raise naming the first atom of ``arr`` not above ``strict`` (NaN too:
+    the minimum of an array holding NaN is NaN, which is not above it)."""
+    if not np.minimum.reduce(arr, axis=None) > strict:
         bad = np.flatnonzero(~(arr.ravel() > strict))
         raise DegenerateNuisanceError(message, atom=int(bad[0]))
 
@@ -172,9 +173,13 @@ def _propensity_alpha(p: Density, spec: EstimandSpec) -> np.ndarray:
     p_x = _w_sum(pz)
     _require_positive(p_x, "X slice has zero mass")
     pi = pz[:, 1] / p_x
+    not_pi = 1.0 - pi
     _require_positive(pi, "propensity hits 0")
-    _require_positive(1.0 - pi, "propensity hits 1")
-    return np.stack([-1.0 / (1.0 - pi), 1.0 / pi], axis=1)
+    _require_positive(not_pi, "propensity hits 1")
+    alpha = np.empty(pi.shape + (2,))
+    np.divide(-1.0, not_pi, out=alpha[:, 0])
+    np.divide(1.0, pi, out=alpha[:, 1])
+    return alpha
 
 
 def _ecc_alpha(p: Density, spec: EstimandSpec) -> np.ndarray:
@@ -268,6 +273,13 @@ class Kind:
     @cached_property
     def w_axes(self) -> tuple[int, ...]:
         return tuple(i for i, role in enumerate(self.roles) if role == "w")
+
+    @cached_property
+    def other_w_axes(self) -> tuple[int, ...]:
+        """The W axes other than the target, numbered as in the slice that
+        fixes the target axis."""
+        t = self.target_axis
+        return tuple(a - (a > t) for a in self.w_axes if a != t)
 
 
 KIND_TABLE: dict[str, Kind] = {
@@ -375,7 +387,7 @@ def bernoulli_law(p_z: np.ndarray, mean: np.ndarray) -> np.ndarray:
     a stack in gives a stack out.  The ate/lod, ds, wad and ape anchors and
     the ATE member stacks are all built from it."""
     mean = np.asarray(mean, dtype=float)
-    out = np.empty(np.broadcast_shapes(np.shape(p_z), mean.shape) + (2,))
+    out = np.empty(np.broadcast(p_z, mean).shape + (2,))
     np.multiply(p_z, 1.0 - mean, out=out[..., 0])
     np.multiply(p_z, mean, out=out[..., 1])
     return out
@@ -512,11 +524,9 @@ def regression_target_mean(p: Density, spec: EstimandSpec) -> np.ndarray:
     def compute() -> np.ndarray:
         denom = _z_slice_mass(p, spec)
         _require_positive(denom, "conditional slice has zero mass")
-        t = record.target_axis
-        hits = p.values[(slice(None),) * t + (1,)]
-        others = tuple(a - (a > t) for a in record.w_axes if a != t)
-        if others:
-            hits = _w_sum(hits, others)
+        hits = p.values[(slice(None),) * record.target_axis + (1,)]
+        if record.other_w_axes:
+            hits = _w_sum(hits, record.other_w_axes)
         mean = hits / denom
         mean.flags.writeable = False
         return mean

@@ -16,7 +16,10 @@ at p means p + t*h stays a density for all |t| up to the feasible radius.
 A Density's values are read-only, so what derives from the density alone
 (its marginals, conditional means) is computed once per density and kept
 with it (``Density.derived``); a grid computes its shape, weights and
-sub-grids once.
+sub-grids once, and an axis its read-only coordinates.  Integrals,
+nuisance distances and density checks reduce with the ufunc's own
+``reduce``, which gives ``np.sum``'s bytes without its wrapper's per-call
+cost; a density with a NaN or infinite atom is refused.
 
 Conventions: values arrays always have shape ``space.shape`` (one dimension
 per axis; a flat atom index is row-major), and per-atom "fields"
@@ -92,12 +95,14 @@ class Axis:
     def cell_weight(self) -> float:
         return 1.0 if self.kind == "binary" else 1.0 / self.cells
 
-    @property
+    @cached_property
     def coords(self) -> np.ndarray:
-        """Atom coordinate values: {0,1} or cell midpoints."""
-        if self.kind == "binary":
-            return np.array([0.0, 1.0])
-        return (np.arange(self.cells) + 0.5) / self.cells
+        """Atom coordinate values: {0,1} or cell midpoints, read-only and
+        computed once per axis."""
+        coords = (np.array([0.0, 1.0]) if self.kind == "binary"
+                  else (np.arange(self.cells) + 0.5) / self.cells)
+        coords.flags.writeable = False
+        return coords
 
 
 def binary(role: Role) -> Axis:
@@ -194,20 +199,25 @@ def check_density_rows(space: GridSpace, values: np.ndarray) -> np.ndarray:
     """``values`` with negative dust set to 0, after checking each density in it.
 
     ``values`` holds one density (shape ``space.shape``) or a stack of them
-    (shape (L, *space.shape)).  Each must have no atom below -MASS_TOL and
-    mass 1 within MASS_TOL; the first that fails raises PreconditionError.
-    ``Density`` and the stacked family members both check through here.
+    (shape (L, *space.shape)).  Each must have no atom below -MASS_TOL and a
+    finite mass 1 within MASS_TOL; the first that fails raises
+    PreconditionError.  ``Density`` and the stacked family members both
+    check through here.
     """
-    if values.min() < -MASS_TOL:
+    low = np.minimum.reduce(values, axis=None)
+    if low < -MASS_TOL:
         low = values.reshape(-1, space.n_atoms).min(axis=1)
         raise PreconditionError(
             f"density has a negative atom value {low[np.argmax(low < -MASS_TOL)]:.3e}"
         )
-    # tolerate -1e-12-level dust from upstream arithmetic
-    arr = np.where(values < 0.0, 0.0, values)
+    # tolerate -1e-12-level dust from upstream arithmetic; without any, a
+    # copy in the same memory order gives np.where's bytes at less cost
+    arr = np.where(values < 0.0, 0.0, values) if low < 0.0 else values.copy(order="K")
     w = space.atom_weight
-    for total in arr.reshape(-1, space.n_atoms).sum(axis=1).tolist():
+    for total in np.add.reduce(arr.reshape(-1, space.n_atoms), axis=1).tolist():
         m = total * w
+        if not math.isfinite(m):
+            raise PreconditionError(f"density mass {m!r} is non-finite: an atom is NaN or inf")
         if abs(m - 1.0) > MASS_TOL * max(1.0, abs(m)):
             raise PreconditionError(f"density mass {m!r} is not 1 within {MASS_TOL}")
     return arr
@@ -215,12 +225,16 @@ def check_density_rows(space: GridSpace, values: np.ndarray) -> np.ndarray:
 
 def check_signed_rows(space: GridSpace, values: np.ndarray) -> None:
     """Check that each signed density in ``values`` (one, or a stack of them)
-    has mass 0 within MASS_TOL relative to max(1, its total variation)."""
+    has a finite total variation and mass 0 within MASS_TOL relative to
+    max(1, its total variation)."""
     rows = values.reshape(-1, space.n_atoms)
     w = space.atom_weight
     for total, variation in zip(rows.sum(axis=1).tolist(),
                                 np.abs(rows).sum(axis=1).tolist()):
         m = total * w
+        if not math.isfinite(variation):  # NaN or inf in any atom
+            raise PreconditionError(f"signed density has a non-finite total variation "
+                                    f"{variation!r}: an atom is NaN or inf")
         if abs(m) > MASS_TOL * max(1.0, variation * w):
             raise PreconditionError(f"signed density mass {m!r} is not 0 within {MASS_TOL}")
 
@@ -366,7 +380,7 @@ def integrate(d: Density | SignedDensity, w: np.ndarray | float = 1.0) -> float:
     if product is None or product.shape != d.space.shape:
         raise DimensionMismatchError(
             f"field shape {np.shape(w)} does not broadcast to grid shape {d.space.shape}")
-    return float(np.sum(product) * d.space.atom_weight)
+    return float(np.add.reduce(product, axis=None) * d.space.atom_weight)
 
 
 def feasible_radius(p: Density, h: SignedDensity) -> float:
@@ -395,8 +409,8 @@ def marginal(p: Density, keep_axes: Sequence[int]) -> Density:
 
     Computed once per density and axis set; later calls return that object.
     """
-    keep = tuple(sorted(set(int(a) for a in keep_axes)))
-    if any(a < 0 or a >= len(p.space.axes) for a in keep):
+    keep = tuple(sorted(set(map(int, keep_axes))))
+    if keep and (keep[0] < 0 or keep[-1] >= len(p.space.axes)):  # sorted: ends suffice
         raise PreconditionError("marginal axes outside the grid")
 
     def compute() -> Density:
@@ -459,7 +473,9 @@ def ess_sup_distance(p: Density, q: Density) -> float:
 def l2_nuisance_distance(f: np.ndarray, g: np.ndarray, p_z: Density) -> float:
     """||f - g||_{P_Z,2} = sqrt( sum (f-g)^2 p_z * atom_weight )."""
     diff = p_z.space.broadcast(f) - p_z.space.broadcast(g)
-    return float(np.sqrt(np.sum(diff * diff * p_z.values) * p_z.space.atom_weight))
+    diff *= diff
+    diff *= p_z.values
+    return float(np.sqrt(np.add.reduce(diff, axis=None) * p_z.space.atom_weight))
 
 
 def uniform_density(space: GridSpace) -> Density:

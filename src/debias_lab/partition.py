@@ -469,7 +469,7 @@ def bumps(partition: BumpPartition, lams: np.ndarray) -> np.ndarray:
         raise PreconditionError(
             f"lambda needs {partition.n_pairs} signs per row, got shape {lams.shape}"
         )
-    if not np.all(np.abs(lams) == 1.0):
+    if not np.logical_and.reduce(np.abs(lams) == 1.0, axis=None):
         raise PreconditionError("lambda entries must be +-1")
     # +lam_i for block 2i, -lam_i for block 2i+1; split cells (label -1) are
     # set below.  take, not [:, labels], keeps the rows C-contiguous.

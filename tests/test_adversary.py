@@ -390,6 +390,44 @@ def test_each_family_refuses_an_off_size_partition_at_construction(family):
             adv.PlmFamily(preset(est.ECC_PLM, x_cells=16).anchor, 0.1, 0.1, part)
 
 
+def test_direction_family_refuses_a_pair_of_another_grid():
+    """The pair of a 16-D-cell WAD anchor on an 8-D-cell one: the Z1 axes
+    agree, so it used to build and fail at its first member with numpy's
+    bare broadcast ValueError."""
+    small, large = (preset(est.WAD, x_cells=16, d_cells=d) for d in (8, 16))
+    pair = adv.direction_pair(large.spec, large.anchor, "gamma")
+    part = equal_blocks(small.anchor.space.axes[0], 4)
+    with pytest.raises(DimensionMismatchError, match=re.escape(
+            "the direction pair has grid shape (16, 16, 2), the anchor (16, 8, 2)")):
+        adv.DirectionFamily(small.anchor, small.spec, pair, 0.01, 0.01, part)
+
+
+class _OneBadAtom(adv.SignVectorFamily):
+    """The anchor for every sign vector, except one atom of the last member."""
+
+    def __init__(self, anchor, partition, bad):
+        super().__init__(anchor, partition)
+        self.bad = bad
+
+    def _values(self, delta):
+        values = np.repeat(self.anchor.values[None], len(delta), axis=0)
+        values[-1, 3, 1, 0] = self.bad
+        return values
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_members_refuse_a_non_finite_atom(bad):
+    """A stack of members is checked like one density: NaN and +inf used to
+    pass; -inf is a negative atom."""
+    pre = preset(est.ATE, x_cells=16, d_cells=4)
+    family = _OneBadAtom(pre.anchor, equal_blocks(pre.anchor.space.axes[0], 4), bad)
+    named = "negative atom" if bad < 0 else "non-finite"
+    with pytest.raises(PreconditionError, match=named):
+        family.members(all_sign_vectors(2))
+    with pytest.raises(PreconditionError, match=named):
+        family.member([1, -1])
+
+
 def test_first_unpaired_row_of_a_stack_names_its_mass():
     """Rows 1 and 2 both fail to annihilate the direction; the error gives
     row 1's mass."""

@@ -22,6 +22,8 @@ from debias_lab.grid import (
     _w_sum,
     add_scaled,
     binary,
+    check_density_rows,
+    check_signed_rows,
     conditional,
     continuous,
     ess_sup_distance,
@@ -345,6 +347,44 @@ def test_mass_invariants_enforced():
         SignedDensity(space, np.array([0.5, 0.1]))
     with pytest.raises(PreconditionError):
         Density(space, np.array([1.5, -0.5]))
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_density_refuses_a_non_finite_atom(bad):
+    """NaN and +inf atoms used to build (every comparison with NaN is False,
+    and an infinite mass passed the relative tolerance); -inf is refused as a
+    negative atom.  One density and a stack of them check alike."""
+    space = make_space("ate", x_cells=4)
+    good = uniform_density(space).values
+    values = np.array(good)
+    values[1, 0, 1] = bad
+    named = "negative atom" if bad < 0 else "non-finite"
+    with pytest.raises(PreconditionError, match=named):
+        Density(space, values)
+    with pytest.raises(PreconditionError, match=named):
+        check_density_rows(space, np.stack([good, values]))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_signed_density_refuses_a_non_finite_atom(bad):
+    space = make_space("ate", x_cells=4)
+    good = np.zeros(space.shape)
+    good[..., 0], good[..., 1] = 1.0, -1.0
+    values = np.array(good)
+    values[1, 0, 1] = bad
+    with pytest.raises(PreconditionError, match="non-finite"):
+        SignedDensity(space, values)
+    with pytest.raises(PreconditionError, match="non-finite"):
+        check_signed_rows(space, np.stack([good, values]))
+
+
+def test_signed_density_refuses_all_nan_values():
+    space = make_space("ate", x_cells=4)
+    with pytest.raises(PreconditionError, match="non-finite"):
+        SignedDensity(space, np.full(space.shape, np.nan))
 
 
 def test_ess_sup_distance():
