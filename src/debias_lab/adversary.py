@@ -40,6 +40,7 @@ companion direction).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -601,10 +602,10 @@ class AteLocalFamily(SignVectorFamily):
         self.g_hat = np.array(space.subgrid((0, 1)).broadcast(g_hat))
         c = float(min(self.m_hat.min(), 1.0 - self.m_hat.max(),
                       self.g_hat.min(), 1.0 - self.g_hat.max()))
-        if eps_m < 0 or eps_g < 0 or eps_m > c or eps_g > c:
-            raise UncertaintyViolationError(
-                f"eps_m, eps_g must lie in [0, {c:g}] for this anchor"
-            )
+        for name, eps in (("eps_m", eps_m), ("eps_g", eps_g)):
+            if not 0 <= eps <= c:  # NaN fails too
+                raise UncertaintyViolationError(
+                    f"{name} must lie in [0, {c:g}] for this anchor, not {eps!r}")
         self.eps_m = float(eps_m)
         self.eps_g = float(eps_g)
         super().__init__(est.ate_joint(space, self.m_hat, self.g_hat), partition)
@@ -660,6 +661,9 @@ class DirectionFamily(SignVectorFamily):
                 raise DimensionMismatchError(
                     f"the direction pair has grid shape {direction.space.shape}, "
                     f"the anchor {anchor.space.shape}")
+        for name, step in (("t_first", t_first), ("s_second", s_second)):
+            if not math.isfinite(step):
+                raise PreconditionError(f"{name} must be finite, not {step!r}")
         self.spec = spec
         self.pair = pair
         self.t_first = float(t_first)
@@ -691,8 +695,10 @@ class PlmFamily(SignVectorFamily):
             raise ConstructionPreconditionError(
                 "the PLM family needs a whole-cell partition (Delta^2 == 1)"
             )
-        if abs(u) >= 1.0:
-            raise UncertaintyViolationError("|u| must be < 1")
+        if not abs(u) < 1.0:  # NaN fails too
+            raise UncertaintyViolationError(f"|u| must be < 1, not {u!r}")
+        if not math.isfinite(v):
+            raise UncertaintyViolationError(f"v must be finite, not {v!r}")
         super().__init__(anchor, partition)
         self.u = float(u)
         self.v = float(v)

@@ -71,8 +71,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     )
     pre = preset(args.kind, x_cells=args.x_cells, d_cells=args.d_cells)
     point, oracle = harness.estimate_once(
-        config, pre, (args.eps_gamma, args.eps_alpha), args.n, args.seed
-    )
+        config, pre, (args.eps_gamma, args.eps_alpha), args.n, args.seed,
+        harness.draw_directions(config, pre, args.seed))
     print(json.dumps({"point": point, "n": args.n, "clip_constant": pre.spec.overlap,
                       "seed": args.seed, "oracle": oracle,
                       "abs_error": abs(point - oracle)}, indent=2))

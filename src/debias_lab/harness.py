@@ -14,16 +14,14 @@ can be regenerated in isolation.  Replications that draw nothing from their
 seeds (every M-sweep one, and some population ones) share one evaluation
 (see ``run_rate_scan``); each keeps its own record.  A replication's
 corruption directions depend on its seed alone, so a scan draws them once
-per replication and corrupts along them at every sweep point.  Sweep
-points and their replications run in order on one thread, so records are
-ordered by (sweep point, replication), and the CSV emitter formats floats
-with repr-faithful precision, so identical configs produce byte-identical
-files.
+per replication and hands them to ``estimate_once``.  Sweep points and
+their replications run in order on one thread, so records are ordered by
+(sweep point, replication), and the CSV emitter formats floats with
+repr-faithful precision, so identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
 
-import contextvars
 import csv
 import io
 import json
@@ -194,21 +192,37 @@ class RateScanResult:
         }
 
 
-def estimate_once(config: ExperimentConfig, pre: Preset,
-                   eps_pair: tuple[float, float], n: int,
-                   derived_seed: int) -> tuple[float, float]:
-    """One replication: returns (point, oracle).
+def draw_directions(config: ExperimentConfig, pre: Preset,
+                    derived_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """One replication's (gamma, other field) corruption directions; for DR the
+    other is the propensity's, an X-cell bump seeded under either alignment."""
+    z_grid = est.z_space(config.kind, pre.anchor.space)
+    pair = dr.corruption_directions(z_grid, config.alignment, derived_seed,
+                                    riesz_weight=pre.alpha)
+    if config.estimator != "dr":
+        return pair
+    return pair[0], dr.corruption_directions(z_grid.subgrid([0]), config.alignment,
+                                             derived_seed)[1]
 
-    eps_gamma corrupts gamma; eps_alpha corrupts the other field the
-    estimator reads: alpha for DML, the propensity for DR (the plug-in reads
-    no other).  Directions are drawn only for a nonzero eps, and inside
-    ``run_rate_scan`` once per replication (see ``_drawn``).  Under
-    ``adversarial`` alignment DR aligns only its outcome-regression
-    corruption (along the Riesz weight); its propensity bump is a seeded
-    random pattern on the X cells, so each replication has its own bias.
+
+def estimate_once(config: ExperimentConfig, pre: Preset, eps_pair: tuple[float, float],
+                  n: int, derived_seed: int,
+                  directions: tuple[np.ndarray, np.ndarray] | None) -> tuple[float, float]:
+    """One replication: returns (point, oracle), a function of the arguments.
+
+    eps_gamma corrupts gamma along ``directions[0]``; eps_alpha corrupts the
+    other field the estimator reads along ``directions[1]``: alpha for DML,
+    the propensity for DR (the plug-in reads no other).  ``directions`` is
+    the replication's ``draw_directions``, None only where both eps are 0.
+    Under ``adversarial`` alignment DR aligns only its outcome-regression
+    corruption (along the Riesz weight); its propensity bump is seeded, so
+    each replication has its own bias.
     """
     spec, anchor = pre.spec, pre.anchor
     eps_gamma, eps_alpha = eps_pair
+    if directions is None and (eps_gamma or eps_alpha):
+        raise PreconditionError("a nonzero eps needs corruption directions")
+    dir_g, dir_a = directions or (None, None)
     pz = est.z_marginal(anchor, spec)
 
     def corrupt(values, role, eps, direction, p, limits=None):
@@ -219,10 +233,6 @@ def estimate_once(config: ExperimentConfig, pre: Preset,
         return dr.corrupt_nuisance(
             field, dr.CorruptionSpec(eps, direction, config.alignment), p).values
 
-    dir_g = dir_a = None
-    if eps_gamma or eps_alpha:
-        dir_g, dir_a = _drawn(("pair", derived_seed), lambda: dr.corruption_directions(
-            pz.space, config.alignment, derived_seed, riesz_weight=pre.alpha))
     gamma_hat = corrupt(pre.gamma, "gamma", eps_gamma, dir_g, pz)
     source = anchor if config.population else sample(anchor, n, derived_seed)
 
@@ -238,30 +248,10 @@ def estimate_once(config: ExperimentConfig, pre: Preset,
     g_hat = gamma_hat if eps_gamma else pre.extras["g_hat"]
     m_hat = pre.extras["m_hat"]
     if eps_alpha:
-        p_x = grid_marginal(anchor, [0])
-        dir_m = _drawn(("propensity", derived_seed), lambda: dr.corruption_directions(
-            p_x.space, config.alignment, derived_seed)[1])
-        m_hat = corrupt(m_hat, "propensity", eps_alpha, dir_m, p_x,
-                        (config.overlap, 1.0 - config.overlap))
+        m_hat = corrupt(m_hat, "propensity", eps_alpha, dir_a,
+                        grid_marginal(anchor, [0]), (config.overlap, 1.0 - config.overlap))
     estimate = dr.population_dr_ate if config.population else dr.dr_ate_estimate
     return estimate(source, g_hat, m_hat, config.overlap), pre.oracle
-
-
-# The directions drawn so far in the running scan, by (field, derived seed);
-# None outside ``run_rate_scan``.  A scan fixes the config and the preset, so
-# a replication's directions depend on its seed alone and are drawn once.
-_SCAN_DRAWS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "scan_draws", default=None)
-
-
-def _drawn(key: tuple[str, int], draw):
-    """``draw()``, kept under ``key`` for the rest of the running scan."""
-    store = _SCAN_DRAWS.get()
-    if store is None:
-        return draw()
-    if key not in store:
-        store[key] = draw()
-    return store[key]
 
 
 def _hellinger_once(config: ExperimentConfig, pre: Preset,
@@ -285,12 +275,12 @@ def run_rate_scan(config: ExperimentConfig) -> RateScanResult:
     seed-free Riesz weight but for DR's propensity bump (drawn when
     eps_alpha != 0).  Where the replications draw nothing from their seeds,
     replication 0 is evaluated once and its (point, oracle) goes into every
-    record.  Each replication's directions are drawn once per scan, on its
-    first evaluation, and every sweep point corrupts along them.  Two
-    configs are refused before any preset is built: a sweep value <= 0,
-    which has no logarithm (an eps-sweep's value is its eps_gamma), and a
-    random-alignment plug-in eps-sweep on a kind with two Z axes (see the
-    error for why).
+    record.  A replication's ``draw_directions`` are drawn at its first
+    evaluation with a nonzero eps and passed to ``estimate_once`` at every
+    sweep point.  Two configs are refused before any preset is built: a
+    sweep value <= 0, which has no logarithm (an eps-sweep's value is its
+    eps_gamma), and a random-alignment plug-in eps-sweep on a kind with two
+    Z axes (see the error for why).
     """
     sweep = config.sweep_name
     points = config.sweep_points()
@@ -305,30 +295,30 @@ def run_rate_scan(config: ExperimentConfig) -> RateScanResult:
             "random bumps are constant along the second Z axis, which its m1 cancels")
     pre = preset(config.kind, config.x_cells, config.d_cells, config.overlap)
     records, values, medians, means = [], [], [], []
-    draws = _SCAN_DRAWS.set({})
-    try:
-        for value, eps_pair, n in points:
-            errors = []
-            seeded = sweep != "m" and (not config.population or (
-                any(eps_pair) if config.alignment == "random"
-                else config.estimator == "dr" and bool(eps_pair[1])))
-            for rep in range(config.replications):
-                derived = config.seed + rep
-                if seeded or rep == 0:
-                    point, oracle = (
-                        _hellinger_once(config, pre, int(value)) if sweep == "m"
-                        else estimate_once(config, pre, eps_pair, n, derived))
-                # else replication 0's (point, oracle) stands for this one
-                errors.append(abs(point - oracle))
-                records.append(dict(zip(CSV_COLUMNS, (
-                    config.kind, config.estimator, sweep, value, rep, derived, n,
-                    eps_pair[0], eps_pair[1], config.alignment, config.population,
-                    point, oracle, errors[-1]))))
-            values.append(value)
-            medians.append(float(np.median(errors)))
-            means.append(float(np.mean(errors)))
-    finally:
-        _SCAN_DRAWS.reset(draws)
+    directions = {}  # derived seed -> that replication's draw_directions
+    for value, eps_pair, n in points:
+        errors = []
+        seeded = sweep != "m" and (not config.population or (
+            any(eps_pair) if config.alignment == "random"
+            else config.estimator == "dr" and bool(eps_pair[1])))
+        for rep in range(config.replications):
+            derived = config.seed + rep
+            if seeded or rep == 0:
+                if sweep != "m" and any(eps_pair) and derived not in directions:
+                    directions[derived] = draw_directions(config, pre, derived)
+                point, oracle = (
+                    _hellinger_once(config, pre, int(value)) if sweep == "m"
+                    else estimate_once(config, pre, eps_pair, n, derived,
+                                       directions.get(derived)))
+            # else replication 0's (point, oracle) stands for this one
+            errors.append(abs(point - oracle))
+            records.append(dict(zip(CSV_COLUMNS, (
+                config.kind, config.estimator, sweep, value, rep, derived, n,
+                eps_pair[0], eps_pair[1], config.alignment, config.population,
+                point, oracle, errors[-1]))))
+        values.append(value)
+        medians.append(float(np.median(errors)))
+        means.append(float(np.mean(errors)))
     slope, stderr = fit_loglog_slope(values, medians)
     return RateScanResult(records, values, medians, means, slope, stderr)
 

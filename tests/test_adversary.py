@@ -456,6 +456,43 @@ def test_plm_family_refuses_u_outside_the_open_unit_interval(u):
         adv.PlmFamily(pre.anchor, u, 0.0, part)
 
 
+def _family_at(family: str, first: float, second: float):
+    """The 16-cell ATE, PLM or ATE direction family at (first, second)."""
+    if family == "ate":
+        pre = preset(est.ATE, x_cells=16)
+        return adv.AteLocalFamily.balanced(pre.anchor.space, pre.extras["m_hat"],
+                                           pre.extras["g_hat"], first, second, 2)
+    if family == "plm":
+        pre = preset(est.ECC_PLM, x_cells=16)
+        return adv.PlmFamily(pre.anchor, first, second,
+                             equal_blocks(pre.anchor.space.axes[0], 4))
+    pre = preset(est.ATE, x_cells=16, d_cells=4)
+    pair = adv.direction_pair(pre.spec, pre.anchor, "gamma")
+    return adv.DirectionFamily(pre.anchor, pre.spec, pair, first, second,
+                               equal_blocks(pre.anchor.space.axes[0], 4))
+
+
+@pytest.mark.parametrize("family, name, error, message", [
+    ("ate", "eps_m", UncertaintyViolationError, "eps_m must lie in [0, "),
+    ("ate", "eps_g", UncertaintyViolationError, "eps_g must lie in [0, "),
+    ("plm", "u", UncertaintyViolationError, "|u| must be < 1"),
+    ("plm", "v", UncertaintyViolationError, "v must be finite"),
+    ("direction", "t_first", PreconditionError, "t_first must be finite"),
+    ("direction", "s_second", PreconditionError, "s_second must be finite"),
+], ids=["ate-eps_m", "ate-eps_g", "plm-u", "plm-v", "direction-t_first",
+        "direction-s_second"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_families_refuse_a_non_finite_radius_or_step_at_construction(family, name, error,
+                                                                    message, bad):
+    """Each family used to build with a NaN radius or step (and PLM's v and the
+    direction steps with an infinite one too) and fail only at its first
+    member, with the density's generic non-finite error."""
+    first, second = (bad, 0.1) if name in ("eps_m", "u", "t_first") else (0.1, bad)
+    with pytest.raises(error, match=re.escape(message)):
+        _family_at(family, first, second)
+    _family_at(family, 0.1, 0.1).member([1, -1])  # the finite radii build and work
+
+
 def test_mixture_equals_anchor(ate_family):
     mix = adv.mixture_density(ate_family)
     assert np.max(np.abs(mix.values - ate_family.anchor.values)) <= 1e-12

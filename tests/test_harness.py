@@ -190,34 +190,59 @@ def test_eps_sweep_draws_directions_once_per_replication(monkeypatch, kind, esti
         assert rec["point"] == expected
 
 
-@pytest.mark.parametrize("alignment", ["adversarial", "random"])
-@pytest.mark.parametrize("estimator", ["dml", "plugin", "dr"])
-def test_population_scan_records_equal_a_loop_of_estimate_once(estimator, alignment):
-    """Replications that share one evaluation keep every record field as a
+# Every population case, and the sampled cases whose seeded directions are
+# shared across sweep points.
+_LOOP_CASES = [(e, a, True) for e in ("dml", "plugin", "dr")
+               for a in ("adversarial", "random")] + [
+    ("dml", "random", False), ("dr", "adversarial", False), ("dr", "random", False)]
+
+
+@pytest.mark.parametrize("estimator, alignment, population", _LOOP_CASES,
+                         ids=[f"{e}-{a}" if p else f"sampled-{e}-{a}"
+                              for e, a, p in _LOOP_CASES])
+def test_population_scan_records_equal_a_loop_of_estimate_once(estimator, alignment,
+                                                                population):
+    """Replications that share one evaluation, and sampled replications that
+    share their directions across sweep points, keep every record field as a
     replication-by-replication loop of estimate_once writes it."""
     from debias_lab.presets import preset
 
     kind = "ate" if estimator == "dr" else "ds"  # random bumps leave ATE's plug-in exact
     config = eps_config(kind=kind, estimator=estimator, alignment=alignment,
+                        population=population, n_fixed=200,
                         eps_sweep=((0.05, 0.05), (0.1, 0.1), (0.2, 0.2)))
     pre = preset(kind, x_cells=32)
     expected = []
     for value, eps_pair, n in config.sweep_points():
         for rep in range(config.replications):
-            point, oracle = harness.estimate_once(config, pre, eps_pair, n,
-                                                  config.seed + rep)
+            seed = config.seed + rep
+            point, oracle = harness.estimate_once(config, pre, eps_pair, n, seed,
+                                                  harness.draw_directions(config, pre, seed))
             expected.append({
                 "kind": kind, "estimator": estimator, "sweep": "eps",
                 "sweep_value": value, "replication": rep,
                 "derived_seed": config.seed + rep, "n": n,
                 "eps_gamma": eps_pair[0], "eps_alpha": eps_pair[1],
-                "alignment": alignment, "population": True,
+                "alignment": alignment, "population": population,
                 "point": point, "oracle": oracle, "abs_error": abs(point - oracle),
             })
     assert run_rate_scan(config).records == expected
     if (estimator, alignment) == ("dr", "adversarial"):
         # the propensity bump is drawn from the seed, so points differ
         assert len({r["point"] for r in expected[:config.replications]}) > 1
+
+
+@pytest.mark.parametrize("eps_pair", [(0.1, 0.0), (0.0, 0.1)])
+def test_estimate_once_refuses_a_nonzero_eps_without_directions(eps_pair):
+    """No default draws directions: a corruption needs them passed in."""
+    from debias_lab.presets import preset
+
+    config = eps_config(estimator="dr")
+    pre = preset("ate", x_cells=32)
+    with pytest.raises(PreconditionError, match="a nonzero eps needs corruption directions"):
+        harness.estimate_once(config, pre, eps_pair, 100, 0, None)
+    point, oracle = harness.estimate_once(config, pre, (0.0, 0.0), 100, 0, None)
+    assert abs(point - oracle) <= 1e-12  # population DR at the true nuisances
 
 
 @pytest.mark.parametrize("estimator, alignment, function, per_point", [
