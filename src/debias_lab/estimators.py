@@ -65,17 +65,31 @@ class CorruptionSpec:
     alignment: str = "adversarial"
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise PreconditionError("corruption eps must be nonnegative")
+        if not 0 <= self.eps < np.inf:
+            raise PreconditionError(
+                f"corruption eps must be nonnegative and finite, not {self.eps!r}")
         if self.alignment not in ("adversarial", "random"):
             raise PreconditionError("alignment must be 'adversarial' or 'random'")
 
 
+def direction_norm(direction: np.ndarray, p_z: Density) -> float:
+    """||direction||_{P_Z,2}, refused when it is not finite (a NaN or infinite
+    entry, or squares that overflow) or when nonzero squares underflow to 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.sqrt(integrate(p_z, direction * direction)))
+    if not np.isfinite(norm):
+        raise PreconditionError(f"the direction's L2(P_Z) norm is {norm!r}, not finite")
+    if norm == 0.0 and integrate(p_z, np.abs(direction)) > 0.0:
+        raise PreconditionError("the direction is nonzero but its squares underflow to 0")
+    return norm
+
+
 def corrupt_nuisance(truth: NuisanceField, spec: CorruptionSpec,
-                     p_z: Density) -> NuisanceField:
+                     p_z: Density, norm: float | None = None) -> NuisanceField:
     """truth + eps * direction / ||direction||_{P_Z,2}; exact L2 error eps.
 
-    ``p_z`` is the density on the field's grid.  The direction keeps its own
+    ``p_z`` is the density on the field's grid, and ``norm``, when given, the
+    direction's ``direction_norm`` under it.  The direction keeps its own
     shape until the corrupted field is formed; ``integrate`` multiplies
     before it sums, so every value equals that of the direction broadcast
     to the grid first, bit for bit.
@@ -83,7 +97,9 @@ def corrupt_nuisance(truth: NuisanceField, spec: CorruptionSpec,
     if p_z.space != truth.space:
         raise DimensionMismatchError("the field and P_Z live on different grids")
     direction = np.asarray(spec.direction, dtype=float)
-    norm = float(np.sqrt(integrate(p_z, direction * direction)))
+    norm = direction_norm(direction, p_z) if norm is None else norm
+    if not 0.0 <= norm < np.inf:
+        raise PreconditionError(f"a given norm must be finite and >= 0, not {norm!r}")
     if norm == 0.0:
         if spec.eps == 0.0:
             return truth

@@ -13,11 +13,12 @@ Replication r uses derived seed ``seed + r``, so any row of a result file
 can be regenerated in isolation.  Replications that draw nothing from their
 seeds (every M-sweep one, and some population ones) share one evaluation
 (see ``run_rate_scan``); each keeps its own record.  A replication's
-corruption directions depend on its seed alone, so a scan draws them once
-per replication and hands them to ``estimate_once``.  Sweep points and
-their replications run in order on one thread, so records are ordered by
-(sweep point, replication), and the CSV emitter formats floats with
-repr-faithful precision, so identical configs produce byte-identical files.
+corruption directions depend on its seed alone, so a scan draws them, with
+their L2 norms, once per replication and hands them to ``estimate_once`` at
+every sweep point.  Sweep points and their replications run in order on
+one thread, so records are ordered by (sweep point, replication), and the
+CSV emitter formats floats with repr-faithful precision, so identical
+configs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -192,31 +193,34 @@ class RateScanResult:
         }
 
 
-def draw_directions(config: ExperimentConfig, pre: Preset,
-                    derived_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """One replication's (gamma, other field) corruption directions; for DR the
-    other is the propensity's, an X-cell bump seeded under either alignment."""
-    z_grid = est.z_space(config.kind, pre.anchor.space)
-    pair = dr.corruption_directions(z_grid, config.alignment, derived_seed,
-                                    riesz_weight=pre.alpha)
-    if config.estimator != "dr":
-        return pair
-    return pair[0], dr.corruption_directions(z_grid.subgrid([0]), config.alignment,
-                                             derived_seed)[1]
+def draw_directions(config: ExperimentConfig, pre: Preset, derived_seed: int
+                    ) -> tuple[tuple[np.ndarray, float], tuple[np.ndarray, float]]:
+    """One replication's (gamma, other field) corruption directions, each with
+    its ``direction_norm``: under P_Z, and for DR's other, the propensity's
+    X-cell bump seeded under either alignment, under the X marginal."""
+    pz = est.z_marginal(pre.anchor, pre.spec)
+    dir_g, dir_o = dr.corruption_directions(pz.space, config.alignment, derived_seed,
+                                            riesz_weight=pre.alpha)
+    p_o = pz
+    if config.estimator == "dr":
+        p_o = grid_marginal(pre.anchor, [0])
+        dir_o = dr.corruption_directions(p_o.space, config.alignment, derived_seed)[1]
+    return (dir_g, dr.direction_norm(dir_g, pz)), (dir_o, dr.direction_norm(dir_o, p_o))
 
 
 def estimate_once(config: ExperimentConfig, pre: Preset, eps_pair: tuple[float, float],
                   n: int, derived_seed: int,
-                  directions: tuple[np.ndarray, np.ndarray] | None) -> tuple[float, float]:
+                  directions: tuple[tuple[np.ndarray, float], tuple[np.ndarray, float]]
+                  | None) -> tuple[float, float]:
     """One replication: returns (point, oracle), a function of the arguments.
 
     eps_gamma corrupts gamma along ``directions[0]``; eps_alpha corrupts the
     other field the estimator reads along ``directions[1]``: alpha for DML,
     the propensity for DR (the plug-in reads no other).  ``directions`` is
-    the replication's ``draw_directions``, None only where both eps are 0.
-    Under ``adversarial`` alignment DR aligns only its outcome-regression
-    corruption (along the Riesz weight); its propensity bump is seeded, so
-    each replication has its own bias.
+    the replication's ``draw_directions`` (each direction with its norm),
+    None only where both eps are 0.  Under ``adversarial`` alignment DR
+    aligns only its outcome-regression corruption (along the Riesz weight);
+    its propensity bump is seeded, so each replication has its own bias.
     """
     spec, anchor = pre.spec, pre.anchor
     eps_gamma, eps_alpha = eps_pair
@@ -225,13 +229,13 @@ def estimate_once(config: ExperimentConfig, pre: Preset, eps_pair: tuple[float, 
     dir_g, dir_a = directions or (None, None)
     pz = est.z_marginal(anchor, spec)
 
-    def corrupt(values, role, eps, direction, p, limits=None):
-        """``values`` moved eps along ``direction`` in L2(p); as is at eps 0."""
+    def corrupt(values, role, eps, drawn, p, limits=None):
+        """``values`` moved eps along ``drawn`` = (direction, norm); as is at eps 0."""
         if not eps:
             return values
         field = est.NuisanceField(p.space, values, role, limits)
         return dr.corrupt_nuisance(
-            field, dr.CorruptionSpec(eps, direction, config.alignment), p).values
+            field, dr.CorruptionSpec(eps, drawn[0], config.alignment), p, drawn[1]).values
 
     gamma_hat = corrupt(pre.gamma, "gamma", eps_gamma, dir_g, pz)
     source = anchor if config.population else sample(anchor, n, derived_seed)

@@ -94,6 +94,58 @@ def test_corrupt_along_a_zero_direction():
         dr.corrupt_nuisance(field, dr.CorruptionSpec(0.1, np.zeros(8)), pz)
 
 
+def _line_field(n=8):
+    from debias_lab.grid import GridSpace, continuous, uniform_density
+
+    zs = GridSpace((continuous("z1", n),))
+    return NuisanceField(zs, np.full(n, 0.5), "gamma"), uniform_density(zs)
+
+
+def _with_entry(entry):
+    direction = np.ones(8)
+    direction[3] = entry
+    return direction
+
+
+@pytest.mark.parametrize("direction, eps", [
+    (np.full(8, 1e200), 0.1), (_with_entry(np.nan), 0.1), (_with_entry(np.inf), 0.1),
+    (_with_entry(-np.inf), 0.1), (_with_entry(np.nan), 0.0),
+], ids=["overflow", "nan-entry", "inf-entry", "minus-inf-entry", "nan-entry-eps-0"])
+def test_corrupt_refuses_a_direction_whose_norm_is_not_finite(direction, eps):
+    """A 1e200 direction's norm overflowed to inf, so the unit was 0 and the
+    truth came back at an asked-for L2 error of 0.1; a NaN or infinite entry
+    gave a non-finite field, at eps 0 too."""
+    field, pz = _line_field()
+    with pytest.raises(PreconditionError, match="norm is (inf|nan), not finite"):
+        dr.corrupt_nuisance(field, dr.CorruptionSpec(eps, direction), pz)
+    with pytest.raises(PreconditionError, match="norm is (inf|nan), not finite"):
+        dr.direction_norm(direction, pz)
+
+
+def test_corrupt_refuses_a_direction_whose_squares_underflow():
+    """A 1e-170 direction is nonzero, but its squares underflow to 0, and it
+    was refused as a zero direction."""
+    field, pz = _line_field()
+    with pytest.raises(PreconditionError, match="squares underflow to 0"):
+        dr.corrupt_nuisance(field, dr.CorruptionSpec(0.1, np.full(8, 1e-170)), pz)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf])
+def test_corruption_spec_refuses_a_non_finite_eps(eps):
+    """A NaN or infinite eps gave a non-finite field."""
+    with pytest.raises(PreconditionError,
+                       match=f"corruption eps must be nonnegative and finite, not {eps}"):
+        dr.CorruptionSpec(eps, np.ones(8))
+
+
+@pytest.mark.parametrize("norm", [-1.0, np.nan, np.inf])
+def test_corrupt_refuses_a_given_norm_that_is_negative_or_not_finite(norm):
+    field, pz = _line_field()
+    with pytest.raises(PreconditionError,
+                       match=f"a given norm must be finite and >= 0, not {norm}"):
+        dr.corrupt_nuisance(field, dr.CorruptionSpec(0.1, np.ones(8)), pz, norm)
+
+
 def _z_grid(pre):
     zs = est.z_space(pre.spec.kind, pre.anchor.space)
     return zs, est.z_marginal(pre.anchor, pre.spec)
@@ -132,6 +184,47 @@ def test_corrupt_compact_bump_equals_its_full_grid_copy(small_presets, kind):
         assert compact.shape == zs.shape
         assert np.array_equal(compact, expanded)
         assert np.array_equal(compact, truth + 0.1 * (full / norm))
+
+
+@pytest.mark.parametrize("kind", est.KINDS)
+def test_corrupt_with_a_given_norm_is_bit_equal_to_computing_it(small_presets, kind):
+    """A compact random bump and the full-grid Riesz direction, each with its
+    direction_norm passed in, corrupt gamma and alpha to the same bits."""
+    pre = small_presets[kind]
+    zs, pz = _z_grid(pre)
+    bump = dr.corruption_directions(zs, "random", 5)[0]
+    riesz = dr.corruption_directions(zs, "adversarial", 5, riesz_weight=pre.alpha)[0]
+    assert bump.shape == zs.shape[:1] + (1,) * (len(zs.shape) - 1)
+    assert riesz.shape == zs.shape
+    for direction in (bump, riesz):
+        norm = dr.direction_norm(direction, pz)
+        for truth, role in ((pre.gamma, "gamma"), (pre.alpha, "alpha")):
+            field = NuisanceField(zs, truth, role)
+            spec = dr.CorruptionSpec(0.1, direction)
+            given = dr.corrupt_nuisance(field, spec, pz, norm=norm).values
+            assert np.array_equal(given, dr.corrupt_nuisance(field, spec, pz).values)
+
+
+def test_corrupt_bounded_propensity_with_a_given_norm_is_bit_equal(small_presets):
+    """DR's propensity bump on the X cells: the corrupted field, and the room a
+    clipped corruption reports, are the same with the norm passed in."""
+    from debias_lab.grid import marginal
+
+    pre = small_presets[est.ATE]
+    p_x = marginal(pre.anchor, [0])
+    x_grid = est.z_space(est.ATE, pre.anchor.space).subgrid([0])
+    direction = dr.corruption_directions(x_grid, "random", 7)[1]
+    norm = dr.direction_norm(direction, p_x)
+    field = NuisanceField(p_x.space, pre.extras["m_hat"], "propensity", (0.05, 0.95))
+    spec = dr.CorruptionSpec(0.05, direction)
+    assert np.array_equal(dr.corrupt_nuisance(field, spec, p_x, norm).values,
+                          dr.corrupt_nuisance(field, spec, p_x).values)
+    rooms = []
+    for given in (norm, None):
+        with pytest.raises(ClippedCorruptionError) as err:
+            dr.corrupt_nuisance(field, dr.CorruptionSpec(1.0, direction), p_x, given)
+        rooms.append(err.value.achievable)
+    assert rooms[0] == rooms[1]
 
 
 @pytest.mark.parametrize("kind", est.KINDS)

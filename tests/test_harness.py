@@ -271,6 +271,30 @@ def test_population_scan_evaluations_per_sweep_point(monkeypatch, estimator, ali
     assert len(calls) == per_point * len(config.eps_sweep)
 
 
+@pytest.mark.parametrize("estimator, alignment, per_replication", [
+    ("dml", "random", True), ("dr", "random", True), ("dr", "adversarial", True),
+    ("dml", "adversarial", False), ("plugin", "adversarial", False),
+])
+def test_population_eps_sweep_computes_each_direction_norm_once(
+        monkeypatch, estimator, alignment, per_replication):
+    """Each drawn direction's norm is computed once, when it is drawn: 2 per
+    replication that draws its own directions, not 2 per sweep point too."""
+    from debias_lab import estimators
+
+    calls = []
+    real = estimators.direction_norm
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(estimators, "direction_norm", counted)
+    config = eps_config(estimator=estimator, alignment=alignment,
+                        eps_sweep=((0.05, 0.05), (0.1, 0.1), (0.2, 0.2)))
+    run_rate_scan(config)
+    assert len(calls) == 2 * (config.replications if per_replication else 1)
+
+
 @pytest.mark.parametrize("estimator, x_cells", [("dml", 40), ("dr", 44), ("plugin", 52)])
 def test_sampled_n_sweep_builds_one_score_table(monkeypatch, estimator, x_cells):
     """Every replication of an n-sweep scores the same fields, so the scan

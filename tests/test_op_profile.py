@@ -1,8 +1,12 @@
 """The per-op profile: one pass of one workload prints one parsable line per
-op and one for the pass, and an unknown workload exits with code 2."""
+op and one for the pass, a pass runs the reference op between its ops and
+checks its outputs after them as perfbench does, and an unknown workload
+exits with code 2."""
 
+import importlib.util
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,3 +41,64 @@ def test_unknown_workload_exits_two():
     done = profile("--workload", "no_such_workload", "--seed", "1", "--passes", "1")
     assert done.returncode == 2
     assert "unknown workload 'no_such_workload'" in done.stderr
+
+
+class _Op:
+    def __init__(self, name, log, fails=False, check=None):
+        self.name, self.log, self.fails = name, log, fails
+        self.check = check or (lambda out, outputs: None)
+
+    def run(self):
+        self.log.append(self.name)
+        if self.fails:
+            raise RuntimeError(self.name)
+        return self.name.upper()
+
+
+class _Workload:
+    def __init__(self, ops, pass_check):
+        self.ops, self.pass_check = ops, pass_check
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("op_profile", TOOL)
+    op_profile = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(op_profile)
+    return op_profile
+
+
+def test_a_pass_runs_the_reference_before_the_first_op_and_after_each_op():
+    """As in perfbench's run_pass: len(ops) + 1 reference calls per pass, none
+    of them inside an op's time, a raising op included."""
+    log = []
+    ops = [_Op("a", log), _Op("b", log, fails=True), _Op("c", log)]
+
+    def reference():
+        log.append("ref")
+        time.sleep(0.02)
+
+    rows = _load_tool().profile_pass(_Workload(ops, lambda outputs: None), reference)
+    assert log == ["ref", "a", "ref", "b", "ref", "c", "ref"]
+    assert log.count("ref") == len(ops) + 1
+    assert [raised for _, _, raised in rows] == [False, True, False]
+    assert max(seconds for seconds, _, _ in rows) < 0.02
+
+
+def test_a_pass_checks_the_outputs_it_kept_after_its_last_op(capsys):
+    """As in perfbench's run_pass, every output is kept until the pass ends,
+    then each op's check and the workload's pass check read them; a failed
+    check goes to stderr."""
+    log, seen = [], []
+
+    def check(out, outputs):
+        seen.append((out, dict(outputs), list(log)))
+        return "wrong" if out == "A" else None
+
+    ops = [_Op("a", log, check=check), _Op("b", log, fails=True, check=check),
+           _Op("c", log, check=check)]
+    _load_tool().profile_pass(_Workload(ops, lambda outputs: f"{len(outputs)} outputs"),
+                              lambda: None)
+    outputs = {"a": "A", "c": "C"}
+    assert seen == [("A", outputs, ["a", "b", "c"]), ("C", outputs, ["a", "b", "c"])]
+    assert capsys.readouterr().err.splitlines() == ["check failed: a: wrong",
+                                                    "check failed: pass: 2 outputs"]

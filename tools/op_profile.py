@@ -8,12 +8,18 @@ go to a temporary directory.  As in a perfbench run, BLAS pools are pinned to
 one thread before numpy loads.  The workload is built at seed S and run for
 WARMUP_PASSES untimed passes, then for N passes in which each op is timed
 with ``time.perf_counter`` and its minor page faults are read from
-``resource.getrusage(RUSAGE_SELF).ru_minflt`` before and after it.
+``resource.getrusage(RUSAGE_SELF).ru_minflt`` before and after it.  A pass
+does what perfbench's ``run_pass`` does around its ops, so the heap the ops
+see is the one they see in the benchmark: the scipy reference op
+(``run.reference_seconds``) runs before the first op and after each op, and
+every op's output is kept until the pass ends and then checked with the
+op's and the workload's checks, all outside the ops' times and faults.  A
+failed check is printed to stderr.
 
 One line per op, in pass order, gives the median over the N passes of its
 wall time (ms) and of its minor faults, and how many of its runs raised; the
-last line gives the same medians for the whole pass.  Outputs are not
-checked.  An unknown workload or N < 1 exits with code 2.
+last line gives the same medians for the whole pass.  An unknown workload or
+N < 1 exits with code 2.
 """
 
 from __future__ import annotations
@@ -44,20 +50,29 @@ def parse_args(argv):
     return parser, args
 
 
-def profile_pass(ops) -> list[tuple[float, int, bool]]:
-    """(seconds, minor faults, raised) for each op, run once in order."""
-    rows = []
-    for op in ops:
+def profile_pass(workload, reference) -> list[tuple[float, int, bool]]:
+    """(seconds, minor faults, raised) for each op of ``workload``, run once in
+    order, with ``reference()`` called before the first op and after each op
+    and the outputs checked after the last."""
+    rows, outputs = [], {}
+    reference()
+    for op in workload.ops:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         try:
-            op.run()
+            outputs[op.name] = op.run()
             raised = False
         except Exception:  # a failing op is reported, not fatal
             raised = True
         seconds = time.perf_counter() - start
         rows.append((seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults,
                      raised))
+        reference()
+    for op in workload.ops:
+        if op.name in outputs and (failure := op.check(outputs[op.name], outputs)):
+            print(f"check failed: {op.name}: {failure}", file=sys.stderr)
+    if failure := workload.pass_check(outputs):
+        print(f"check failed: pass: {failure}", file=sys.stderr)
     return rows
 
 
@@ -65,16 +80,18 @@ def main(argv=None) -> int:
     parser, args = parse_args(argv)
     tree = args.tree.resolve()
     sys.path[:0] = [str(tree / "perfbench"), str(tree / "src")]
-    importlib.import_module("run")  # pins the BLAS pools before numpy loads
+    run = importlib.import_module("run")  # pins the BLAS pools before numpy loads
     workloads = importlib.import_module("workloads")
     if args.workload not in workloads.BUILDERS:
         parser.error(f"unknown workload {args.workload!r}; known: "
                      f"{', '.join(workloads.BUILDERS)}")
     with tempfile.TemporaryDirectory(prefix="op-profile-") as workdir:
-        ops = workloads.BUILDERS[args.workload](args.seed, Path(workdir)).ops
+        workload = workloads.BUILDERS[args.workload](args.seed, Path(workdir))
         for _ in range(WARMUP_PASSES):
-            profile_pass(ops)
-        passes = [profile_pass(ops) for _ in range(args.passes)]
+            profile_pass(workload, run.reference_seconds)
+        passes = [profile_pass(workload, run.reference_seconds)
+                  for _ in range(args.passes)]
+    ops = workload.ops
 
     print(f"# workload {args.workload}, seed {args.seed}, {args.passes} passes after "
           f"{WARMUP_PASSES} warm-up passes, tree {tree}")
