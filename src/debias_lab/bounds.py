@@ -6,7 +6,10 @@ exactly: the squared Hellinger distance between the anchor's n-fold product
 and the uniform mixture of alternatives' products, the chunk statistic b
 feeding the product-measure Hellinger bound, the Bayes (optimal test) error,
 and the risk floor (1 - sqrt(delta(1 - delta/4))) / 2 that a Hellinger
-budget delta implies.  The inequality
+budget delta implies.  The n-fold laws are streamed, never stored: H^2 and
+the Bayes error are summed over blocks of leading atom tuples, so no
+atoms^n array exists and ENUM_TUPLE_CAP bounds a call's time, not its
+memory.  The inequality
 
     optimal_test_error >= fano_risk(H^2)
 
@@ -33,13 +36,14 @@ from .errors import (
     SizeLimitError,
 )
 from .estimands import EstimandSpec
-from .grid import Dataset, Density, _index, integrate, sample
+from .grid import Dataset, Density, _index, sample
 from .partition import BumpPartition, all_sign_vectors
 
 ENUM_TUPLE_CAP = 1_000_000
 ENUM_LAMBDA_CAP = 4096
 ENUM_N_CAP = 4
 ENUM_ATOM_CAP = 64
+_BLOCK_ELEMENTS = 1 << 14  # entries of one block's (leads, max(atoms, rows)) arrays
 
 
 @dataclass(frozen=True)
@@ -86,51 +90,100 @@ def member_probs(instance: TestingInstance) -> np.ndarray:
     return rows.reshape(len(rows), -1) * family.anchor.space.atom_weight
 
 
-def _product_tensor(prob_rows: np.ndarray, n: int) -> np.ndarray:
-    """Mean over rows of the n-fold outer product, flattened to atoms^n.
+def _sorted_leads(atoms: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k, T) non-decreasing k-tuples of atoms, one per column in lexicographic
+    order, and (T,) how many k-tuples each one stands for: its distinct
+    orderings, k! over the factorials of its runs of equal atoms.  k = 0 gives
+    the one empty tuple."""
+    if k == 0:
+        return np.zeros((0, 1), dtype=np.intp), np.ones(1)
+    leads = np.arange(atoms)[None, :]
+    counts = run = np.ones(atoms)  # run: length of the run of equal atoms at the end
+    for i in range(1, k):
+        low = leads[-1]
+        reps = atoms - low  # each tuple extends by every atom >= its last
+        new = np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps - low, reps)
+        run = np.where(new == np.repeat(low, reps), np.repeat(run, reps) + 1.0, 1.0)
+        counts = np.repeat(counts, reps) * (i + 1) / run
+        leads = np.vstack([np.repeat(leads, reps, axis=1), new])
+    return leads, counts
 
-    One row (the anchor's law) is a chain of n - 1 outer products,
-    ((P (x) P) (x) P) ..., the same products in the same order as below.
-    For n >= 3 the last two factors are one matrix product per leading
-    (n - 2)-tuple of atoms, sum_l (w_l P_l) (x) P_l with w_l the tuple's
-    probabilities under row l, so no temporary exceeds (rows, atoms).
+
+def _product_law_sum(anchor_row: np.ndarray, member_rows: np.ndarray, n: int,
+                     terms: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
+    """Sum over all atom n-tuples of terms(anchor^{(x)n}, mixture^{(x)n}).
+
+    The laws are symmetric in the tuple's order, so only tuples whose first
+    n - 1 atoms (the lead) do not decrease are formed, each lead's row counted
+    once per ordering of it.  Leads go in blocks of ``_BLOCK_ELEMENTS //
+    max(atoms, rows)``: a block's anchor slice is its lead products times the
+    anchor row, and its mixture slice one matrix product of the (block, rows)
+    lead products under each member with the (rows, atoms) member rows, over
+    the row count.  ``terms`` turns the two slices into per-tuple terms in
+    place, so no temporary exceeds a block.  Products run in the order of the
+    tuple, ((P_a P_b) P_c) P_d, and at n <= 2 no lead repeats, so a law that
+    fits one block sums its terms as one flat ``np.sum`` over the tensor.
     """
-    if len(prob_rows) == 1:
-        out = prob_rows[0]
-        for _ in range(n - 1):
-            out = np.multiply.outer(out, prob_rows[0])
-    elif n <= 2:
-        letters = "abcd"[:n]
-        spec = ",".join(f"l{c}" for c in letters) + "->" + letters
-        out = np.einsum(spec, *([prob_rows] * n), optimize=True)
-    else:
-        atoms = prob_rows.shape[1]
-        out = np.empty((atoms,) * n)
-        for lead in np.ndindex(*(atoms,) * (n - 2)):
-            w = prob_rows[:, lead].prod(axis=1)
-            out[lead] = (w[:, None] * prob_rows).T @ prob_rows
-    return out.ravel() / prob_rows.shape[0]
+    rows, atoms = member_rows.shape
+    leads, counts = _sorted_leads(atoms, n - 1)
+    columns = np.ascontiguousarray(member_rows.T)
+    block = max(1, _BLOCK_ELEMENTS // max(atoms, rows))
+    lead_products = np.empty((block, rows))
+    factor = np.empty((block, rows))
+    anchor_slice = np.empty((block, atoms))
+    mixture_slice = np.empty((block, atoms))
+    total = 0.0
+    for start in range(0, leads.shape[1], block):
+        lead = leads[:, start:start + block]
+        size = lead.shape[1]
+        products, a, m = lead_products[:size], anchor_slice[:size], mixture_slice[:size]
+        if n == 1:  # the empty lead: the member rows' sum, in row order
+            anchor_lead = np.ones(1)
+            np.add.reduce(member_rows, axis=0, out=m[0])
+        else:
+            anchor_lead = anchor_row[lead[0]]
+            np.take(columns, lead[0], axis=0, out=products)
+            for atom in lead[1:]:
+                anchor_lead = anchor_lead * anchor_row[atom]
+                np.multiply(products, np.take(columns, atom, axis=0, out=factor[:size]),
+                            out=products)
+            np.matmul(products, member_rows, out=m)
+        np.multiply(anchor_lead[:, None], anchor_row, out=a)
+        np.divide(m, rows, out=m)
+        d = terms(a, m)
+        if n <= 2:
+            total += float(np.add.reduce(d, axis=None))
+        else:
+            total += float(np.add.reduce(d, axis=1) @ counts[start:start + size])
+    return total
 
 
-def _product_laws(instance: TestingInstance) -> tuple[np.ndarray, np.ndarray]:
-    """(anchor^{(x)n}, mixture^{(x)n}) as atom-tuple probabilities."""
+def _instance_sum(instance: TestingInstance,
+                  terms: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
     if not instance.enumerated:
         raise PreconditionError("exact testing bounds need an enumerated instance")
-    return (_product_tensor(_atom_probs(instance.anchor)[None, :], instance.n),
-            _product_tensor(member_probs(instance), instance.n))
+    return _product_law_sum(_atom_probs(instance.anchor), member_probs(instance),
+                            instance.n, terms)
+
+
+def _hellinger_terms(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    np.sqrt(a, out=a)
+    np.subtract(a, np.sqrt(m, out=m), out=a)
+    return np.multiply(a, a, out=a)
+
+
+def _variation_terms(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    return np.abs(np.subtract(a, m, out=a), out=a)
 
 
 def product_mixture_hellinger(instance: TestingInstance) -> float:
     """Exact H^2(anchor^{(x)n}, mean_lambda member_lambda^{(x)n})."""
-    anchor_n, mixture_n = _product_laws(instance)
-    diff = np.sqrt(anchor_n) - np.sqrt(mixture_n)
-    return float(np.sum(diff * diff))
+    return _instance_sum(instance, _hellinger_terms)
 
 
 def optimal_test_error(instance: TestingInstance) -> float:
     """Exact Bayes error (1 - TV)/2 between anchor^n and the mixture."""
-    anchor_n, mixture_n = _product_laws(instance)
-    tv = 0.5 * float(np.sum(np.abs(anchor_n - mixture_n)))
+    tv = 0.5 * _instance_sum(instance, _variation_terms)
     return (1.0 - tv) / 2.0
 
 
@@ -162,23 +215,16 @@ def theorem21_b(instance: TestingInstance, partition: BumpPartition
     if anchor_vals.min() <= 0:
         raise PreconditionError("the chunk statistic needs a strictly positive anchor")
 
-    n1 = space.shape[0]
-    rest = anchor.space.n_atoms // n1
-    chisq = (probs - anchor_vals[None, :]) ** 2 / anchor_vals[None, :]
-    chisq = chisq.reshape(probs.shape[0], n1, rest)
-    along_z1 = (n1,) + (1,) * (len(space.shape) - 1)
-    # row j: each Z1 cell's share in B_{2j} u B_{2j+1}
+    # (M, n1): each Z1 cell's share in B_{2j} u B_{2j+1}
     membership = partition.membership
     chunks = membership[0::2] + membership[1::2]
-
-    b = 0.0
-    p_max = 0.0
-    for chunk in chunks:
-        p_j = integrate(anchor, chunk.reshape(along_z1))
-        p_max = max(p_max, p_j)
-        mass = float(np.max(np.sum(chisq * chunk[None, :, None], axis=(1, 2))) * w)
-        b = max(b, mass / p_j)
-    return b, instance.n ** 2 * p_max * b * b
+    cells = (space.shape[0], space.n_atoms // space.shape[0])
+    chisq = (probs - anchor_vals[None, :]) ** 2 / anchor_vals[None, :]
+    # (2^M, M): every member's chi-square mass on every chunk
+    masses = chisq.reshape(len(probs), *cells).sum(axis=2) @ chunks.T * w
+    p = chunks @ anchor_vals.reshape(cells).sum(axis=1) * w
+    b = float(np.max(masses / p))
+    return b, instance.n ** 2 * float(np.max(p)) * b * b
 
 
 def fit_hellinger_constant(instances: Sequence[tuple[TestingInstance, BumpPartition]]
@@ -227,9 +273,12 @@ def minimax_demo(instance: TestingInstance, estimator: Estimator, s: float,
     before running, then plays the estimator against the anchor and every
     family member.
     """
+    family = instance.family
+    if 2 ** family.m_pairs > ENUM_LAMBDA_CAP:
+        raise SizeLimitError(f"the 2^M = 2^{family.m_pairs} members exceed the "
+                             f"sign-vector enumeration cap ENUM_LAMBDA_CAP = {ENUM_LAMBDA_CAP}")
     spec = instance.spec
     chi_anchor = est.functional_value(instance.anchor, spec)
-    family = instance.family
     hypotheses: list[tuple[str, Density, float]] = [("anchor", instance.anchor, chi_anchor)]
     for k, values in enumerate(family.members(all_sign_vectors(family.m_pairs))):
         member = Density(family.anchor.space, values)

@@ -151,7 +151,7 @@ def _cmd_hellinger(args: argparse.Namespace) -> int:
         "h2": h2,
         "b": b,
         "bound": bound,
-        "fano_risk": bounds.fano_risk(min(h2, 2.0 - 1e-15)),
+        "fano_risk": bounds.fano_risk(h2),
         "optimal_test_error": bounds.optimal_test_error(inst),
     }, indent=2))
     return 0

@@ -1,5 +1,9 @@
+import itertools
 import re
+import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from debias_lab.errors import (
     SeparationError,
     SizeLimitError,
 )
-from debias_lab.grid import hellinger_sq
+from debias_lab.grid import hellinger_sq, integrate
 from debias_lab.partition import equal_blocks, iterated_partition
 from debias_lab.presets import preset
 
@@ -220,6 +224,38 @@ def test_chunk_restriction_depends_on_lambda_j_only():
             assert abs(masses[0] - masses[1]) <= 1e-12
 
 
+def loop_theorem21_b(instance, partition):
+    """``theorem21_b`` with one pass over the rows per chunk."""
+    anchor = instance.anchor
+    w = anchor.space.atom_weight
+    probs = bounds.member_probs(instance) / w
+    anchor_vals = anchor.values.ravel()
+    n1 = anchor.space.shape[0]
+    chisq = ((probs - anchor_vals) ** 2 / anchor_vals).reshape(len(probs), n1, -1)
+    along_z1 = (n1,) + (1,) * (len(anchor.space.shape) - 1)
+    b = p_max = 0.0
+    for chunk in partition.membership[0::2] + partition.membership[1::2]:
+        p_j = integrate(anchor, chunk.reshape(along_z1))
+        p_max = max(p_max, p_j)
+        mass = float(np.max(np.sum(chisq * chunk[None, :, None], axis=(1, 2))) * w)
+        b = max(b, mass / p_j)
+    return b, instance.n ** 2 * p_max * b * b
+
+
+@pytest.mark.parametrize("m_pairs", [1, 2, 4])
+def test_theorem21_b_matches_the_per_chunk_loop(m_pairs):
+    spec, anchor, fam, part = small_ate_family(m_pairs=m_pairs)
+    plm = preset(est.ECC_PLM, x_cells=16)
+    plm_part = iterated_partition([np.ones(16)], m_pairs, plm.anchor.space.axes[0])
+    plm_fam = adv.PlmFamily(plm.anchor, 0.1, 0.15, plm_part)
+    for inst, partition in ((bounds.TestingInstance(anchor, fam, spec, n=2), part),
+                            (bounds.TestingInstance(plm.anchor, plm_fam, plm.spec, n=3,
+                                                    enumerated=False), plm_part)):
+        got, want = bounds.theorem21_b(inst, partition), loop_theorem21_b(inst, partition)
+        assert want[0] > 0.0
+        assert all(abs(g - r) <= 1e-14 * r for g, r in zip(got, want))
+
+
 def test_fit_hellinger_constant_reports():
     instances = []
     for m_pairs in (2, 4):
@@ -256,6 +292,16 @@ def test_minimax_constant_estimator_hits_separation():
     assert per["anchor"] == 0.0
 
 
+def test_minimax_caps_its_sign_vectors_before_building_members():
+    spec, anchor, fam, _ = small_ate_family()
+    many = SimpleNamespace(anchor=fam.anchor, m_pairs=13)  # 2^13 > 4096
+    inst = bounds.TestingInstance(anchor, many, spec, n=1, enumerated=False)
+    with pytest.raises(SizeLimitError, match=re.escape("2^M = 2^13")) as caught:
+        bounds.minimax_demo(inst, bounds.oracle_estimator(spec), s=0.0, n_draw=10,
+                            replications=2)
+    assert "ENUM_LAMBDA_CAP = 4096" in str(caught.value)
+
+
 def test_minimax_separation_check_fires():
     spec, anchor, fam, _ = small_ate_family(m_pairs=2, eps_m=0.1, eps_g=0.1)
     inst = bounds.TestingInstance(anchor, fam, spec, n=1)
@@ -274,13 +320,43 @@ def einsum_product(prob_rows, n):
     return np.einsum(spec, *([prob_rows] * n)).ravel() / prob_rows.shape[0]
 
 
+def law_slices(anchor_row, prob_rows, n):
+    """The (anchor, mixture) slices the streaming kernel forms, stacked in its
+    lead order, and the flat row of the (atoms^(n-1), atoms) tensor each comes
+    from."""
+    seen = []
+
+    def record(a, m):
+        seen.append((a.copy(), m.copy()))
+        return a
+
+    bounds._product_law_sum(anchor_row, prob_rows, n, record)
+    atoms = prob_rows.shape[1]
+    leads, counts = bounds._sorted_leads(atoms, n - 1)
+    rows = np.ravel_multi_index(leads, (atoms,) * (n - 1)) if n > 1 else np.zeros(1, int)
+    return (np.concatenate([a for a, _ in seen]), np.concatenate([m for _, m in seen]),
+            rows, counts)
+
+
+@pytest.mark.parametrize("atoms, k", [(1, 3), (5, 0), (5, 1), (5, 2), (4, 3), (3, 4)])
+def test_sorted_leads_are_the_multisets_of_atoms_with_their_orderings(atoms, k):
+    leads, counts = bounds._sorted_leads(atoms, k)
+    orderings = Counter(tuple(sorted(t)) for t in itertools.product(range(atoms), repeat=k))
+    assert [tuple(lead) for lead in leads.T] == sorted(orderings)
+    assert counts.tolist() == [orderings[tuple(lead)] for lead in leads.T]
+
+
 @pytest.mark.parametrize("n, atoms", [(3, 48), (3, 5), (4, 31), (4, 12)])
 def test_product_tensor_matches_einsum(n, atoms):
+    """Every slice the kernel forms is its rows of the einsum tensor, and the
+    sorted leads' counts cover every lead tuple once."""
     rng = np.random.default_rng(atoms + n)
     rows = rng.uniform(0.1, 1.0, (64, atoms))
     rows /= rows.sum(axis=1, keepdims=True)
-    reference = einsum_product(rows, n)
-    assert np.all(np.abs(bounds._product_tensor(rows, n) - reference) <= 1e-14 * reference)
+    reference = einsum_product(rows, n).reshape(-1, atoms)
+    _, mixture, lead_rows, counts = law_slices(rows[0], rows, n)
+    assert np.all(np.abs(mixture - reference[lead_rows]) <= 1e-14 * reference[lead_rows])
+    assert counts.sum() == atoms ** (n - 1)
 
 
 @pytest.mark.parametrize("n, x_cells, m_pairs", [(3, 12, 4), (4, 6, 2), (4, 7, 1)])
@@ -298,7 +374,8 @@ def test_product_mixture_bounds_match_einsum(n, x_cells, m_pairs):
 
 
 def loop_product_tensor(prob_rows, n):
-    """``_product_tensor`` as it was before the one-row outer-product chain."""
+    """The n-fold law as one atoms^n tensor: einsum at n <= 2, one matrix
+    product per leading (n - 2)-tuple of atoms above."""
     if n <= 2:
         letters = "abcd"[:n]
         spec = ",".join(f"l{c}" for c in letters) + "->" + letters
@@ -315,8 +392,52 @@ def loop_product_tensor(prob_rows, n):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 4), st.integers(4, 48), st.integers(0, 2 ** 32 - 1))
 def test_one_row_product_law_matches_the_loop_bit_for_bit(n, atoms, seed):
+    """The anchor's slices take their products in the tuple's order, as the
+    loop does, so each is its rows of the loop's tensor to the bit."""
     if atoms ** n > 1_000_000:
         atoms = int(1_000_000 ** (1 / n))
     row = np.random.default_rng(seed).uniform(0.0, 1.0, (1, atoms))
     row /= row.sum()
-    assert np.array_equal(bounds._product_tensor(row, n), loop_product_tensor(row, n))
+    anchor, mixture, lead_rows, _ = law_slices(row[0], row, n)
+    reference = loop_product_tensor(row, n).reshape(-1, atoms)[lead_rows]
+    assert np.array_equal(anchor, reference)
+    assert np.array_equal(mixture, reference)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4), st.integers(1, 64), st.integers(2, 40),
+       st.sampled_from([7, 97, 1 << 10, 1 << 14]), st.integers(0, 2 ** 32 - 1))
+def test_streamed_bounds_match_einsum(n, members, atoms, block_elements, seed):
+    """H^2 and the Bayes error against the whole einsum tensors, for blocks
+    that split the leads unevenly (down to one lead per block)."""
+    while atoms ** n > 200_000:
+        atoms -= 1
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(0.05, 1.0, (members + 1, atoms))
+    rows /= rows.sum(axis=1, keepdims=True)
+    anchor_n, mixture_n = einsum_product(rows[:1], n), einsum_product(rows[1:], n)
+    h2 = float(np.sum((np.sqrt(anchor_n) - np.sqrt(mixture_n)) ** 2))
+    variation = float(np.sum(np.abs(anchor_n - mixture_n)))
+    with mock.patch.object(bounds, "_BLOCK_ELEMENTS", block_elements):
+        streamed_h2 = bounds._product_law_sum(rows[0], rows[1:], n, bounds._hellinger_terms)
+        streamed_variation = bounds._product_law_sum(rows[0], rows[1:], n,
+                                                     bounds._variation_terms)
+    assert abs(streamed_h2 - h2) <= 1e-14 * h2
+    assert abs(streamed_variation - variation) <= 1e-14 * variation
+
+
+def test_exact_bounds_never_hold_a_whole_product_law():
+    """At 28 atoms and n = 4 a law is 28^4 doubles; the peak traced allocation
+    stays under a quarter of one."""
+    spec, anchor, fam, _ = small_ate_family(x_cells=7, m_pairs=2, eps_m=0.2, eps_g=0.2)
+    inst = bounds.TestingInstance(anchor, fam, spec, n=4)
+    assert anchor.space.n_atoms == 28
+    bounds.product_mixture_hellinger(inst)  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        h2 = bounds.product_mixture_hellinger(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h2 > 0.0
+    assert peak < 28 ** 4 * 8 / 4

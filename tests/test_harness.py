@@ -497,6 +497,17 @@ def test_cli_hellinger_keys():
     assert doc["optimal_test_error"] >= doc["fano_risk"]
 
 
+def test_cli_hellinger_refuses_an_h2_of_two(capsys, monkeypatch):
+    """H^2 = 2 is outside fano_risk's domain: the typed error, not a clamp."""
+    from debias_lab import cli
+
+    monkeypatch.setattr(bounds, "product_mixture_hellinger", lambda instance: 2.0)
+    assert cli.main(["hellinger"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the Hellinger budget must lie in [0, 2)" in captured.err
+
+
 def ate_family_h2(x_cells, eps_gamma, eps_alpha, m_pairs, n):
     """H^2 of the ATE family whose outcome regression moves by eps_gamma and
     whose propensity moves by eps_alpha."""

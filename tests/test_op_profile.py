@@ -43,6 +43,60 @@ def test_unknown_workload_exits_two():
     assert "unknown workload 'no_such_workload'" in done.stderr
 
 
+FAKE_RUN = "def reference_seconds():\n    return 0.0\n"
+FAKE_WORKLOADS = """\
+from types import SimpleNamespace
+
+def build(seed, workdir):
+    def op(name):
+        def run():
+            with open({log!r}, "a") as log:
+                log.write({tree!r} + "\\n")
+            return name
+        return SimpleNamespace(name=name, run=run, check=lambda out, outputs: None)
+    return SimpleNamespace(ops=[op(name) for name in {names!r}],
+                           pass_check=lambda outputs: None)
+
+BUILDERS = {{"fake": build}}
+"""
+
+
+def fake_tree(root, tree, names, log):
+    """A source tree whose one workload, ``fake``, runs ops that append the
+    tree's name to ``log``."""
+    (root / tree / "perfbench").mkdir(parents=True)
+    (root / tree / "src").mkdir()
+    (root / tree / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (root / tree / "perfbench" / "workloads.py").write_text(
+        FAKE_WORKLOADS.format(log=str(log), tree=tree, names=names))
+    return root / tree
+
+
+def test_two_trees_take_turns_and_print_side_by_side(tmp_path):
+    log = tmp_path / "log"
+    trees = [fake_tree(tmp_path, tree, ["x", "y"], log) for tree in ("A", "B")]
+    done = profile("--workload", "fake", "--seed", "1", "--passes", "3",
+                   "--tree", str(trees[0]), "--tree", str(trees[1]))
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].endswith(f"trees [0] {trees[0]}, [1] {trees[1]}")
+    assert lines[1].split() == ["op"] + [f"{column}[{i}]" for i in (0, 1)
+                                         for column in ("wall_ms", "minflt", "raised")]
+    assert [line.split()[0] for line in lines[2:]] == ["x", "y", "pass"]
+    assert all(len(line.split()) == 7 for line in lines[2:])
+    # after the warm-up passes, one pass per tree a round, the first tree alternating
+    assert log.read_text().split()[-12:] == list("AABBBBAAAABB")
+
+
+def test_trees_whose_workloads_differ_exit_two(tmp_path):
+    log = tmp_path / "log"
+    done = profile("--workload", "fake", "--seed", "1", "--passes", "1",
+                   "--tree", str(fake_tree(tmp_path, "A", ["x"], log)),
+                   "--tree", str(fake_tree(tmp_path, "B", ["x", "z"], log)))
+    assert done.returncode == 2
+    assert "the trees' workloads do not run the same ops" in done.stderr
+
+
 class _Op:
     def __init__(self, name, log, fails=False, check=None):
         self.name, self.log, self.fails = name, log, fails
