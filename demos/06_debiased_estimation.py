@@ -65,7 +65,7 @@ print("slope:", fit_loglog_slope([1e3, 1e4, 1e5], medians)[0])
 
 print("\nend-to-end with the toy binned learner:")
 data = sample(pre.anchor, 200_000, seed=7)
-g_learned = dr.binned_learner(data, target_axis=2, bins=16)
+g_learned = dr.binned_learner(data, pre.spec, bins=16)
 err = l2_nuisance_distance(g_learned, pre.gamma, pz)
 m_exact = pre.extras["m_hat"]
 point = dr.dr_ate_estimate(data, g_learned, m_exact)

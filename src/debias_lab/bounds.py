@@ -270,9 +270,13 @@ def minimax_demo(instance: TestingInstance, estimator: Estimator, s: float,
     """Worst-case empirical 0.9-quantile risk over the hypothesis set.
 
     Verifies the separation condition |chi(member) - chi(anchor)| >= 2 s
-    before running, then plays the estimator against the anchor and every
-    family member.
+    (s >= 0; s = 0 skips it) before running, then plays the estimator
+    against the anchor and every family member.
     """
+    if _index(replications, "the replication count") < 1:
+        raise PreconditionError(f"minimax_demo needs at least 1 replication, not {replications}")
+    if not s >= 0:
+        raise PreconditionError(f"the separation s must be >= 0, not {s!r}")
     family = instance.family
     if 2 ** family.m_pairs > ENUM_LAMBDA_CAP:
         raise SizeLimitError(f"the 2^M = 2^{family.m_pairs} members exceed the "

@@ -226,7 +226,10 @@ def dml_estimate(data: Dataset, gamma_hat: np.ndarray, alpha_hat: np.ndarray,
 
 
 def ate_alpha_from_propensity(m_hat: np.ndarray, clip: float = 0.05) -> np.ndarray:
-    """alpha(x, d) = d/m - (1-d)/(1-m) with m clipped to [clip, 1-clip]."""
+    """alpha(x, d) = d/m - (1-d)/(1-m) with m clipped to [clip, 1-clip], for a
+    clip in (0, 1/2), as an overlap constant is."""
+    if not 0.0 < clip < 0.5:
+        raise PreconditionError(f"the propensity clip must lie in (0, 1/2), not {clip!r}")
     m = np.clip(np.asarray(m_hat, dtype=float), clip, 1.0 - clip)
     return np.stack([-1.0 / (1.0 - m), 1.0 / m], axis=1)
 
@@ -283,25 +286,27 @@ def bias_product_reference(p: Density, spec: EstimandSpec, gamma_hat: np.ndarray
 # toy learner
 # -----------------------------------------------------------------------------
 
-def binned_learner(data: Dataset, target_axis: int, bins: int) -> np.ndarray:
-    """Histogram regression of the target coordinate on binned Z.
+def binned_learner(data: Dataset, spec: EstimandSpec, bins: int) -> np.ndarray:
+    """Histogram regression of the kind's regressed variable on binned Z.
 
     The Z1 axis (axis 0) is coarsened into ``bins`` equal groups of cells;
-    every other non-target axis is kept at full resolution.  Empty bins fall
-    back to the global mean of the target.  Returns a field on the grid of
-    non-target axes (Z1 at full resolution, values constant within bins).
+    the kind's other Z axes are kept at full resolution.  Empty bins fall
+    back to the global mean of the target.  Returns a field on the Z grid
+    (Z1 at full resolution, values constant within bins).
     """
     space = data.space
+    est.check_space(spec, space)
+    record = est.KIND_TABLE[spec.kind]
     n1 = space.shape[0]
     bins = _index(bins, "the bin count")
     if bins < 1 or n1 % bins:
         raise PreconditionError("bins must divide the Z1 cell count")
     if data.n == 0:
         raise EmptyDataError("the learner needs at least one observation")
-    group_axes = [a for a in range(len(space.axes)) if a != target_axis and a != 0]
+    group_axes = record.z_axes[1:]
     group_shape = tuple([bins] + [space.shape[a] for a in group_axes])
     idx = np.indices(space.shape).reshape(len(space.axes), -1)  # cells per atom
-    target = space.coords(target_axis)[idx[target_axis]]
+    target = space.coords(record.target_axis)[idx[record.target_axis]]
     keys = [idx[0] * bins // n1] + [idx[a] for a in group_axes]
     flat = np.ravel_multi_index(tuple(keys), group_shape)
     size = int(np.prod(group_shape))

@@ -136,6 +136,10 @@ class BumpPartition(ArrayValue):
                                 self.split_shares[split_block, split_at]]))
 
     def block_integral(self, w: np.ndarray, block: int) -> float:
+        """The integral of ``w`` over one block, for a block in [0, 2M)."""
+        block = _index(block, "a block index")
+        if not 0 <= block < self.n_blocks:
+            raise PreconditionError(f"block {block} is not in [0, {self.n_blocks})")
         w = np.broadcast_to(np.asarray(w, dtype=float), (self.axis.size,))
         blocks, cell, share = self._entries()
         inside = blocks == block

@@ -18,6 +18,8 @@ from debias_lab.harness import fit_loglog_slope
 from debias_lab.partition import all_sign_vectors, bump, iterated_partition
 from debias_lab.presets import preset
 
+from kinds import AFFINE_DIRECTION_KINDS, DIRECTION_KINDS, SLICE_KINDS
+
 
 @contextmanager
 def criterion(number: int, label: str, budget_s: float):
@@ -86,7 +88,7 @@ def test_criterion_03_separation():
 def test_criterion_04_invariances():
     with criterion(4, "exact gamma/alpha invariance along every packaged "
                       "direction (<= 1e-10 over t in +-{0.01, 0.05})", 5.0):
-        for kind in (est.ATE, est.DS, est.LOD, est.ECC_PLM):
+        for kind in DIRECTION_KINDS:
             pre = preset(kind, x_cells=128, d_cells=64)
             for variant in ("gamma", "alpha"):
                 pair = adv.direction_pair(pre.spec, pre.anchor, variant)
@@ -128,7 +130,7 @@ def test_criterion_05_second_derivatives():
         ref = -float(np.mean(fam.g_hat * (1.0 - fam.g_hat)))
         assert abs(fd - ref) <= 1e-4
 
-        for kind in (est.DS, est.WAD):
+        for kind in SLICE_KINDS:
             pre = preset(kind, x_cells=128, d_cells=64)
             pair = adv.direction_pair(pre.spec, pre.anchor, "gamma")
             fd = adv.second_derivative_fd(pre.anchor, pair.first, pair.second,
@@ -148,7 +150,7 @@ def test_criterion_05_second_derivatives():
 def test_criterion_06_affine_curvature_vanishes():
     with criterion(6, "affine kinds have zero curvature along alpha-invariant "
                       "directions (closed form 0, FD <= 1e-5)", 10.0):
-        for kind in (est.ATE, est.ECC_PLM, est.DS, est.WAD):
+        for kind in AFFINE_DIRECTION_KINDS:
             pre = preset(kind, x_cells=128, d_cells=64)
             pair = adv.direction_pair(pre.spec, pre.anchor, "alpha")
             closed = adv.closed_form_chi2_H0(pre.anchor, pair.first, pre.spec)

@@ -30,8 +30,7 @@ from debias_lab.grid import (
 from debias_lab.partition import all_sign_vectors, bump, equal_blocks, iterated_partition
 from debias_lab.presets import preset
 
-DIRECTION_KINDS = (est.ATE, est.WAD, est.DS, est.LOD, est.ECC_PLM)
-SLICE_KINDS = (est.ATE, est.WAD, est.DS, est.LOD)  # built by the one slice recipe
+from kinds import AFFINE_DIRECTION_KINDS, DIRECTION_KINDS, SLICE_KINDS, random_anchor
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +139,7 @@ def test_fd_zero_companion_direction(medium_presets):
 
 
 def test_affine_curvature_vanishes(medium_presets):
-    for kind in (est.ATE, est.DS, est.WAD, est.ECC_PLM):
+    for kind in AFFINE_DIRECTION_KINDS:
         pre = medium_presets[kind]
         pair = adv.direction_pair(pre.spec, pre.anchor, "alpha")
         assert adv.closed_form_chi2_H0(pre.anchor, pair.first, pre.spec) == 0.0
@@ -195,27 +194,12 @@ def test_ds_mixed_reference_off_a_uniform_x_marginal(p_x, expected):
     assert pair.mixed_reference == pytest.approx(expected, rel=1e-5)
 
 
-def _random_slice_anchor(kind: str, seed: int):
-    """(spec, anchor) on an 8 x 16 grid from random fields bounded away from 0
-    and 1 and a random non-uniform X marginal; DS and WAD keep the presets'
-    reference densities and weight."""
-    rng = np.random.default_rng(seed)
-    space = est.make_space(kind, 8, 16)
-    p_x = rng.uniform(0.5, 2.0, 8)
-    if kind in (est.ATE, est.LOD):
-        m = rng.uniform(0.2, 0.8, 8)
-        return EstimandSpec(kind), est.ate_joint(space, m, rng.uniform(0.2, 0.8, (8, 2)), p_x)
-    spec = preset(kind, x_cells=8, d_cells=16).spec
-    if kind == est.DS:
-        return spec, est.ds_joint(space, rng.uniform(0.2, 0.8, 8), p_x)
-    f_d = rng.uniform(0.5, 1.5, (8, 16))
-    return spec, est.dose_joint(space, f_d, rng.uniform(0.2, 0.8, (8, 16)), p_x)
-
-
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(SLICE_KINDS), st.integers(0, 2 ** 32 - 1))
 def test_slice_recipe_on_random_anchors(kind, seed):
-    spec, anchor = _random_slice_anchor(kind, seed)
+    # a non-uniform X marginal; DS and WAD keep the presets' params
+    spec, anchor = random_anchor(kind, 8, 16, seed, p_x_max=2.0,
+                                 params=preset(kind, x_cells=8, d_cells=16).spec.params)
     for variant in ("gamma", "alpha"):
         pair = adv.direction_pair(spec, anchor, variant)
         assert adv.verify_invariance(anchor, pair.first, spec, variant) <= 1e-12
@@ -227,7 +211,8 @@ def test_verify_invariance_inside_a_small_feasible_radius():
     """DS's companion is not scaled by p, so at this anchor a step of 0.05
     leaves the density cone; the steps shrink to fit and the invariance
     still holds."""
-    spec, anchor = _random_slice_anchor(est.DS, 0)
+    spec, anchor = random_anchor(est.DS, 8, 16, 0, p_x_max=2.0,
+                                 params=preset(est.DS, x_cells=8, d_cells=16).spec.params)
     pair = adv.direction_pair(spec, anchor, "alpha")
     radius = feasible_radius(anchor, pair.first)
     assert 0.03 < radius < 0.05

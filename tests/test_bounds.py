@@ -302,6 +302,23 @@ def test_minimax_caps_its_sign_vectors_before_building_members():
     assert "ENUM_LAMBDA_CAP = 4096" in str(caught.value)
 
 
+@pytest.mark.parametrize("s, replications, named", [
+    (0.0, 0, "at least 1 replication, not 0"), (0.0, -1, "at least 1 replication, not -1"),
+    (np.nan, 2, "the separation s must be >= 0, not nan"),
+    (-0.1, 2, "the separation s must be >= 0, not -0.1"),
+])
+def test_minimax_refuses_no_replications_or_a_bad_separation(s, replications, named):
+    """0 replications ended in np.quantile's IndexError, -1 in a numpy
+    ValueError, and a NaN s skipped the separation check; each is refused
+    before any member is built (this family has no members to build)."""
+    spec, anchor, fam, _ = small_ate_family(m_pairs=2)
+    unbuilt = SimpleNamespace(anchor=fam.anchor, m_pairs=2)
+    inst = bounds.TestingInstance(anchor, unbuilt, spec, n=1, enumerated=False)
+    with pytest.raises(PreconditionError, match=re.escape(named)):
+        bounds.minimax_demo(inst, bounds.oracle_estimator(spec), s=s, n_draw=10,
+                            replications=replications)
+
+
 def test_minimax_separation_check_fires():
     spec, anchor, fam, _ = small_ate_family(m_pairs=2, eps_m=0.1, eps_g=0.1)
     inst = bounds.TestingInstance(anchor, fam, spec, n=1)

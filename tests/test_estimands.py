@@ -14,6 +14,8 @@ from debias_lab.errors import (
 from debias_lab.estimands import DsParams, EstimandSpec
 from debias_lab.presets import preset
 
+from kinds import AFFINE_KINDS, FACTS, TREATMENT_KINDS, mixed_bias_target
+
 
 def test_ate_alpha_at_half_propensity():
     space = est.make_space(est.ATE, x_cells=8)
@@ -113,17 +115,22 @@ def test_lod_upsilon_by_second_differences(small_presets):
     assert np.max(np.abs(ups_fd - ups)) <= 1e-5
 
 
-@pytest.mark.parametrize("kind", est.AFFINE_KINDS)
+@pytest.mark.parametrize("kind", AFFINE_KINDS)
 def test_mixed_bias_identity(kind, small_presets):
+    # for ecc_plm the m2 representation recovers the auxiliary functional
+    # E[Y g(X)], which is E[TY] minus the conditional-covariance target
     pre = small_presets[kind]
     value = est.mixed_bias_value(pre.anchor, pre.spec)
-    if kind == est.ECC_PLM:
-        # the m2 representation recovers the auxiliary functional E[Y g(X)],
-        # which is E[TY] minus the conditional-covariance target
-        ref = est.ecc_offset_population(pre.anchor, pre.spec) - pre.oracle
-    else:
-        ref = pre.oracle
-    assert abs(value - ref) <= 1e-10
+    assert abs(value - mixed_bias_target(kind, pre.anchor, pre.oracle)) <= 1e-10
+
+
+def test_test_kind_table_has_one_row_per_kind():
+    """tests/kinds.py holds what the tests assert about each kind: a kind
+    the library defines without a row, or a row for no kind, is named."""
+    missing = [k for k in est.KINDS if k not in FACTS]
+    extra = [k for k in FACTS if k not in est.KINDS]
+    assert not missing, f"kinds without a row in tests/kinds.py: {missing}"
+    assert not extra, f"rows in tests/kinds.py for no library kind: {extra}"
 
 
 def test_mixed_bias_rejects_lod(small_presets):
@@ -161,7 +168,7 @@ def test_spec_params_arrays_are_read_only_copies(small_presets):
     params = DsParams(f, f)
     f[0] = 2.0
     assert params.f1[0] == 1.0
-    for kind in (est.DS, est.WAD, est.APE):
+    for kind in est.KINDS:
         spec = small_presets[kind].spec
         for name in ("f1", "f2", "omega", "omega_prime", "perm"):
             if hasattr(spec.params, name):
@@ -206,7 +213,7 @@ def test_m1_rows_match_population(small_presets):
 # where a spec meets a grid
 # -----------------------------------------------------------------------------
 
-@pytest.mark.parametrize("kind", [est.ATE, est.LOD])
+@pytest.mark.parametrize("kind", TREATMENT_KINDS)
 def test_binary_treatment_kind_refuses_a_continuous_treatment_grid(kind, small_presets):
     wad = small_presets[est.WAD]
     with pytest.raises(DimensionMismatchError, match=kind):

@@ -11,9 +11,11 @@ from debias_lab.errors import (
     PreconditionError,
 )
 from debias_lab.estimands import NuisanceField
-from debias_lab.grid import Dataset, sample
+from debias_lab.grid import Dataset, Density, sample
 from debias_lab.partition import bump, equal_blocks
 from debias_lab.presets import preset
+
+from kinds import AFFINE_KINDS, FACTS, random_fields
 
 
 # -----------------------------------------------------------------------------
@@ -296,17 +298,6 @@ def test_plugin_bias_first_order_in_eps(small_presets):
     assert biases[1] == pytest.approx(2.0 * biases[0], rel=1e-10)
 
 
-def _random_fields(pre, seed):
-    """A (gamma_hat, alpha_hat) pair on the preset's Z grid, in range for every
-    kind (log-odds for lod)."""
-    zs = est.z_space(pre.spec.kind, pre.anchor.space)
-    rng = np.random.default_rng(seed)
-    gamma_hat = rng.uniform(0.2, 0.8, zs.shape)
-    if pre.spec.kind == est.LOD:
-        gamma_hat = np.log(gamma_hat / (1.0 - gamma_hat))
-    return gamma_hat, rng.standard_normal(zs.shape)
-
-
 @pytest.mark.parametrize("kind", est.KINDS)
 def test_score_table_is_the_per_atom_score(kind, small_presets):
     """psi = offset + sign * (m1 + alpha * rho) at every atom, bit for bit,
@@ -314,16 +305,13 @@ def test_score_table_is_the_per_atom_score(kind, small_presets):
     table drops the alpha * rho term.  The table is read-only."""
     pre = small_presets[kind]
     spec, space = pre.spec, pre.anchor.space
-    gamma_hat, alpha_hat = _random_fields(pre, seed=11)
+    gamma_hat, alpha_hat = random_fields(kind, pre.gamma.shape, 11)
     t = est.KIND_TABLE[kind].target_axis
     outcome = space.coords(t).reshape([-1 if a == t else 1 for a in range(len(space.shape))])
     m1 = np.broadcast_to(est.m1_atoms(spec, space, gamma_hat), space.shape)
     rho = est.score_rho(spec, outcome, est.z_to_grid(spec, space, gamma_hat))
     alpha = est.z_to_grid(spec, space, alpha_hat)
-    offset = 0.0
-    if kind == est.ECC_PLM:
-        offset = space.coords(1)[None, :, None] * space.coords(2)[None, None, :]
-    sign = est.score_sign_offset(spec)
+    offset, sign = FACTS[kind].offset(space), FACTS[kind].sign
     for fields, expected in (((gamma_hat, alpha_hat), offset + sign * (m1 + alpha * rho)),
                              ((gamma_hat,), offset + sign * m1)):
         table = dr.score_table(spec, space, *fields)
@@ -347,7 +335,7 @@ def test_score_table_is_never_stale(kind, small_presets, monkeypatch):
     pre = small_presets[kind]
     spec, space = pre.spec, pre.anchor.space
     data = sample(pre.anchor, 3000, seed=4)
-    gamma_hat, alpha_hat = _random_fields(pre, seed=21)
+    gamma_hat, alpha_hat = random_fields(kind, pre.gamma.shape, 21)
     before = dr.dml_estimate(data, gamma_hat, alpha_hat, spec)
     gamma_hat[0] += 0.01
     after = dr.dml_estimate(data, gamma_hat, alpha_hat, spec)
@@ -359,7 +347,7 @@ def test_score_table_is_never_stale(kind, small_presets, monkeypatch):
     assert (table == _cold(lambda: dr.score_table(spec, space, gamma_hat, alpha_hat.copy()),
                            monkeypatch)).all()
 
-    pairs = [_random_fields(pre, seed) for seed in (31, 32)]
+    pairs = [random_fields(kind, pre.gamma.shape, seed) for seed in (31, 32)]
     cold = [_cold(lambda g=g, a=a: dr.dml_estimate(data, g, a, spec), monkeypatch)
             for g, a in pairs]
     cold_plugin = [_cold(lambda g=g: dr.plugin_estimate(data, g, spec), monkeypatch)
@@ -375,7 +363,7 @@ def test_score_table_is_shared_by_equal_fields(small_presets):
     the kept table; so does a field given as a list."""
     pre = small_presets[est.ATE]
     spec, space = pre.spec, pre.anchor.space
-    gamma_hat, alpha_hat = _random_fields(pre, seed=41)
+    gamma_hat, alpha_hat = random_fields(est.ATE, pre.gamma.shape, 41)
     table = dr.score_table(spec, space, gamma_hat, alpha_hat)
     assert dr.score_table(spec, space, gamma_hat.copy(), alpha_hat.copy()) is table
     assert dr.score_table(spec, space, gamma_hat.tolist(), alpha_hat) is table
@@ -393,6 +381,21 @@ def test_empty_dataset_errors(small_presets):
     with pytest.raises(EmptyDataError):
         dr.dr_ate_estimate(empty, pre.extras.get("g_hat", pre.gamma),
                            np.full(32, 0.5))
+
+
+@pytest.mark.parametrize("clip", [0.6, 0.5, 0.0, -0.1, np.nan])
+def test_propensity_clip_outside_the_open_half_interval_is_refused(clip):
+    """Clip 0.6 set every propensity to 0.4 (np.clip(m, 0.6, 0.4)), clip 0 gave
+    a zero propensity an infinite weight, and a NaN clip a NaN weight."""
+    pre = preset(est.ATE, x_cells=8)
+    data = sample(pre.anchor, 100, seed=0)
+    g_hat, m_hat = pre.extras["g_hat"], pre.extras["m_hat"]
+    named = re.escape(f"the propensity clip must lie in (0, 1/2), not {clip!r}")
+    for call in (lambda: dr.ate_alpha_from_propensity(m_hat, clip),
+                 lambda: dr.dr_ate_estimate(data, g_hat, m_hat, clip),
+                 lambda: dr.population_dr_ate(pre.anchor, g_hat, m_hat, clip)):
+        with pytest.raises(PreconditionError, match=named):
+            call()
 
 
 def test_dr_concentrates_with_exact_nuisances():
@@ -479,7 +482,7 @@ def test_population_double_robustness():
                - pre.oracle) <= 1e-10
 
 
-@pytest.mark.parametrize("kind", est.AFFINE_KINDS)
+@pytest.mark.parametrize("kind", AFFINE_KINDS)
 def test_population_one_exact_nuisance_kills_dml_bias(kind, small_presets):
     pre = small_presets[kind]
     rng = np.random.default_rng(6)
@@ -491,7 +494,7 @@ def test_population_one_exact_nuisance_kills_dml_bias(kind, small_presets):
                                  pre.spec) - pre.oracle) <= 1e-10
 
 
-@pytest.mark.parametrize("kind", est.AFFINE_KINDS)
+@pytest.mark.parametrize("kind", AFFINE_KINDS)
 def test_population_bias_factorization(kind, small_presets):
     pre = small_presets[kind]
     rng = np.random.default_rng(7)
@@ -536,7 +539,7 @@ def test_binned_learner_constant_truth():
     space = pre.anchor.space
     anchor = est.ate_joint(space, np.full(32, 0.5), np.full((32, 2), 0.73))
     data = sample(anchor, 40_000, seed=0)
-    field = dr.binned_learner(data, target_axis=2, bins=4)
+    field = dr.binned_learner(data, pre.spec, bins=4)
     assert field.shape == (32, 2)
     assert np.max(np.abs(field - 0.73)) <= 0.02
 
@@ -545,13 +548,11 @@ def test_binned_learner_empty_bin_falls_back_to_global_mean():
     pre = preset(est.ATE, x_cells=32)
     space = pre.anchor.space
     # all mass on one atom (first X cell): every other bin is empty
-    from debias_lab.grid import Density
-
     vals = np.zeros(space.shape)
     vals[0, 1, 1] = 1.0 / space.atom_weight
     p = Density(space, vals)
     data = sample(p, 100, seed=0)
-    field = dr.binned_learner(data, target_axis=2, bins=4)
+    field = dr.binned_learner(data, pre.spec, bins=4)
     assert np.allclose(field[8:], 1.0)  # global mean of Y is 1
 
 
@@ -563,7 +564,7 @@ def test_binned_learner_error_shrinks_with_n():
     errs = []
     for n in (2_000, 200_000):
         data = sample(pre.anchor, n, seed=1)
-        field = dr.binned_learner(data, target_axis=2, bins=8)
+        field = dr.binned_learner(data, pre.spec, bins=8)
         errs.append(l2_nuisance_distance(field, pre.gamma, pz))
     assert errs[1] < errs[0]
     # bias floor: the binned model cannot drive the error to zero
@@ -574,19 +575,44 @@ def test_binned_learner_bins_must_divide():
     pre = preset(est.ATE, x_cells=32)
     data = sample(pre.anchor, 100, seed=0)
     with pytest.raises(PreconditionError):
-        dr.binned_learner(data, target_axis=2, bins=5)
+        dr.binned_learner(data, pre.spec, bins=5)
 
 
 @pytest.mark.parametrize("bins", [2.0, 2.5, np.float64(4.0), "4"])
 def test_binned_learner_refuses_a_non_integer_bin_count(bins):
     """bins = 2.0 passed the divisibility check and ended in a bare TypeError."""
-    data = sample(preset(est.ATE, x_cells=32).anchor, 100, seed=0)
+    pre = preset(est.ATE, x_cells=32)
+    data = sample(pre.anchor, 100, seed=0)
     with pytest.raises(PreconditionError,
                        match=re.escape(f"bin count must be an integer, got {bins!r}")):
-        dr.binned_learner(data, target_axis=2, bins=bins)
+        dr.binned_learner(data, pre.spec, bins=bins)
 
 
 def test_binned_learner_accepts_a_numpy_integer_bin_count():
-    data = sample(preset(est.ATE, x_cells=32).anchor, 1000, seed=0)
-    assert (dr.binned_learner(data, 2, np.int64(4)).tobytes()
-            == dr.binned_learner(data, 2, 4).tobytes())
+    pre = preset(est.ATE, x_cells=32)
+    data = sample(pre.anchor, 1000, seed=0)
+    assert (dr.binned_learner(data, pre.spec, np.int64(4)).tobytes()
+            == dr.binned_learner(data, pre.spec, 4).tobytes())
+
+
+@pytest.mark.parametrize("kind", est.KINDS)
+def test_binned_learner_is_the_target_mean_on_the_z_grid(kind, small_presets):
+    """On counts proportional to an anchor, the learner at one Z1 cell per bin
+    is the anchor's regression_target_mean; at any bin count it lives on the Z
+    grid.  It used to regress axis 2 whatever the kind: T on (X, Y) for
+    ecc_plm, where gamma lives on X alone."""
+    spec, space = small_presets[kind].spec, small_presets[kind].anchor.space
+    counts = np.random.default_rng(5).integers(1, 20, space.n_atoms)
+    anchor = Density(space, counts.reshape(space.shape) / (counts.sum() * space.atom_weight))
+    data = Dataset(space, counts)
+    zs = est.z_space(kind, space)
+    assert dr.binned_learner(data, spec, 4).shape == zs.shape
+    field = dr.binned_learner(data, spec, zs.shape[0])
+    assert field.shape == zs.shape
+    assert np.max(np.abs(field - est.regression_target_mean(anchor, spec))) <= 1e-12
+
+
+def test_binned_learner_refuses_another_kinds_grid(small_presets):
+    data = sample(small_presets[est.ATE].anchor, 100, seed=0)
+    with pytest.raises(DimensionMismatchError, match="wad"):
+        dr.binned_learner(data, small_presets[est.WAD].spec, 4)

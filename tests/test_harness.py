@@ -18,6 +18,8 @@ from debias_lab.harness import (
     run_rate_scan,
 )
 
+from kinds import FACTS
+
 
 def eps_config(**kw):
     base = dict(kind="ate", estimator="dml",
@@ -72,7 +74,7 @@ def test_config_rejects_population_n_sweep():
         ExperimentConfig(kind="ate", population=True, n_sweep=(100, 1000))
 
 
-@pytest.mark.parametrize("kind", ["lod", "ecc_plm", "ds", "wad", "ape"])
+@pytest.mark.parametrize("kind", [k for k in est.KINDS if k != est.ATE])
 def test_config_rejects_dr_off_ate(kind):
     with pytest.raises(PreconditionError, match="ATE"):
         ExperimentConfig(kind=kind, estimator="dr", n_sweep=(100, 1000))
@@ -340,8 +342,8 @@ def test_m_sweep_evaluates_each_sweep_point_once(monkeypatch):
         assert len({r["point"] for r in point}) == 1
 
 
-@pytest.mark.parametrize("kind, code", [("ate", 2), ("lod", 2), ("wad", 2), ("ape", 2),
-                                        ("ds", 0), ("ecc_plm", 0)])
+@pytest.mark.parametrize("kind, code", [(k, 2 if f.refuses_random_plugin_sweep else 0)
+                                        for k, f in FACTS.items()])
 def test_random_plugin_eps_sweep_needs_one_z_axis(tmp_path, capsys, monkeypatch,
                                                   kind, code):
     """Random bumps are constant along the second Z axis, which the m1 of ATE,
@@ -548,7 +550,7 @@ def test_cli_adversary_report(kind):
     out = run_cli("adversary", "--kind", kind, "--x-cells", "32", "--d-cells", "16")
     assert out.returncode == 0
     pairs = json.loads(out.stdout)["directions"]
-    if kind == est.APE:  # estimation only: no direction pair
+    if FACTS[kind].directions is None:  # estimation only: no direction pair
         assert "unavailable" in pairs["gamma"] and "unavailable" in pairs["alpha"]
         return
     for pair in pairs.values():

@@ -60,6 +60,17 @@ def test_iterated_partition_linear_weight():
         assert part.block_integral(x, j) == pytest.approx(0.125, abs=1e-6)
 
 
+@pytest.mark.parametrize("block, named", [
+    (7, "block 7 is not in [0, 4)"), (4, "block 4 is not in [0, 4)"),
+    (-1, "block -1 is not in [0, 4)"), (1.5, "a block index must be an integer, got 1.5"),
+])
+def test_block_integral_refuses_a_block_off_the_partition(block, named):
+    """Block 7, -1 or 1.5 of a 4-block partition integrated to 0.0."""
+    part = iterated_partition([np.ones(256)], 2, AXIS)
+    with pytest.raises(PreconditionError, match=re.escape(named)):
+        part.block_integral(np.ones(256), block)
+
+
 def test_partition_telescoping():
     x = AXIS.coords
     weights = [np.ones(256), x]

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from debias_lab import estimands as est, estimators as dr
 from debias_lab.errors import DegenerateNuisanceError, PreconditionError
-from debias_lab.estimands import ApeParams, DsParams, EstimandSpec, WadParams
 from debias_lab.grid import (
     Dataset,
     Density,
@@ -23,39 +22,10 @@ from debias_lab.grid import (
     l2_nuisance_distance,
 )
 
+from kinds import FACTS, mixed_bias_target, random_anchor, random_fields
+
 TOL = 1e-12
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
-
-
-def random_anchor(kind: str, x_cells: int, d_cells: int, seed: int):
-    """(spec, anchor) built from random fields bounded away from 0 and 1."""
-    rng = np.random.default_rng(seed)
-    space = est.make_space(kind, x_cells, d_cells)
-    p_x = rng.uniform(0.5, 1.5, x_cells)
-    if kind in (est.ATE, est.LOD):
-        m = rng.uniform(0.2, 0.8, x_cells)
-        g = rng.uniform(0.2, 0.8, (x_cells, 2))
-        return EstimandSpec(kind), est.ate_joint(space, m, g, p_x)
-    if kind == est.ECC_PLM:
-        g = rng.uniform(0.2, 0.8, x_cells)
-        theta = rng.uniform(-0.3, 0.3)
-        f = rng.uniform(0.35, 0.65, x_cells)
-        return EstimandSpec(kind), est.plm_joint(space, g, f + theta * g, theta)
-    if kind == est.DS:
-        params = DsParams(rng.uniform(0.5, 1.5, x_cells), rng.uniform(0.5, 1.5, x_cells))
-        anchor = est.ds_joint(space, rng.uniform(0.2, 0.8, x_cells), p_x)
-        return EstimandSpec(kind, params), anchor
-    f_d = rng.uniform(0.5, 1.5, (x_cells, d_cells))
-    anchor = est.dose_joint(space, f_d, rng.uniform(0.2, 0.8, (x_cells, d_cells)), p_x)
-    if kind == est.WAD:
-        omega = np.zeros(d_cells)
-        omega[1:-1] = rng.uniform(0.5, 1.5, d_cells - 2)
-        omega *= d_cells / omega.sum()
-        params = WadParams(omega, rng.standard_normal(d_cells))
-    else:
-        perm = np.arange(d_cells) if rng.integers(2) else np.arange(d_cells)[::-1]
-        params = ApeParams(perm.copy())
-    return EstimandSpec(kind, params), anchor
 
 
 anchors = st.builds(random_anchor, st.sampled_from(est.KINDS), st.integers(2, 6),
@@ -76,13 +46,11 @@ def test_riesz_identity_on_random_anchors(drawn, seed):
 @given(anchors)
 def test_mixed_bias_on_random_anchors(drawn):
     spec, anchor = drawn
-    if not spec.affine:
+    if FACTS[spec.kind].log_odds:
         with pytest.raises(PreconditionError):
             est.mixed_bias_value(anchor, spec)
         return
-    chi = est.functional_value(anchor, spec)
-    if spec.kind == est.ECC_PLM:
-        chi = est.ecc_offset_population(anchor, spec) - chi
+    chi = mixed_bias_target(spec.kind, anchor, est.functional_value(anchor, spec))
     assert abs(est.mixed_bias_value(anchor, spec) - chi) <= TOL
 
 
@@ -96,10 +64,7 @@ def test_atom_weighted_rows_match_population(drawn, seed):
     space = anchor.space
     zs = est.z_space(spec.kind, space)
     rng = np.random.default_rng(seed)
-    gamma_hat = rng.uniform(0.2, 0.8, zs.shape)
-    if spec.kind == est.LOD:
-        gamma_hat = np.log(gamma_hat / (1.0 - gamma_hat))
-    alpha_hat = rng.standard_normal(zs.shape)
+    gamma_hat, alpha_hat = random_fields(spec.kind, zs.shape, rng)
 
     rows = np.arange(space.n_atoms)
     weight = anchor.values.ravel() * space.atom_weight
@@ -107,9 +72,9 @@ def test_atom_weighted_rows_match_population(drawn, seed):
     z_at = tuple(idx[a] for a in est.z_axes(spec.kind))
     m1 = est.m1_rows(spec, space, gamma_hat)
     core = m1 + alpha_hat[z_at] * est.rho_rows(spec, space, gamma_hat)
-    if spec.kind == est.ECC_PLM:
-        ty = (idx[1] * idx[2]).astype(float)
-        m1, core = ty - m1, ty - core
+    facts = FACTS[spec.kind]
+    offset = np.broadcast_to(facts.offset(space), space.shape).ravel()
+    m1, core = offset + facts.sign * m1, offset + facts.sign * core
 
     assert abs(weight @ m1 - dr.population_plugin(anchor, gamma_hat, spec)) <= TOL
     assert abs(weight @ core
@@ -121,7 +86,7 @@ def test_atom_weighted_rows_match_population(drawn, seed):
     assert abs(dr.plugin_estimate(data, gamma_hat, spec) - counts @ m1 / n) <= TOL
     assert abs(dr.dml_estimate(data, gamma_hat, alpha_hat, spec)
                - counts @ core / n) <= TOL
-    if spec.kind == est.ATE:
+    if facts.propensity_alpha and not facts.log_odds:
         # the classic doubly robust score; 0.01 and 0.99 get clipped
         m_hat = rng.permutation(np.linspace(0.01, 0.99, zs.shape[0]))
         m = np.clip(m_hat, 0.05, 0.95)[idx[0]]
@@ -147,10 +112,7 @@ def test_memoized_anchor_matches_a_cold_copy(drawn, seed):
         return Density(anchor.space, np.array(anchor.values))
 
     for _ in range(3):
-        gamma_hat = rng.uniform(0.2, 0.8, zs.shape)
-        if spec.kind == est.LOD:
-            gamma_hat = np.log(gamma_hat / (1.0 - gamma_hat))
-        alpha_hat = rng.standard_normal(zs.shape)
+        gamma_hat, alpha_hat = random_fields(spec.kind, zs.shape, rng)
         assert (dr.population_dml(anchor, gamma_hat, alpha_hat, spec)
                 == dr.population_dml(cold(), gamma_hat, alpha_hat, spec))
         assert (dr.population_plugin(anchor, gamma_hat, spec)
@@ -215,7 +177,7 @@ def test_audit_path_gives_the_bytes_of_the_numpy_wrappers(drawn, seed):
         assert expected.shape == np.broadcast_shapes(np.shape(p), np.shape(mean)) + (2,)
         assert est.bernoulli_law(p, mean).tobytes() == expected.tobytes()
 
-    if spec.kind in (est.ATE, est.LOD):
+    if FACTS[spec.kind].propensity_alpha:
         pz_atoms = values.sum(axis=-1)
         pi = pz_atoms[:, 1] / pz_atoms.sum(axis=-1)
         expected = np.stack([-1.0 / (1.0 - pi), 1.0 / pi], axis=1)

@@ -21,7 +21,7 @@ from debias_lab.grid import Density, GridSpace, SignedDensity, continuous, unifo
 from debias_lab.partition import all_sign_vectors, bump, equal_blocks, iterated_partition
 from debias_lab.presets import preset
 
-from test_properties import random_anchor
+from kinds import DIRECTION_KINDS, random_anchor
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 
@@ -63,10 +63,12 @@ def test_ate_stack_matches_members(x_cells, m_pairs, seed, split):
 
 
 @PROPERTY
-@given(st.sampled_from([est.ATE, est.LOD, est.ECC_PLM]), st.integers(6, 12),
+@given(st.sampled_from(DIRECTION_KINDS), st.integers(6, 12),
        st.sampled_from([1, 2]), st.integers(0, 2 ** 32 - 1))
 def test_direction_stack_matches_members(kind, x_cells, m_pairs, seed):
-    spec, anchor = random_anchor(kind, x_cells, 3, seed)
+    # random DS references or WAD weights may leave no run to build a pair on
+    spec, anchor = random_anchor(kind, x_cells, 16, seed,
+                                 params=preset(kind, x_cells, 16).spec.params)
     pair = adv.direction_pair(spec, anchor, "gamma")
     axis = anchor.space.axes[0]
     # balancing both directions' Z1 profiles makes every bump annihilate
